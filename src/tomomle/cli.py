@@ -7,7 +7,7 @@ output.  Exit codes are part of the contract:
 
     0   success (for `reconstruct --method mle`: first-order stationarity)
     1   verify-minima equivalence check failed
-    2   unknown preset / malformed input document
+    2   unknown preset / malformed or unsupported input document
     3   output path not writable
     4   measurement set not informationally complete (linear inversion)
     10  MLE run ended on a stagnation criterion, not stationarity
@@ -175,7 +175,10 @@ def cmd_reconstruct(args):
     manifest = _manifest(args, "reconstruct")
     d = record.dim
     if args.method == "linear":
-        basis = pauli_basis(int(round(np.log2(d))))
+        n_qubits = int(round(np.log2(d)))
+        if n_qubits < 1 or 2**n_qubits != d:
+            raise SchemaError(f"linear inversion needs d = 2^n with n >= 1, got d = {d}")
+        basis = pauli_basis(n_qubits)
         try:
             report = linear_invert(normalize(record), record.operators, basis)
         except IncompleteMeasurementsError as exc:

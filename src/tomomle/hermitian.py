@@ -6,8 +6,6 @@ semidefinite up to small numerical slack; `check_density_matrix` enforces
 exactly that contract.
 """
 
-import itertools
-
 import numpy as np
 
 from .errors import CapacityError, DimensionError, InvalidBasisError, NumericalError
@@ -18,11 +16,14 @@ EIGENVALUE_TOL = 1e-10
 
 MAX_QUBITS = 8
 
-_SIGMA = (
-    np.array([[1, 0], [0, 1]], dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
+_SIGMA = np.array(
+    [
+        [[1, 0], [0, 1]],
+        [[0, 1], [1, 0]],
+        [[0, -1j], [1j, 0]],
+        [[1, 0], [0, -1]],
+    ],
+    dtype=complex,
 )
 
 
@@ -58,13 +59,12 @@ def pauli_basis(n_qubits, max_qubits=MAX_QUBITS):
     if n_qubits > max_qubits:
         raise CapacityError(f"n_qubits={n_qubits} exceeds the maximum {max_qubits}")
     scale = 1.0 / np.sqrt(2.0**n_qubits)
-    basis = []
-    for idx in itertools.product(range(4), repeat=n_qubits):
-        m = _SIGMA[idx[0]]
-        for i in idx[1:]:
-            m = np.kron(m, _SIGMA[i])
-        basis.append(scale * m)
-    return basis
+    stack = _SIGMA
+    for _ in range(n_qubits - 1):
+        # batched kron(A_a, S_b) for every pair; a stays the major index
+        n, dim = stack.shape[:2]
+        stack = np.einsum("aij,bkl->abikjl", stack, _SIGMA).reshape(4 * n, 2 * dim, 2 * dim)
+    return list(scale * stack)
 
 
 def _check_orthonormal(basis, tol=1e-10):
@@ -98,11 +98,7 @@ def stokes_reconstruct(coeffs, basis):
     coeffs = np.asarray(coeffs, dtype=float)
     if len(coeffs) != len(basis):
         raise DimensionError(f"{len(coeffs)} coefficients for {len(basis)} basis matrices")
-    d = basis[0].shape[0]
-    out = np.zeros((d, d), dtype=complex)
-    for c, g in zip(coeffs, basis):
-        out += c * g
-    return out
+    return np.tensordot(coeffs, np.stack(basis), axes=1)
 
 
 def purity(rho):

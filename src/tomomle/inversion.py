@@ -27,20 +27,22 @@ class InversionReport:
 
 
 def build_b_matrix(povm, basis):
-    """Real matrix with entry (nu, mu) = tr(O_mu G_nu); shape d^2 x m."""
-    n = len(basis)
-    m = len(povm)
-    b = np.empty((n, m))
-    for mu, op in enumerate(povm):
-        mat = op.matrix if hasattr(op, "matrix") else np.asarray(op, dtype=complex)
-        for nu, g in enumerate(basis):
-            val = np.trace(mat @ g)
-            if abs(val.imag) >= 1e-10:
-                raise NumericalError(
-                    f"tr(O_{mu} G_{nu}) has imaginary part {val.imag}"
-                )
-            b[nu, mu] = val.real
-    return b
+    """Real matrix with entry (nu, mu) = tr(O_mu G_nu); shape d^2 x m.
+
+    The operators (MeasurementOperators or raw arrays) and the basis are each
+    stacked once, and B is one complex matmul of the flattened stacks:
+    tr(O G) = sum_ij G_ji O_ij.
+    """
+    ops = np.stack(
+        [op.matrix if hasattr(op, "matrix") else np.asarray(op, dtype=complex) for op in povm]
+    )
+    g = np.stack(basis)
+    b = np.swapaxes(g, 1, 2).reshape(len(g), -1) @ ops.reshape(len(ops), -1).T
+    bad = np.argwhere(np.abs(b.imag.T) >= 1e-10)  # (mu, nu) in row-major order
+    if len(bad):
+        mu, nu = bad[0]
+        raise NumericalError(f"tr(O_{mu} G_{nu}) has imaginary part {b[nu, mu].imag}")
+    return np.ascontiguousarray(b.real)
 
 
 def linear_invert(freqs, povm, basis):

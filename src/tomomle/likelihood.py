@@ -36,10 +36,17 @@ def _layout(d):
 
 @dataclass(frozen=True)
 class ObjectiveModel:
+    """Objective kind, measurement operators and observed frequencies.
+
+    The operator matrices are stacked once, at construction, into the
+    (m, d, d) array `mats` that every evaluation reuses.
+    """
+
     kind: str  # "gaussian" | "multinomial"
     povm: tuple
     freqs: np.ndarray
     probability_floor: float = PROBABILITY_FLOOR
+    mats: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("gaussian", "multinomial"):
@@ -50,10 +57,11 @@ class ObjectiveModel:
             raise DimensionError(
                 f"{len(self.povm)} operators for {len(self.freqs)} frequencies"
             )
+        object.__setattr__(self, "mats", np.stack([op.matrix for op in self.povm]))
 
     @property
     def dim(self):
-        return self.povm[0].matrix.shape[0]
+        return self.mats.shape[1]
 
     @property
     def n_params(self):
@@ -69,15 +77,15 @@ class ObjectiveEvaluation:
     floor_hit: bool = field(default=False)
 
 
-def _probs_and_derivs(t, povm):
-    """p_mu(t) and the m x d^2 matrix of partials dp_mu/dt_k."""
+def _probs_and_derivs(t, mats):
+    """p_mu(t) and the m x d^2 matrix of partials dp_mu/dt_k; mats is the
+    (m, d, d) operator stack."""
     t = np.asarray(t, dtype=float)
     d = param_dim(t.size)
     rows, cols, coeffs = _layout(d)
     T = build_T(t)
     Th = T.conj().T
     s = float(t @ t)
-    mats = np.stack([op.matrix for op in povm])  # m, d, d
     a = mats @ Th  # A_mu = O_mu T^dag
     q = np.real(np.einsum("mij,ji->m", a, T))
     # d q_mu / d t_k = 2 Re(c_k * (O_mu T^dag)[col_k, row_k])
@@ -87,17 +95,16 @@ def _probs_and_derivs(t, povm):
     return p, dp
 
 
-def _probs(t, povm):
+def _probs(t, mats):
     t = np.asarray(t, dtype=float)
     T = build_T(t)
     s = float(t @ t)
-    mats = np.stack([op.matrix for op in povm])
     return np.real(np.einsum("mij,ji->m", mats @ T.conj().T, T)) / s
 
 
 def value(t, model):
     """Objective value only (used by derivative-free search)."""
-    p = _probs(t, model.povm)
+    p = _probs(t, model.mats)
     floor = model.probability_floor
     pf = np.maximum(p, floor)
     if model.kind == "gaussian":
@@ -110,7 +117,7 @@ def residuals_gaussian(t, model):
     """Weighted residuals r_mu = (p_mu - f_mu) / sqrt(p_mu)."""
     if model.kind != "gaussian":
         raise ValueError("residuals are defined for the gaussian objective only")
-    p = _probs(t, model.povm)
+    p = _probs(t, model.mats)
     return (p - model.freqs) / np.sqrt(np.maximum(p, model.probability_floor))
 
 
@@ -118,7 +125,7 @@ def residuals_and_jacobian(t, model):
     """Residual vector and its Jacobian (gaussian kind)."""
     if model.kind != "gaussian":
         raise ValueError("residuals are defined for the gaussian objective only")
-    p, dp = _probs_and_derivs(t, model.povm)
+    p, dp = _probs_and_derivs(t, model.mats)
     floor = model.probability_floor
     pf = np.maximum(p, floor)
     r = (p - model.freqs) / np.sqrt(pf)
@@ -142,7 +149,7 @@ def value_and_gradient(t, model):
             jacobian=jac,
             floor_hit=floor_hit,
         )
-    p, dp = _probs_and_derivs(t, model.povm)
+    p, dp = _probs_and_derivs(t, model.mats)
     floor = model.probability_floor
     pf = np.maximum(p, floor)
     w = np.where(p > floor, model.freqs / pf, 0.0)
@@ -153,10 +160,6 @@ def value_and_gradient(t, model):
         jacobian=None,
         floor_hit=bool(np.any(p < floor)),
     )
-
-
-def jacobian_gaussian(t, model):
-    return residuals_and_jacobian(t, model)[1]
 
 
 def value_on_state(rho, model):

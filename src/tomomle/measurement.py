@@ -215,6 +215,7 @@ def record_from_dict(doc):
         dim = int(doc["dim"])
         ops_spec = doc["operators"]
         counts = doc["counts"]
+        n_counts = len(counts)
         normalization = doc["normalization"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"record is missing or has a malformed field: {exc}") from exc
@@ -225,6 +226,10 @@ def record_from_dict(doc):
             MeasurementOperator(entry.get("label", ""), _matrix_from_pairs(entry["matrix"]))
             for entry in ops_spec
         ]
+    if not operators:
+        raise SchemaError("record lists no operators")
+    if n_counts != len(operators):
+        raise SchemaError(f"{n_counts} counts for {len(operators)} operators")
     if operators[0].matrix.shape[0] != dim:
         raise SchemaError(
             f"declared dim {dim} does not match operator dimension "

@@ -13,6 +13,8 @@ from .errors import BoundaryStateError, DegenerateParameterError, DimensionError
 
 NORM_GUARD = 1e-150
 
+_INDEX_CACHE = {}
+
 
 def param_dim(n_params):
     """Matrix dimension d from the parameter count d^2."""
@@ -22,37 +24,35 @@ def param_dim(n_params):
     return d
 
 
+def _triangle_indices(d):
+    # the one statement of the layout: diagonal, then the strict upper
+    # triangle row-major (np.triu_indices order)
+    if d not in _INDEX_CACHE:
+        _INDEX_CACHE[d] = (np.diag_indices(d), np.triu_indices(d, 1))
+    return _INDEX_CACHE[d]
+
+
 def param_layout(d):
     """Entry (row, col, coefficient) of dT/dt_k for each parameter index k.
 
     Diagonal parameters come first (coefficient 1), then row-major strict
     upper-triangle pairs with coefficients 1 and 1j.
     """
-    rows, cols, coeffs = [], [], []
-    for k in range(d):
-        rows.append(k)
-        cols.append(k)
-        coeffs.append(1.0)
-    for i in range(d):
-        for j in range(i + 1, d):
-            rows.extend([i, i])
-            cols.extend([j, j])
-            coeffs.extend([1.0, 1.0j])
-    return np.array(rows), np.array(cols), np.array(coeffs, dtype=complex)
+    (diag, _), (upper_rows, upper_cols) = _triangle_indices(d)
+    rows = np.concatenate([diag, np.repeat(upper_rows, 2)])
+    cols = np.concatenate([diag, np.repeat(upper_cols, 2)])
+    coeffs = np.concatenate([np.ones(d), np.tile([1.0, 1.0j], len(upper_rows))])
+    return rows, cols, coeffs
 
 
 def build_T(t):
     """Upper-triangular T(t) for a length-d^2 real parameter vector."""
     t = np.asarray(t, dtype=float)
     d = param_dim(t.size)
+    diagonal, upper = _triangle_indices(d)
     T = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        T[k, k] = t[k]
-    idx = d
-    for i in range(d):
-        for j in range(i + 1, d):
-            T[i, j] = t[idx] + 1j * t[idx + 1]
-            idx += 2
+    T[diagonal] = t[:d]
+    T[upper] = t[d::2] + 1j * t[d + 1::2]
     return T
 
 
@@ -96,15 +96,11 @@ def inverse_param(rho, pattern=None, alpha=1.0):
         raise BoundaryStateError(f"Cholesky factorization failed: {exc}") from exc
     T = lower.conj().T  # upper triangular, positive real diagonal
     T = pattern[:, None] * T  # row sign flips leave T^dag T unchanged
+    diagonal, upper = _triangle_indices(d)
     t = np.empty(d * d)
-    for k in range(d):
-        t[k] = T[k, k].real
-    idx = d
-    for i in range(d):
-        for j in range(i + 1, d):
-            t[idx] = T[i, j].real
-            t[idx + 1] = T[i, j].imag
-            idx += 2
+    t[:d] = T[diagonal].real
+    t[d::2] = T[upper].real
+    t[d + 1::2] = T[upper].imag
     return t
 
 

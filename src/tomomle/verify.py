@@ -30,15 +30,23 @@ class MultistartReport:
     discard_diagnostics: list = field(default_factory=list)
 
 
-def _pairwise_spreads(results):
-    max_rho = 0.0
-    max_f = 0.0
-    for i in range(len(results)):
-        for j in range(i + 1, len(results)):
-            dist = float(np.linalg.norm(results[i].rho_final - results[j].rho_final))
-            max_rho = max(max_rho, dist)
-            max_f = max(max_f, abs(results[i].f_final - results[j].f_final))
-    return max_rho, max_f
+def _worst_pairs(results):
+    """(largest rho distance, pair) and (largest f spread, pair) over all
+    pairs i < j; ties keep the first pair in (i, j) order, and the pair is
+    None when no spread exceeds 0."""
+    rhos = np.stack([r.rho_final for r in results])
+    fs = np.array([r.f_final for r in results])
+    worst_rho = (0.0, None)
+    worst_f = (0.0, None)
+    for i in range(len(results) - 1):
+        dist = np.linalg.norm(rhos[i + 1:] - rhos[i], axis=(1, 2))
+        df = np.abs(fs[i + 1:] - fs[i])
+        j, k = int(np.argmax(dist)), int(np.argmax(df))
+        if dist[j] > worst_rho[0]:
+            worst_rho = (float(dist[j]), (i, i + 1 + j))
+        if df[k] > worst_f[0]:
+            worst_f = (float(df[k]), (i, i + 1 + k))
+    return worst_rho, worst_f
 
 
 def multistart(
@@ -97,7 +105,7 @@ def multistart(
             f"all {n_starts} runs failed the stationarity screen at {screen}",
             diagnostics=discards,
         )
-    max_rho, max_f = _pairwise_spreads(screened)
+    (max_rho, _), (max_f, _) = _worst_pairs(screened)
     return MultistartReport(
         solutions=solutions,
         screened_results=screened,
@@ -116,16 +124,7 @@ def equivalence_check(results, rho_tol=1e-4, f_tol=1e-8):
     """
     if not results:
         raise ValueError("need at least one result")
-    worst_rho = (0.0, None)
-    worst_f = (0.0, None)
-    for i in range(len(results)):
-        for j in range(i + 1, len(results)):
-            dist = float(np.linalg.norm(results[i].rho_final - results[j].rho_final))
-            if dist > worst_rho[0]:
-                worst_rho = (dist, (i, j))
-            df = abs(results[i].f_final - results[j].f_final)
-            if df > worst_f[0]:
-                worst_f = (df, (i, j))
+    worst_rho, worst_f = _worst_pairs(results)
     passed = worst_rho[0] <= rho_tol and worst_f[0] <= f_tol
     report = {
         "passed": passed,
@@ -164,12 +163,3 @@ def gradient_check(model, n_points=100, seed=0, gradient_fn=None):
         err = float(np.max(np.abs(analytic - fd))) / scale
         worst = max(worst, err)
     return worst
-
-
-def normalize_sign_gauge(t):
-    """Scale to ||t|| = 1 and flip rows so all diagonal parameters are positive."""
-    from .parameterize import inverse_param, rho_of_t
-
-    t = np.asarray(t, dtype=float)
-    d = int(round(np.sqrt(t.size)))
-    return inverse_param(rho_of_t(t), np.ones(d), 1.0)

@@ -116,6 +116,39 @@ def test_exit_code_incomplete_measurements(tmp_path):
     ) == 4
 
 
+def _projector_pairs(d, k):
+    m = np.zeros((d, d))
+    m[k, k] = 1.0
+    return [[[x, 0.0] for x in row] for row in m]
+
+
+@pytest.mark.parametrize(
+    "doc, method",
+    [
+        ({"dim": 2, "operators": "pol4", "counts": [9, 1, 5], "normalization": 10}, "mle"),
+        ({"dim": 2, "operators": [], "counts": [], "normalization": 10}, "mle"),
+        (
+            {
+                "dim": 3,
+                "operators": [{"matrix": _projector_pairs(3, k)} for k in range(3)],
+                "counts": [5, 3, 2],
+                "normalization": 10,
+            },
+            "linear",
+        ),
+    ],
+    ids=["count-mismatch", "no-operators", "linear-d3"],
+)
+def test_exit_code_unsupported_record(tmp_path, capsys, doc, method):
+    path = tmp_path / "bad.rec"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o.json"
+    assert run("reconstruct", str(path), "--method", method, "--out", str(out)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
 def test_exit_code_stagnation(tmp_path):
     out = tmp_path / "nm.json"
     code = run(

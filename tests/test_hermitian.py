@@ -1,3 +1,6 @@
+import itertools
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -29,6 +32,27 @@ def test_pauli_basis_orthonormal():
 def test_pauli_basis_identity_first():
     basis = pauli_basis(1)
     assert np.allclose(basis[0], np.eye(2) / np.sqrt(2))
+
+
+def test_pauli_basis_matches_kron_chain():
+    # lexicographic over Pauli indices, first factor most significant: the
+    # order of the Stokes coefficients
+    sigma = (
+        np.array([[1, 0], [0, 1]], dtype=complex),
+        np.array([[0, 1], [1, 0]], dtype=complex),
+        np.array([[0, -1j], [1j, 0]], dtype=complex),
+        np.array([[1, 0], [0, -1]], dtype=complex),
+    )
+    for n in (1, 2, 3):
+        scale = 1.0 / np.sqrt(2.0**n)
+        want = [
+            scale * reduce(np.kron, [sigma[i] for i in idx])
+            for idx in itertools.product(range(4), repeat=n)
+        ]
+        basis = pauli_basis(n)
+        assert isinstance(basis, list)
+        assert len(basis) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(basis, want))
 
 
 def test_pauli_basis_qubit_cap():

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from tomomle.errors import IncompleteMeasurementsError
+from tomomle.errors import IncompleteMeasurementsError, NumericalError
 from tomomle.hermitian import pauli_basis
 from tomomle.inversion import build_b_matrix, linear_invert
 from tomomle.measurement import (
+    MeasurementOperator,
     born_probability,
     normalize,
     polarization_projectors,
@@ -22,6 +23,35 @@ def test_b_matrix_shape_and_entries():
     # entry (nu, mu) = tr(O_mu G_nu)
     assert b[0, 0] == pytest.approx(np.real(np.trace(pol[0].matrix @ basis[0])))
     assert b[3, 1] == pytest.approx(np.real(np.trace(pol[1].matrix @ basis[3])))
+
+
+def test_b_matrix_matches_per_element_traces(rng):
+    for d, n in ((2, 1), (4, 2)):
+        basis = pauli_basis(n)
+        # random PSD operators that are not tensor products; half are passed
+        # as raw arrays
+        povm = []
+        for mu in range(d * d + 3):
+            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            o = a @ a.conj().T
+            povm.append(MeasurementOperator(str(mu), o) if mu % 2 else o)
+        b = build_b_matrix(povm, basis)
+        ref = np.array(
+            [
+                [np.trace(np.asarray(getattr(o, "matrix", o)) @ g).real for o in povm]
+                for g in basis
+            ]
+        )
+        assert b.shape == ref.shape
+        assert np.max(np.abs(b - ref)) < 1e-12
+
+
+def test_b_matrix_rejects_non_hermitian_array():
+    # O_1 has an imaginary trace against G_2 (sigma_y) only, O_3 against
+    # G_1 (sigma_x) only: the first offender in (mu, nu) order is (1, 2)
+    povm = [np.eye(2), np.array([[0, 1], [0, 0]]), np.eye(2), np.array([[0, 1j], [0, 0]])]
+    with pytest.raises(NumericalError, match=r"tr\(O_1 G_2\) has imaginary part"):
+        build_b_matrix(povm, pauli_basis(1))
 
 
 def test_exact_probabilities_roundtrip(rng):

@@ -11,8 +11,13 @@ from tomomle.likelihood import (
     value_and_gradient,
     value_on_state,
 )
-from tomomle.measurement import polarization_projectors
-from tomomle.parameterize import random_param, rho_of_t
+from tomomle.measurement import (
+    born_probability,
+    normalize,
+    polarization_projectors,
+    tensor_povm,
+)
+from tomomle.parameterize import build_T, param_layout, random_density, random_param, rho_of_t
 
 
 def make_model(kind="gaussian", freqs=(0.999, 0.0002, 0.4995, 0.4994)):
@@ -106,3 +111,36 @@ def test_residuals_require_gaussian_kind(rng):
     m = make_model(kind="multinomial")
     with pytest.raises(ValueError):
         residuals_gaussian(random_param(rng, 2), m)
+
+
+def _restacked_probs_and_derivs(t, model):
+    """Reference: stacks the operators afresh on every call."""
+    mats = np.stack([op.matrix for op in model.povm])
+    rows, cols, coeffs = param_layout(model.dim)
+    T = build_T(t)
+    s = float(t @ t)
+    a = mats @ T.conj().T
+    p = np.real(np.einsum("mij,ji->m", a, T)) / s
+    dq = 2.0 * np.real(coeffs[None, :] * a[:, cols, rows])
+    return p, (dq - np.outer(p, 2.0 * t)) / s
+
+
+def test_cached_stack_matches_restacked_reference(rng, example2):
+    pol = polarization_projectors()
+    povm3 = tensor_povm([pol, pol, pol])
+    rho3 = random_density(rng, 8)
+    freqs3 = np.array([born_probability(op, rho3) for op in povm3])
+    cases = [(example2.operators, normalize(example2)), (povm3, freqs3)]
+    for povm, freqs in cases:
+        m = ObjectiveModel("gaussian", povm, freqs)
+        floor = m.probability_floor
+        for _ in range(3):
+            t = random_param(rng, m.dim)
+            p, dp = _restacked_probs_and_derivs(t, m)
+            pf = np.maximum(p, floor)
+            r = (p - m.freqs) / np.sqrt(pf)
+            drdp = np.where(p > floor, (p + m.freqs) / (2.0 * pf**1.5), 1.0 / np.sqrt(floor))
+            assert value(t, m) == 0.5 * float(r @ r)
+            r_got, jac_got, _ = residuals_and_jacobian(t, m)
+            assert np.array_equal(r_got, r)
+            assert np.array_equal(jac_got, drdp[:, None] * dp)

@@ -159,6 +159,12 @@ def test_record_schema_errors(tmp_path):
             {"dim": 4, "operators": "pol4", "counts": [1, 1, 1, 1], "normalization": 4}
         )
     with pytest.raises(SchemaError):
+        record_from_dict(
+            {"dim": 2, "operators": "pol4", "counts": [1, 1, 1], "normalization": 4}
+        )
+    with pytest.raises(SchemaError):
+        record_from_dict({"dim": 2, "operators": [], "counts": [], "normalization": 4})
+    with pytest.raises(SchemaError):
         povm_preset("nope")
 
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,33 @@ def test_equivalence_check_detects_disagreement():
     assert summary["worst_rho_pair"] is not None
     with pytest.raises(ValueError):
         equivalence_check([])
+
+
+def test_equivalence_check_names_first_worst_pair():
+    # three distinct states and f values, each repeated: the largest spreads
+    # are tied between several pairs, and the first pair in (i, j) order wins
+    rhos = [np.diag([1.0, 0.0]), np.diag([0.5, 0.5]), np.diag([0.0, 1.0])]
+    fs = [0.0, 2.0, 1.0]
+    results = [
+        SimpleNamespace(rho_final=rhos[k].astype(complex), f_final=fs[k])
+        for k in (1, 0, 2, 0, 2, 1)
+    ]
+    worst_rho, worst_f = (0.0, None), (0.0, None)
+    for i in range(len(results)):
+        for j in range(i + 1, len(results)):
+            dist = float(np.linalg.norm(results[i].rho_final - results[j].rho_final))
+            df = abs(results[i].f_final - results[j].f_final)
+            if dist > worst_rho[0]:
+                worst_rho = (dist, (i, j))
+            if df > worst_f[0]:
+                worst_f = (df, (i, j))
+    _, summary = equivalence_check(results)
+    assert summary["worst_rho_pair"] == worst_rho[1] == (1, 2)
+    assert summary["worst_f_pair"] == worst_f[1] == (0, 1)
+    assert summary["max_rho_distance"] == pytest.approx(worst_rho[0], rel=1e-15)
+    assert summary["max_f_spread"] == worst_f[0]
+    _, same = equivalence_check(results[:1] * 3)
+    assert same["worst_rho_pair"] is None and same["worst_f_pair"] is None
 
 
 def test_gradient_check_passes():
