@@ -30,7 +30,14 @@ from .optimizers import (
     constrained_sign_solve,
     gradient_descent,
     levenberg_marquardt,
+    lm_block,
     nelder_mead,
 )
 from .parameterize import build_T, in_r_star_star, inverse_param, rho_of_t
-from .verify import MultistartReport, equivalence_check, gradient_check, multistart
+from .verify import (
+    MultistartReport,
+    equivalence_check,
+    gradient_check,
+    multistart,
+    orthant_multistart,
+)

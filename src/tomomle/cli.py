@@ -27,7 +27,7 @@ from .errors import (
     SchemaError,
     TomographyError,
 )
-from .hermitian import eig_hermitian, pauli_basis, purity
+from .hermitian import check_density_matrix, eig_hermitian, pauli_basis, purity
 from .inversion import linear_invert
 from .likelihood import ObjectiveModel
 from .measurement import (
@@ -46,7 +46,7 @@ from .optimizers import (
     run_solver,
 )
 from .parameterize import all_sign_patterns
-from .verify import equivalence_check, multistart
+from .verify import equivalence_check, multistart, orthant_multistart
 
 EXIT_OK = 0
 EXIT_NOT_EQUIVALENT = 1
@@ -96,7 +96,10 @@ def _load_state(spec, dim):
         raise SchemaError(f"malformed state file {spec!r}: {exc}") from exc
     if rho.shape != (dim, dim):
         raise SchemaError(f"state matrix is {rho.shape}, POVM needs dimension {dim}")
-    return rho
+    try:
+        return check_density_matrix(rho)
+    except TomographyError as exc:
+        raise SchemaError(f"state file {spec!r} is not a density matrix: {exc}") from exc
 
 
 def _manifest(args, command):
@@ -244,11 +247,11 @@ def cmd_verify_minima(args):
             # sphere-constrained protocol: tight stagnation tolerances inside
             # the solver, stationarity screen applied afterwards
             cfg = StopConfig(grad_tol=screen * 1e-3, step_tol=1e-12, fun_tol=1e-12)
-            for pattern in all_sign_patterns(d):
-                rep = multistart(
-                    model, args.starts, args.seed, cfg=cfg, screen_tol=screen,
-                    pattern=pattern,
-                )
+            patterns = all_sign_patterns(d)
+            orthant_reports = orthant_multistart(
+                model, patterns, args.starts, args.seed, cfg=cfg, screen_tol=screen
+            )
+            for pattern, rep in zip(patterns, orthant_reports):
                 reports.append((pattern, rep))
                 pooled.extend(rep.screened_results)
         else:

@@ -29,8 +29,16 @@ _LAYOUT_CACHE = {}
 
 
 def _layout(d):
+    """Where d q_mu / d t_k = 2 Re(c_k * (O_mu T^dag)[col_k, row_k]) sits in
+    the (re, im) float view of a (d, d) product, and the factor +-2.
+
+    c_k is 1 or 1j, so the real part of c_k z is Re z or -Im z: one entry
+    of the float view, taken with sign +1 or -1.
+    """
     if d not in _LAYOUT_CACHE:
-        _LAYOUT_CACHE[d] = param_layout(d)
+        rows, cols, coeffs = param_layout(d)
+        imag = coeffs.imag != 0
+        _LAYOUT_CACHE[d] = (2 * (cols * d + rows) + imag, np.where(imag, -2.0, 2.0))
     return _LAYOUT_CACHE[d]
 
 
@@ -77,29 +85,39 @@ class ObjectiveEvaluation:
     floor_hit: bool = field(default=False)
 
 
+def _products(t, mats):
+    """T(t) and the (..., m, d, d) products A_mu = O_mu T^dag.
+
+    The operator stack enters as its (m d, d) rows, so each parameter
+    vector costs one gemm, not one per operator.
+    """
+    T = build_T(t)
+    d = T.shape[-1]
+    a = mats.reshape(-1, d) @ T.conj().swapaxes(-1, -2)
+    return T, a.reshape(T.shape[:-2] + mats.shape)
+
+
 def _probs_and_derivs(t, mats):
     """p_mu(t) and the m x d^2 matrix of partials dp_mu/dt_k; mats is the
-    (m, d, d) operator stack."""
+    (m, d, d) operator stack.  A (B, d^2) block of vectors gives (B, m)
+    probabilities and (B, m, d^2) partials, one row per vector."""
     t = np.asarray(t, dtype=float)
-    d = param_dim(t.size)
-    rows, cols, coeffs = _layout(d)
-    T = build_T(t)
-    Th = T.conj().T
-    s = float(t @ t)
-    a = mats @ Th  # A_mu = O_mu T^dag
-    q = np.real(np.einsum("mij,ji->m", a, T))
-    # d q_mu / d t_k = 2 Re(c_k * (O_mu T^dag)[col_k, row_k])
-    dq = 2.0 * np.real(coeffs[None, :] * a[:, cols, rows])
+    pos, factor = _layout(param_dim(t.shape[-1]))
+    T, a = _products(t, mats)
+    s = (t[..., None, :] @ t[..., :, None])[..., 0]  # ||t||^2, shape (..., 1)
+    q = np.real(np.einsum("...mij,...ji->...m", a, T))
     p = q / s
-    dp = (dq - np.outer(p, 2.0 * t)) / s
+    # dp = (dq - 2 p t^T) / s, in place on dq
+    dp = factor * np.take(a.view(float).reshape(a.shape[:-2] + (-1,)), pos, axis=-1)
+    dp -= p[..., None] * (2.0 * t[..., None, :])
+    dp /= s[..., None]
     return p, dp
 
 
 def _probs(t, mats):
     t = np.asarray(t, dtype=float)
-    T = build_T(t)
-    s = float(t @ t)
-    return np.real(np.einsum("mij,ji->m", mats @ T.conj().T, T)) / s
+    T, a = _products(t, mats)
+    return np.real(np.einsum("mij,ji->m", a, T)) / float(t @ t)
 
 
 def value(t, model):
@@ -122,7 +140,11 @@ def residuals_gaussian(t, model):
 
 
 def residuals_and_jacobian(t, model):
-    """Residual vector and its Jacobian (gaussian kind)."""
+    """Residual vector and its Jacobian (gaussian kind).
+
+    A (B, d^2) block of vectors gives (B, m) residuals and a (B, m, d^2)
+    Jacobian; the floor flag is set if any row hits the floor.
+    """
     if model.kind != "gaussian":
         raise ValueError("residuals are defined for the gaussian objective only")
     p, dp = _probs_and_derivs(t, model.mats)
@@ -134,8 +156,8 @@ def residuals_and_jacobian(t, model):
         (p + model.freqs) / (2.0 * pf**1.5),
         1.0 / np.sqrt(floor),
     )
-    jac = drdp[:, None] * dp
-    return r, jac, bool(np.any(p < floor))
+    dp *= drdp[..., None]
+    return r, dp, bool(np.any(p < floor))
 
 
 def value_and_gradient(t, model):

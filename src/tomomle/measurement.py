@@ -162,6 +162,8 @@ def normalize(record):
         if not seen.all():
             raise SchemaError("basis_groups do not cover every setting")
         return freqs
+    if counts.sum() <= 0:
+        raise SchemaError("record has zero total counts")
     return counts / float(record.normalization)
 
 

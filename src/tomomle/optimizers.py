@@ -16,18 +16,25 @@ least-squares solver).
 import enum
 import warnings
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import likelihood
 from .errors import NumericalError
 from .likelihood import ObjectiveModel
-from .parameterize import param_dim, rho_of_t
+from .parameterize import rho_of_t
 
 ARMIJO_C1 = 1e-4
 MAX_BACKTRACKS = 60
 LM_LAMBDA_INIT = 1e-3
 LM_LAMBDA_MAX = 1e15
+# memory budget of one block of LM starts, solved together; a larger start
+# block is solved chunk by chunk.  A start's working set is counted as
+# LM_START_PRODUCTS of its (m, d, d) complex operator products (measured:
+# 4.3 at d = 16)
+LM_BLOCK_BYTES = 64 * 2**20
+LM_START_PRODUCTS = 5
 SIGN_MAG_FLOOR = 1e-10
 
 
@@ -110,10 +117,12 @@ def _value_grad(model, t):
 
 
 def _res_jac(model, t):
+    """Residuals (B, m) and Jacobians (B, m, n) at the rows of the block t."""
     if _is_objective_model(model):
         r, jac, _ = likelihood.residuals_and_jacobian(t, model)
         return r, jac
-    return model.residuals_and_jacobian(t)
+    pairs = [model.residuals_and_jacobian(row) for row in t]
+    return np.stack([r for r, _ in pairs]), np.stack([jac for _, jac in pairs])
 
 
 def _finish(model, t, f, iters, fevals, reason, trace, grad=None):
@@ -124,108 +133,225 @@ def _finish(model, t, f, iters, fevals, reason, trace, grad=None):
             grad = np.full(len(t), np.nan)
     rho = rho_of_t(t) if _is_objective_model(model) else None
     return OptimizationResult(
-        t_final=np.asarray(t, dtype=float),
+        t_final=np.array(t, dtype=float),
         rho_final=rho,
         f_final=float(f),
         grad_norm=float(np.linalg.norm(grad)),
-        iters=iters,
-        fevals=fevals,
+        iters=int(iters),
+        fevals=int(fevals),
         reason=reason,
         trace_log=trace,
     )
 
 
-def levenberg_marquardt(model, t0, cfg=None, project=None):
-    """Damped least-squares minimization on the (residual, Jacobian) pair.
+def _rowdot(a, b):
+    # one BLAS dot per row, bit for bit the 1-D a @ b
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
-    Identity damping with a gain-ratio update: the damping halves on a
-    strong step, doubles on a rejected one.  `project` (if given)
-    maps each trial point back to the feasible set before evaluation.
+
+def _jt_r(jac, r):
+    # J^T r per row, bit for bit the 1-D jac.T @ r
+    return (jac.swapaxes(1, 2) @ r[:, :, None])[:, :, 0]
+
+
+def _finite_rows(r, jac):
+    return np.isfinite(r).all(axis=1) & np.isfinite(jac).all(axis=(1, 2))
+
+
+def _damped_steps(a, lam, grad):
+    """Row-wise solutions of (J^T J + lam I) delta = -g, given the (k, n, n)
+    J^T J block `a`, which is overwritten.  A row whose matrix is singular
+    comes back as NaN (a rejected step) without failing the others."""
+    a.reshape(len(a), -1)[:, :: a.shape[-1] + 1] += lam[:, None]
+    b = -grad[:, :, None]
+    try:
+        return np.linalg.solve(a, b)[:, :, 0]
+    except np.linalg.LinAlgError:
+        delta = np.full(grad.shape, np.nan)
+        for i in range(len(a)):
+            try:
+                delta[i] = np.linalg.solve(a[i], b[i])[:, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return delta
+
+
+# stop checks in the order a row runs them: before an iteration; after an
+# accepted trial, then after a rejected one
+_BEGIN_STOPS = (
+    StopReason.GradientTolerance,
+    StopReason.ParamBoundHit,
+    StopReason.MaxIterations,
+    StopReason.MaxFunctionEvals,
+)
+_END_STOPS = (
+    StopReason.GradientTolerance,
+    StopReason.StepStagnation,
+    StopReason.FunctionStagnation,
+    StopReason.StepStagnation,
+    StopReason.MaxFunctionEvals,
+)
+
+
+def _lm_chunk(model, t0, cfg, pattern):
+    """Levenberg-Marquardt on every row of t0 at once.
+
+    Each row follows the single-start algorithm step for step: a round runs
+    the stop checks of the rows that begin an iteration, one batched damped
+    solve for all running rows and one batched evaluation of their trial
+    points; each row then takes its own accept/reject branch.  Rows that
+    stop are dropped from the running state.
     """
-    cfg = cfg or StopConfig()
-    t = np.asarray(t0, dtype=float).copy()
-    if project is not None:
-        t = project(t)
-    n = t.size
+    n = t0.shape[1]
     step_tol, fun_tol, max_iters, max_fevals = cfg.resolved(n)
-    trace = []
+    project = None if pattern is None else make_sign_projection(pattern)
+    t = t0.copy() if project is None else project(t0)
+    traces = [[] for _ in t]
+    results = [None] * len(t)
 
     r, jac = _res_jac(model, t)
-    fevals = 1
-    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(jac))):
-        return _finish(model, t, np.inf, 0, fevals, StopReason.NumericalFailure, trace)
-    f = 0.5 * float(r @ r)
-    grad = jac.T @ r
-    lam = LM_LAMBDA_INIT
-    iters = 0
-    trace.append((f, float(np.linalg.norm(grad)), 0.0))
+    finite = _finite_rows(r, jac)
+    for i in np.flatnonzero(~finite):
+        results[i] = _finish(model, t[i], np.inf, 0, 1, StopReason.NumericalFailure, traces[i])
+    k = int(finite.sum())
+    s = SimpleNamespace(  # running rows only; `rows` are their indices in t0
+        rows=np.flatnonzero(finite),
+        t=t[finite],
+        r=r[finite],
+        jac=jac[finite],
+        jtj=np.empty((k, n, n)),
+        lam=np.full(k, LM_LAMBDA_INIT),
+        iters=np.zeros(k, dtype=int),
+        fevals=np.ones(k, dtype=int),
+        fresh=np.ones(k, dtype=bool),  # about to begin an iteration
+    )
+    s.f = 0.5 * _rowdot(s.r, s.r)
+    s.grad = _jt_r(s.jac, s.r)
+    s.gnorm = np.sqrt(_rowdot(s.grad, s.grad))
+    for i, row in enumerate(s.rows):
+        traces[row].append((float(s.f[i]), float(s.gnorm[i]), 0.0))
+
+    def stop(reasons, checks):
+        """Finish each running row on its first true check and drop it."""
+        checks = np.array(checks)
+        hit = checks.any(axis=0)
+        if not hit.any():
+            return
+        for i, c in zip(np.flatnonzero(hit), checks[:, hit].argmax(axis=0)):
+            row = s.rows[i]
+            results[row] = _finish(
+                model, s.t[i], s.f[i], s.iters[i], s.fevals[i], reasons[c], traces[row], s.grad[i]
+            )
+        keep = ~hit
+        for name, value in vars(s).items():
+            setattr(s, name, value[keep])
 
     while True:
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm < cfg.grad_tol:
-            return _finish(model, t, f, iters, fevals, StopReason.GradientTolerance, trace, grad)
-        if np.max(np.abs(t)) > cfg.param_bound:
-            return _finish(model, t, f, iters, fevals, StopReason.ParamBoundHit, trace, grad)
-        if iters >= max_iters:
-            return _finish(model, t, f, iters, fevals, StopReason.MaxIterations, trace, grad)
-        if fevals >= max_fevals:
-            return _finish(model, t, f, iters, fevals, StopReason.MaxFunctionEvals, trace, grad)
-        iters += 1
+        begin = s.fresh
+        if begin.any():
+            stop(
+                _BEGIN_STOPS,
+                [
+                    begin & (s.gnorm < cfg.grad_tol),
+                    begin & (np.max(np.abs(s.t), axis=1) > cfg.param_bound),
+                    begin & (s.iters >= max_iters),
+                    begin & (s.fevals >= max_fevals),
+                ],
+            )
+            begin = s.fresh
+            if begin.all():
+                s.jtj = s.jac.swapaxes(1, 2) @ s.jac
+            else:
+                s.jtj[begin] = s.jac[begin].swapaxes(1, 2) @ s.jac[begin]
+            s.iters += begin
+        if len(s.rows) == 0:
+            return results
 
-        jtj = jac.T @ jac
-        eye = np.eye(n)
-        delta = None
-        while True:
-            try:
-                # identity damping: near-Newton steps survive in stiff
-                # directions (12-orders curvature spread near the boundary
-                # would freeze them under diag(J^T J) scaling)
-                delta = np.linalg.solve(jtj + lam * eye, -grad)
-            except np.linalg.LinAlgError:
-                delta = None
-            if delta is not None and np.all(np.isfinite(delta)):
-                trial = t + delta
-                if project is not None:
-                    trial = project(trial)
-                r_new, jac_new = _res_jac(model, trial)
-                fevals += 1
-                if np.all(np.isfinite(r_new)) and np.all(np.isfinite(jac_new)):
-                    f_new = 0.5 * float(r_new @ r_new)
-                    if f_new < f:
-                        break
-            # rejected step
-            lam *= 2.0
-            if lam > LM_LAMBDA_MAX:
-                return _finish(model, t, f, iters, fevals, StopReason.StepStagnation, trace, grad)
-            if fevals >= max_fevals:
-                return _finish(
-                    model, t, f, iters, fevals, StopReason.MaxFunctionEvals, trace, grad
-                )
+        # identity damping: near-Newton steps survive in stiff directions
+        # (12-orders curvature spread near the boundary would freeze them
+        # under diag(J^T J) scaling)
+        delta = _damped_steps(s.jtj.copy(), s.lam, s.grad)
+        solved = np.isfinite(delta).all(axis=1)
+        if not solved.all():
+            delta[~solved] = 0.0  # such a row is evaluated at its own point and rejected
+        trial = s.t + delta
+        if project is not None:
+            trial = project(trial, s.rows)
+        r_new, jac_new = _res_jac(model, trial)
+        s.fevals += solved
+        f_new = 0.5 * _rowdot(r_new, r_new)
+        better = solved & _finite_rows(r_new, jac_new) & (f_new < s.f)
 
-        pred = 0.5 * float(lam * (delta @ delta) - grad @ delta)
-        gain = (f - f_new) / max(pred, 1e-300)
-        if gain > 0.75:
-            lam = max(lam * 0.5, 1e-15)
-        step = float(np.linalg.norm(trial - t))
-        df = f - f_new
-        t, f, r, jac = trial, f_new, r_new, jac_new
-        grad = jac.T @ r
-        trace.append((f, float(np.linalg.norm(grad)), step))
-
-        if float(np.linalg.norm(grad)) < cfg.grad_tol:
-            return _finish(model, t, f, iters, fevals, StopReason.GradientTolerance, trace, grad)
-        if step < step_tol:
-            return _finish(model, t, f, iters, fevals, StopReason.StepStagnation, trace, grad)
-        if df < fun_tol:
-            return _finish(model, t, f, iters, fevals, StopReason.FunctionStagnation, trace, grad)
+        pred = 0.5 * (s.lam * _rowdot(delta, delta) - _rowdot(s.grad, delta))
+        strong = (s.f - f_new) / np.maximum(pred, 1e-300) > 0.75
+        s.lam = np.where(
+            better, np.where(strong, np.maximum(s.lam * 0.5, 1e-15), s.lam), s.lam * 2.0
+        )
+        moved = trial - s.t
+        step = np.sqrt(_rowdot(moved, moved))
+        df = s.f - f_new
+        if better.all():
+            s.t, s.r, s.jac = trial, r_new, jac_new
+        else:
+            s.t[better], s.r[better], s.jac[better] = trial[better], r_new[better], jac_new[better]
+        s.f = np.where(better, f_new, s.f)
+        s.grad = _jt_r(s.jac, s.r)
+        s.gnorm = np.sqrt(_rowdot(s.grad, s.grad))
+        for i in np.flatnonzero(better):
+            traces[s.rows[i]].append((float(s.f[i]), float(s.gnorm[i]), float(step[i])))
+        s.fresh = better
+        rejected = ~better
+        stop(
+            _END_STOPS,
+            [
+                better & (s.gnorm < cfg.grad_tol),
+                better & (step < step_tol),
+                better & (df < fun_tol),
+                rejected & (s.lam > LM_LAMBDA_MAX),
+                rejected & (s.fevals >= max_fevals),
+            ],
+        )
 
 
-def gradient_descent(model, t0, cfg=None, project=None):
+def _chunk_size(model, n_starts):
+    if not _is_objective_model(model):
+        return max(1, n_starts)
+    return max(1, LM_BLOCK_BYTES // (LM_START_PRODUCTS * model.mats.nbytes))
+
+
+def lm_block(model, t0, cfg=None, pattern=None):
+    """Damped least-squares minimization from every row of the (B, n) start
+    block t0; one OptimizationResult per row, in row order.
+
+    Identity damping with a gain-ratio update: a row's damping halves on a
+    strong step and doubles on a rejected one.  `pattern` (one (d,) sign
+    pattern, or a (B, d) block of them) maps each row's trial points onto
+    its sphere orthant before evaluation; see make_sign_projection.  Rows
+    are solved in chunks whose working set stays within LM_BLOCK_BYTES.
+    """
+    cfg = cfg or StopConfig()
+    t0 = np.atleast_2d(np.asarray(t0, dtype=float))
+    if pattern is not None:
+        pattern = np.asarray(pattern, dtype=float)
+        pattern = np.broadcast_to(pattern, (len(t0), pattern.shape[-1]))
+    size = _chunk_size(model, len(t0))
+    results = []
+    for lo in range(0, len(t0), size):
+        rows = slice(lo, lo + size)
+        results += _lm_chunk(model, t0[rows], cfg, None if pattern is None else pattern[rows])
+    return results
+
+
+def levenberg_marquardt(model, t0, cfg=None):
+    """Damped least-squares minimization on the (residual, Jacobian) pair
+    from one start: the one-row case of lm_block."""
+    return lm_block(model, t0, cfg)[0]
+
+
+def gradient_descent(model, t0, cfg=None):
     """Steepest descent with Armijo backtracking (c1 = 1e-4, halving)."""
     cfg = cfg or StopConfig()
     t = np.asarray(t0, dtype=float).copy()
-    if project is not None:
-        t = project(t)
     n = t.size
     step_tol, fun_tol, max_iters, max_fevals = cfg.resolved(n)
     trace = []
@@ -240,11 +366,8 @@ def gradient_descent(model, t0, cfg=None, project=None):
 
     while True:
         direction = -grad
-        if project is not None:
-            # tangential component on the unit sphere
-            direction = direction - (direction @ t) * t
         dnorm2 = float(direction @ direction)
-        gnorm = float(np.linalg.norm(direction if project is not None else grad))
+        gnorm = float(np.linalg.norm(grad))
         if gnorm < cfg.grad_tol:
             return _finish(model, t, f, iters, fevals, StopReason.GradientTolerance, trace, grad)
         if np.max(np.abs(t)) > cfg.param_bound:
@@ -259,8 +382,6 @@ def gradient_descent(model, t0, cfg=None, project=None):
         a = alpha
         for _ in range(MAX_BACKTRACKS):
             trial = t + a * direction
-            if project is not None:
-                trial = project(trial)
             f_trial = _value(model, trial)
             fevals += 1
             if np.isfinite(f_trial) and f_trial <= f - ARMIJO_C1 * a * dnorm2:
@@ -389,15 +510,18 @@ def make_sign_projection(pattern):
 
     Diagonal entries with the wrong sign are clamped to a small magnitude of
     the right sign; the vector is then renormalized.  Renormalization does
-    not change the objective (degree-zero homogeneity).
+    not change the objective (degree-zero homogeneity).  `pattern` is one
+    (d,) sign pattern, or a (B, d) block with one pattern per start; then
+    project(t, rows) maps the rows of t that belong to the starts `rows`.
     """
     pattern = np.asarray(pattern, dtype=float)
-    d = pattern.size
+    d = pattern.shape[-1]
 
-    def project(t):
-        t = np.asarray(t, dtype=float).copy()
-        t[:d] = pattern * np.maximum(pattern * t[:d], SIGN_MAG_FLOOR)
-        return t / np.linalg.norm(t)
+    def project(t, rows=Ellipsis):
+        t = np.array(t, dtype=float)
+        sign = pattern[rows]
+        t[..., :d] = sign * np.maximum(sign * t[..., :d], SIGN_MAG_FLOOR)
+        return t / np.sqrt(t[..., None, :] @ t[..., :, None])[..., 0]
 
     return project
 
@@ -408,9 +532,13 @@ def constrained_sign_solve(model, pattern, t0, cfg=None):
     Projected damped least squares: every trial point is clamped back into
     the requested orthant and renormalized.  The result satisfies
     ||t||_2 = 1 to machine precision and matches the sign pattern exactly.
+    t0 is one start (one result) or a (B, n) block of starts, solved
+    together (a list of B results); `pattern` is then one (d,) pattern for
+    all of them or a (B, d) block, one per start.
     """
-    project = make_sign_projection(pattern)
-    return levenberg_marquardt(model, t0, cfg, project=project)
+    t0 = np.asarray(t0, dtype=float)
+    results = lm_block(model, t0, cfg, pattern)
+    return results if t0.ndim == 2 else results[0]
 
 
 def default_start(d):

@@ -46,13 +46,16 @@ def param_layout(d):
 
 
 def build_T(t):
-    """Upper-triangular T(t) for a length-d^2 real parameter vector."""
+    """Upper-triangular T(t) for a length-d^2 real parameter vector.
+
+    A (B, d^2) block of vectors gives the (B, d, d) stack of their T.
+    """
     t = np.asarray(t, dtype=float)
-    d = param_dim(t.size)
-    diagonal, upper = _triangle_indices(d)
-    T = np.zeros((d, d), dtype=complex)
-    T[diagonal] = t[:d]
-    T[upper] = t[d::2] + 1j * t[d + 1::2]
+    d = param_dim(t.shape[-1])
+    (diag_rows, diag_cols), (upper_rows, upper_cols) = _triangle_indices(d)
+    T = np.zeros(t.shape[:-1] + (d, d), dtype=complex)
+    T[..., diag_rows, diag_cols] = t[..., :d]
+    T[..., upper_rows, upper_cols] = t[..., d::2] + 1j * t[..., d + 1::2]
     return T
 
 

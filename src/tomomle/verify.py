@@ -13,7 +13,7 @@ import numpy as np
 
 from . import likelihood, optimizers
 from .errors import AllRunsFailedError
-from .optimizers import StopConfig, constrained_sign_solve, run_solver
+from .optimizers import StopConfig, constrained_sign_solve, lm_block, run_solver
 from .parameterize import random_param
 
 DEDUP_TOL = 1e-2
@@ -49,40 +49,25 @@ def _worst_pairs(results):
     return worst_rho, worst_f
 
 
-def multistart(
-    model,
-    n_starts,
-    seed,
-    solver="lm",
-    cfg=None,
-    dedup_tol=DEDUP_TOL,
-    screen_tol=None,
-    pattern=None,
-):
-    """Run `solver` from n_starts uniform draws in [-1, 1]^{d^2}.
+def _draw_starts(model, n_starts, seed):
+    """n_starts uniform draws in [-1, 1]^{d^2}, start i from seed + i.
 
     Draws with a near-zero diagonal parameter are rejected and redrawn.
-    Each run gets the derived seed (seed + index), so serial and parallel
-    schedules agree.  Runs with final gradient norm at or above `screen_tol`
-    (default: the solver's grad_tol) are discarded; retained parameter
-    vectors are deduplicated at `dedup_tol` in the 2-norm.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
-    cfg = cfg or StopConfig()
-    screen = cfg.grad_tol if screen_tol is None else screen_tol
-    d = model.dim
+    return np.stack(
+        [random_param(np.random.default_rng(seed + i), model.dim) for i in range(n_starts)]
+    )
 
+
+def _screen(results, screen, dedup_tol):
+    """The report on one multistart's results: runs with gradient norm at or
+    above `screen` are discarded, the rest deduplicated at `dedup_tol`."""
     screened = []
     solutions = []
     discards = []
-    for i in range(n_starts):
-        rng = np.random.default_rng(seed + i)
-        t0 = random_param(rng, d)
-        if pattern is not None:
-            result = constrained_sign_solve(model, pattern, t0, cfg)
-        else:
-            result = run_solver(solver, model, t0, cfg)
+    for i, result in enumerate(results):
         if result.grad_norm < screen:
             screened.append(result)
             if all(
@@ -102,7 +87,7 @@ def multistart(
 
     if not screened:
         raise AllRunsFailedError(
-            f"all {n_starts} runs failed the stationarity screen at {screen}",
+            f"all {len(results)} runs failed the stationarity screen at {screen}",
             diagnostics=discards,
         )
     (max_rho, _), (max_f, _) = _worst_pairs(screened)
@@ -115,6 +100,68 @@ def multistart(
         discarded_count=len(discards),
         discard_diagnostics=discards,
     )
+
+
+def multistart(
+    model,
+    n_starts,
+    seed,
+    solver="lm",
+    cfg=None,
+    dedup_tol=DEDUP_TOL,
+    screen_tol=None,
+    pattern=None,
+):
+    """Run `solver` from n_starts uniform draws in [-1, 1]^{d^2}.
+
+    Draws with a near-zero diagonal parameter are rejected and redrawn.
+    Start i is drawn from its own seed (seed + i), so a start does not
+    depend on the others or on the schedule.  Every start is drawn first;
+    LM then solves them all as one block, the other solvers one start at a
+    time.  With `pattern` the starts are solved on the sphere inside that
+    diagonal-sign orthant (see orthant_multistart).  Runs with final
+    gradient norm at or above `screen_tol` (default: the solver's grad_tol)
+    are discarded; retained parameter vectors are deduplicated at
+    `dedup_tol` in the 2-norm.
+    """
+    if pattern is not None:
+        return orthant_multistart(
+            model, [pattern], n_starts, seed, cfg, dedup_tol, screen_tol
+        )[0]
+    cfg = cfg or StopConfig()
+    starts = _draw_starts(model, n_starts, seed)
+    if solver == "lm":
+        results = lm_block(model, starts, cfg)
+    else:
+        results = [run_solver(solver, model, t0, cfg) for t0 in starts]
+    return _screen(results, cfg.grad_tol if screen_tol is None else screen_tol, dedup_tol)
+
+
+def orthant_multistart(
+    model, patterns, n_starts, seed, cfg=None, dedup_tol=DEDUP_TOL, screen_tol=None
+):
+    """multistart(..., pattern=p) for each sign pattern p in `patterns`, one
+    report per pattern, in order.
+
+    Every orthant starts from the same n_starts draws, and all (pattern,
+    start) pairs are solved as one block of sign-constrained LM runs, so the
+    slowest runs of different orthants share their rounds instead of each
+    running alone.
+    """
+    cfg = cfg or StopConfig()
+    patterns = np.asarray(patterns, dtype=float)
+    starts = _draw_starts(model, n_starts, seed)
+    results = constrained_sign_solve(
+        model,
+        np.repeat(patterns, n_starts, axis=0),
+        np.tile(starts, (len(patterns), 1)),
+        cfg,
+    )
+    screen = cfg.grad_tol if screen_tol is None else screen_tol
+    return [
+        _screen(results[k * n_starts:(k + 1) * n_starts], screen, dedup_tol)
+        for k in range(len(patterns))
+    ]
 
 
 def equivalence_check(results, rho_tol=1e-4, f_tol=1e-8):

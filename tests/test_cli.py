@@ -96,6 +96,32 @@ def test_exit_code_state_dim_mismatch(tmp_path):
     ) == 2
 
 
+def _state_pairs(m):
+    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.diag([2.0, -1.0]),
+        np.diag([0.5, 0.2]),
+        np.array([[0.5, 0.3], [0.0, 0.5]]),
+    ],
+    ids=["indefinite", "trace-0.7", "non-hermitian"],
+)
+def test_exit_code_invalid_state_file(tmp_path, capsys, matrix):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"matrix": _state_pairs(matrix)}))
+    rec = tmp_path / "x.rec"
+    assert run(
+        "simulate", "--state", str(state), "--povm", "pol4", "--shots", "100",
+        "--out", str(rec),
+    ) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not rec.exists()
+
+
 def test_exit_code_missing_record(tmp_path):
     assert run("reconstruct", str(tmp_path / "none.rec"), "--out", str(tmp_path / "o")) == 2
 
@@ -127,6 +153,8 @@ def _projector_pairs(d, k):
     [
         ({"dim": 2, "operators": "pol4", "counts": [9, 1, 5], "normalization": 10}, "mle"),
         ({"dim": 2, "operators": [], "counts": [], "normalization": 10}, "mle"),
+        ({"dim": 2, "operators": "pol4", "counts": [0, 0, 0, 0], "normalization": 100}, "mle"),
+        ({"dim": 2, "operators": "pol4", "counts": [0, 0, 0, 0], "normalization": 100}, "linear"),
         (
             {
                 "dim": 3,
@@ -137,7 +165,7 @@ def _projector_pairs(d, k):
             "linear",
         ),
     ],
-    ids=["count-mismatch", "no-operators", "linear-d3"],
+    ids=["count-mismatch", "no-operators", "zero-counts-mle", "zero-counts-linear", "linear-d3"],
 )
 def test_exit_code_unsupported_record(tmp_path, capsys, doc, method):
     path = tmp_path / "bad.rec"

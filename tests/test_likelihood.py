@@ -144,3 +144,18 @@ def test_cached_stack_matches_restacked_reference(rng, example2):
             r_got, jac_got, _ = residuals_and_jacobian(t, m)
             assert np.array_equal(r_got, r)
             assert np.array_equal(jac_got, drdp[:, None] * dp)
+
+
+def test_block_matches_row_by_row(rng, example1, example2, example3):
+    # a (B, n) block gives the stacked 1-D results, up to summation order
+    for record in (example1, example2, example3):
+        m = ObjectiveModel("gaussian", record.operators, normalize(record))
+        ts = np.stack([random_param(rng, m.dim) for _ in range(7)])
+        r_block, jac_block, _ = residuals_and_jacobian(ts, m)
+        assert r_block.shape == (7, len(m.povm))
+        assert jac_block.shape == (7, len(m.povm), m.n_params)
+        for t, r_b, jac_b in zip(ts, r_block, jac_block):
+            r, jac, _ = residuals_and_jacobian(t, m)
+            assert np.max(np.abs(r_b - r)) <= 1e-14 * max(1.0, np.max(np.abs(r)))
+            assert np.max(np.abs(jac_b - jac)) <= 1e-14 * max(1.0, np.max(np.abs(jac)))
+        assert np.array_equal(build_T(ts), np.stack([build_T(t) for t in ts]))

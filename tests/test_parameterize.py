@@ -120,3 +120,9 @@ def test_random_param_respects_floor(rng):
         t = random_param(rng, 3)
         assert np.all(np.abs(t[:3]) >= 1e-3)
         assert np.all(np.abs(t) <= 1.0)
+
+
+def test_build_T_block(rng):
+    for d in (1, 2, 3):
+        ts = rng.normal(size=(5, d * d))
+        assert np.array_equal(build_T(ts), np.stack([build_T(t) for t in ts]))

@@ -7,7 +7,8 @@ from tomomle.errors import AllRunsFailedError
 from tomomle.likelihood import ObjectiveModel
 from tomomle.measurement import polarization_projectors
 from tomomle.optimizers import StopConfig
-from tomomle.verify import equivalence_check, gradient_check, multistart
+from tomomle.parameterize import all_sign_patterns
+from tomomle.verify import equivalence_check, gradient_check, multistart, orthant_multistart
 
 
 def make_model(freqs=(0.75, 0.25, 0.5, 0.5)):
@@ -41,6 +42,23 @@ def test_multistart_screen_discards():
         multistart(model, 3, seed=0, cfg=cfg)
     assert len(err.value.diagnostics) == 3
     assert all(d["grad_norm"] >= 1e-6 for d in err.value.diagnostics)
+
+
+def test_orthant_multistart_matches_one_orthant_at_a_time():
+    model = make_model((0.999, 0.0002, 0.4995, 0.4994))
+    cfg = StopConfig(grad_tol=1e-9, step_tol=1e-12, fun_tol=1e-12)
+    patterns = all_sign_patterns(2)
+    together = orthant_multistart(model, patterns, 6, seed=7, cfg=cfg, screen_tol=1e-6)
+    assert len(together) == len(patterns)
+    for pattern, report in zip(patterns, together):
+        alone = multistart(model, 6, seed=7, cfg=cfg, screen_tol=1e-6, pattern=pattern)
+        assert report.discarded_count == alone.discarded_count
+        assert report.distinct_t_count == alone.distinct_t_count
+        assert len(report.screened_results) == len(alone.screened_results)
+        for a, b in zip(report.screened_results, alone.screened_results):
+            assert (a.reason, a.iters, a.fevals) == (b.reason, b.iters, b.fevals)
+            assert np.max(np.abs(a.rho_final - b.rho_final)) < 1e-10
+            assert np.all(np.sign(a.t_final[:2]) == pattern)
 
 
 def test_multistart_rejects_bad_args():
