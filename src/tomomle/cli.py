@@ -15,6 +15,7 @@ output.  Exit codes are part of the contract:
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -102,21 +103,14 @@ def _load_state(spec, dim):
         raise SchemaError(f"state file {spec!r} is not a density matrix: {exc}") from exc
 
 
-def _manifest(args, command):
-    cfg = _stop_config(args)
+def _manifest(args, command, cfg):
+    """The run manifest; `cfg` is the StopConfig the run used."""
     return {
         "command": command,
         "input_path": getattr(args, "record", None),
         "seed": getattr(args, "seed", None),
         "solver": getattr(args, "solver", None),
-        "stop_config": {
-            "grad_tol": cfg.grad_tol,
-            "step_tol": cfg.step_tol,
-            "fun_tol": cfg.fun_tol,
-            "max_iters": cfg.max_iters,
-            "max_fevals": cfg.max_fevals,
-            "param_bound": cfg.param_bound,
-        },
+        "stop_config": dataclasses.asdict(cfg),
         "output_path": getattr(args, "out", None),
         "tool_version": __version__,
     }
@@ -175,7 +169,8 @@ def _build_model(record):
 
 def cmd_reconstruct(args):
     record = read_record(args.record)
-    manifest = _manifest(args, "reconstruct")
+    cfg = _stop_config(args)
+    manifest = _manifest(args, "reconstruct", cfg)
     d = record.dim
     if args.method == "linear":
         n_qubits = int(round(np.log2(d)))
@@ -202,7 +197,7 @@ def cmd_reconstruct(args):
         return EXIT_OK
 
     model = _build_model(record)
-    result = run_solver(args.solver, model, default_start(d), _stop_config(args))
+    result = run_solver(args.solver, model, default_start(d), cfg)
     if args.verbose:
         _emit_trace(result)
     doc = {
@@ -236,17 +231,19 @@ def _solution_fields(res):
 
 def cmd_verify_minima(args):
     record = read_record(args.record)
-    manifest = _manifest(args, "verify-minima")
     model = _build_model(record)
     d = record.dim
     screen = args.grad_tol
+    cfg = _stop_config(args)
+    if args.constrain_signs:
+        # sphere-constrained protocol: tight stagnation tolerances inside
+        # the solver, stationarity screen applied afterwards
+        cfg = dataclasses.replace(cfg, grad_tol=screen * 1e-3, step_tol=1e-12, fun_tol=1e-12)
+    manifest = _manifest(args, "verify-minima", cfg)
     reports = []
     pooled = []
     try:
         if args.constrain_signs:
-            # sphere-constrained protocol: tight stagnation tolerances inside
-            # the solver, stationarity screen applied afterwards
-            cfg = StopConfig(grad_tol=screen * 1e-3, step_tol=1e-12, fun_tol=1e-12)
             patterns = all_sign_patterns(d)
             orthant_reports = orthant_multistart(
                 model, patterns, args.starts, args.seed, cfg=cfg, screen_tol=screen
@@ -255,7 +252,6 @@ def cmd_verify_minima(args):
                 reports.append((pattern, rep))
                 pooled.extend(rep.screened_results)
         else:
-            cfg = _stop_config(args)
             rep = multistart(model, args.starts, args.seed, solver=args.solver, cfg=cfg)
             reports.append((None, rep))
             pooled.extend(rep.screened_results)
@@ -295,9 +291,9 @@ def cmd_verify_minima(args):
 
 def cmd_compare(args):
     record = read_record(args.record)
-    manifest = _manifest(args, "compare")
     model = _build_model(record)
     cfg = _stop_config(args)
+    manifest = _manifest(args, "compare", cfg)
     rows = []
     for name in args.solver.split(","):
         name = name.strip()
@@ -320,6 +316,13 @@ def cmd_compare(args):
     return EXIT_OK
 
 
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="tomomle",
@@ -339,7 +342,7 @@ def build_parser():
     p = sub.add_parser("simulate", help="simulate measurement counts")
     p.add_argument("--state", required=True, help="preset (H,V,D,R,mixed,bell) or matrix file")
     p.add_argument("--povm", default="pol4", help="POVM preset (pol4, pol4x4)")
-    p.add_argument("--shots", type=int, required=True)
+    p.add_argument("--shots", type=positive_int, required=True)
     p.add_argument("--noise", choices=["none", "gaussian", "poisson"], default="none")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -356,7 +359,7 @@ def build_parser():
 
     p = sub.add_parser("verify-minima", help="multistart equivalence verification")
     p.add_argument("record")
-    p.add_argument("--starts", type=int, default=50)
+    p.add_argument("--starts", type=positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--solver", choices=sorted(SOLVERS), default="lm")
     p.add_argument("--constrain-signs", action="store_true")

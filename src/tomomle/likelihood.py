@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError
-from .measurement import born_probability
 from .parameterize import build_T, param_dim, param_layout
 
 PROBABILITY_FLOOR = 1e-12
@@ -47,7 +46,8 @@ class ObjectiveModel:
     """Objective kind, measurement operators and observed frequencies.
 
     The operator matrices are stacked once, at construction, into the
-    (m, d, d) array `mats` that every evaluation reuses.
+    (m, d, d) array `mats` that every evaluation reuses.  The methods are
+    the solvers' interface; each calls the module function of the same name.
     """
 
     kind: str  # "gaussian" | "multinomial"
@@ -75,14 +75,21 @@ class ObjectiveModel:
     def n_params(self):
         return self.dim**2
 
+    def value(self, t):
+        return value(t, self)
+
+    def value_and_gradient(self, t):
+        return value_and_gradient(t, self)
+
+    def residuals_and_jacobian(self, t):
+        return residuals_and_jacobian(t, self)
+
 
 @dataclass
 class ObjectiveEvaluation:
     value: float
-    residuals: np.ndarray | None
     gradient: np.ndarray
-    jacobian: np.ndarray | None
-    floor_hit: bool = field(default=False)
+    floor_hit: bool = False
 
 
 def _products(t, mats):
@@ -115,14 +122,15 @@ def _probs_and_derivs(t, mats):
 
 
 def _probs(t, mats):
+    """T(t) and p_mu(t) at one vector t."""
     t = np.asarray(t, dtype=float)
     T, a = _products(t, mats)
-    return np.real(np.einsum("mij,ji->m", a, T)) / float(t @ t)
+    return T, np.real(np.einsum("mij,ji->m", a, T)) / float(t @ t)
 
 
 def value(t, model):
     """Objective value only (used by derivative-free search)."""
-    p = _probs(t, model.mats)
+    _, p = _probs(t, model.mats)
     floor = model.probability_floor
     pf = np.maximum(p, floor)
     if model.kind == "gaussian":
@@ -131,12 +139,18 @@ def value(t, model):
     return -float(model.freqs @ np.log(pf))
 
 
-def residuals_gaussian(t, model):
-    """Weighted residuals r_mu = (p_mu - f_mu) / sqrt(p_mu)."""
-    if model.kind != "gaussian":
-        raise ValueError("residuals are defined for the gaussian objective only")
-    p = _probs(t, model.mats)
-    return (p - model.freqs) / np.sqrt(np.maximum(p, model.probability_floor))
+def _residuals(p, model):
+    """Weighted residuals r_mu = (p_mu - f_mu) / sqrt(p_mu) and dr_mu/dp_mu,
+    with p floored."""
+    floor = model.probability_floor
+    pf = np.maximum(p, floor)
+    r = (p - model.freqs) / np.sqrt(pf)
+    drdp = np.where(
+        p > floor,
+        (p + model.freqs) / (2.0 * pf**1.5),
+        1.0 / np.sqrt(floor),
+    )
+    return r, drdp
 
 
 def residuals_and_jacobian(t, model):
@@ -148,51 +162,34 @@ def residuals_and_jacobian(t, model):
     if model.kind != "gaussian":
         raise ValueError("residuals are defined for the gaussian objective only")
     p, dp = _probs_and_derivs(t, model.mats)
-    floor = model.probability_floor
-    pf = np.maximum(p, floor)
-    r = (p - model.freqs) / np.sqrt(pf)
-    drdp = np.where(
-        p > floor,
-        (p + model.freqs) / (2.0 * pf**1.5),
-        1.0 / np.sqrt(floor),
-    )
+    r, drdp = _residuals(p, model)
     dp *= drdp[..., None]
-    return r, dp, bool(np.any(p < floor))
+    return r, dp, bool(np.any(p < model.probability_floor))
 
 
 def value_and_gradient(t, model):
-    """Full evaluation: value, residuals, analytic gradient, Jacobian."""
-    if model.kind == "gaussian":
-        r, jac, floor_hit = residuals_and_jacobian(t, model)
-        return ObjectiveEvaluation(
-            value=0.5 * float(r @ r),
-            residuals=r,
-            gradient=jac.T @ r,
-            jacobian=jac,
-            floor_hit=floor_hit,
-        )
-    p, dp = _probs_and_derivs(t, model.mats)
-    floor = model.probability_floor
-    pf = np.maximum(p, floor)
-    w = np.where(p > floor, model.freqs / pf, 0.0)
-    return ObjectiveEvaluation(
-        value=-float(model.freqs @ np.log(pf)),
-        residuals=None,
-        gradient=-(w[:, None] * dp).sum(axis=0),
-        jacobian=None,
-        floor_hit=bool(np.any(p < floor)),
-    )
+    """Value and analytic gradient at one vector t, through the one operator
+    R = sum_mu w_mu O_mu of Hradil's R rho R iteration, w_mu = dF/dp_mu:
 
+        g_k = (2 Re[c_k (R T^dag)[col_k, row_k]] - 2 (w . p) t_k) / ||t||^2
 
-def value_on_state(rho, model):
-    """Objective evaluated directly on a state (tr(O rho) in place of p_mu(t))."""
-    p = np.array([born_probability(op, rho) for op in model.povm])
+    Gaussian: w = r dr/dp; multinomial: w = -f / p, zero where p is floored.
+    """
+    t = np.asarray(t, dtype=float)
+    T, p = _probs(t, model.mats)
     floor = model.probability_floor
-    pf = np.maximum(p, floor)
     if model.kind == "gaussian":
-        r = (p - model.freqs) / np.sqrt(pf)
-        return 0.5 * float(r @ r)
-    return -float(model.freqs @ np.log(pf))
+        r, drdp = _residuals(p, model)
+        f = 0.5 * float(r @ r)
+        w = r * drdp
+    else:
+        pf = np.maximum(p, floor)
+        f = -float(model.freqs @ np.log(pf))
+        w = np.where(p > floor, -model.freqs / pf, 0.0)
+    pos, factor = _layout(model.dim)
+    rt = np.tensordot(w, model.mats, axes=1) @ T.conj().T
+    g = factor * rt.view(float).ravel()[pos] - (2.0 * float(w @ p)) * t
+    return ObjectiveEvaluation(f, g / float(t @ t), bool(np.any(p < floor)))
 
 
 def finite_difference_gradient(t, model, h=None):

@@ -212,22 +212,33 @@ def record_to_dict(record, preset=None):
     return doc
 
 
+def _operator_from_dict(entry, dim):
+    try:
+        label, pairs = entry.get("label", ""), entry["matrix"]
+    except (AttributeError, KeyError) as exc:
+        raise SchemaError("an operator entry is not an object with a matrix") from exc
+    matrix = _matrix_from_pairs(pairs)
+    if matrix.shape != (dim, dim):
+        raise SchemaError(f"operator matrix is {matrix.shape}, declared dim is {dim}")
+    try:
+        return MeasurementOperator(label, matrix)
+    except NumericalError as exc:
+        raise SchemaError(str(exc)) from exc
+
+
 def record_from_dict(doc):
     try:
         dim = int(doc["dim"])
         ops_spec = doc["operators"]
-        counts = doc["counts"]
+        counts = np.asarray(doc["counts"], dtype=np.int64)
         n_counts = len(counts)
         normalization = doc["normalization"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"record is missing or has a malformed field: {exc}") from exc
     if isinstance(ops_spec, str):
         operators = povm_preset(ops_spec)
     else:
-        operators = [
-            MeasurementOperator(entry.get("label", ""), _matrix_from_pairs(entry["matrix"]))
-            for entry in ops_spec
-        ]
+        operators = [_operator_from_dict(entry, dim) for entry in ops_spec]
     if not operators:
         raise SchemaError("record lists no operators")
     if n_counts != len(operators):
@@ -239,7 +250,7 @@ def record_from_dict(doc):
         )
     return MeasurementRecord(
         operators=operators,
-        counts=np.asarray(counts),
+        counts=counts,
         normalization=normalization,
         basis_groups=[tuple(g) for g in doc.get("basis_groups", [])],
         seed=doc.get("seed"),

@@ -8,9 +8,12 @@ reports the final gradient norm so that a stagnation stop can be told apart
 from true stationarity.  An artificial bound on ||t||_inf guards against the
 false-stationarity regime where growing ||t|| shrinks the gradient.
 
-Solvers accept either a likelihood ObjectiveModel or any object exposing
-value(t) / value_and_gradient(t) (and residuals_and_jacobian(t) for the
-least-squares solver).
+The solvers call the objective's three methods, as likelihood.ObjectiveModel
+defines them: value(t) returns a float, value_and_gradient(t) an
+ObjectiveEvaluation, and the block-shaped residuals_and_jacobian(t) maps a
+(B, n) block to (r, J, floor_hit) with (B, m) residuals and (B, m, n)
+Jacobians.  Only an ObjectiveModel's results carry the state rho(t_final),
+and only its operator stack bounds the chunks of a block of starts.
 """
 
 import enum
@@ -20,7 +23,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import likelihood
 from .errors import NumericalError
 from .likelihood import ObjectiveModel
 from .parameterize import rho_of_t
@@ -46,18 +48,6 @@ class StopReason(enum.Enum):
     MaxFunctionEvals = "max-function-evals"
     ParamBoundHit = "param-bound-hit"
     NumericalFailure = "numerical-failure"
-
-
-STAGNATION_REASONS = frozenset(
-    {
-        StopReason.StepStagnation,
-        StopReason.FunctionStagnation,
-        StopReason.MaxIterations,
-        StopReason.MaxFunctionEvals,
-        StopReason.ParamBoundHit,
-        StopReason.NumericalFailure,
-    }
-)
 
 
 @dataclass
@@ -99,39 +89,13 @@ class _Budget(Exception):
     pass
 
 
-def _is_objective_model(model):
-    return isinstance(model, ObjectiveModel)
-
-
-def _value(model, t):
-    if _is_objective_model(model):
-        return likelihood.value(t, model)
-    return model.value(t)
-
-
-def _value_grad(model, t):
-    if _is_objective_model(model):
-        ev = likelihood.value_and_gradient(t, model)
-        return ev.value, ev.gradient
-    return model.value_and_gradient(t)
-
-
-def _res_jac(model, t):
-    """Residuals (B, m) and Jacobians (B, m, n) at the rows of the block t."""
-    if _is_objective_model(model):
-        r, jac, _ = likelihood.residuals_and_jacobian(t, model)
-        return r, jac
-    pairs = [model.residuals_and_jacobian(row) for row in t]
-    return np.stack([r for r, _ in pairs]), np.stack([jac for _, jac in pairs])
-
-
 def _finish(model, t, f, iters, fevals, reason, trace, grad=None):
     if grad is None:
         try:
-            _, grad = _value_grad(model, t)
+            grad = model.value_and_gradient(t).gradient
         except Exception:
             grad = np.full(len(t), np.nan)
-    rho = rho_of_t(t) if _is_objective_model(model) else None
+    rho = rho_of_t(t) if isinstance(model, ObjectiveModel) else None
     return OptimizationResult(
         t_final=np.array(t, dtype=float),
         rho_final=rho,
@@ -209,7 +173,7 @@ def _lm_chunk(model, t0, cfg, pattern):
     traces = [[] for _ in t]
     results = [None] * len(t)
 
-    r, jac = _res_jac(model, t)
+    r, jac, _ = model.residuals_and_jacobian(t)
     finite = _finite_rows(r, jac)
     for i in np.flatnonzero(~finite):
         results[i] = _finish(model, t[i], np.inf, 0, 1, StopReason.NumericalFailure, traces[i])
@@ -277,7 +241,7 @@ def _lm_chunk(model, t0, cfg, pattern):
         trial = s.t + delta
         if project is not None:
             trial = project(trial, s.rows)
-        r_new, jac_new = _res_jac(model, trial)
+        r_new, jac_new, _ = model.residuals_and_jacobian(trial)
         s.fevals += solved
         f_new = 0.5 * _rowdot(r_new, r_new)
         better = solved & _finite_rows(r_new, jac_new) & (f_new < s.f)
@@ -314,7 +278,7 @@ def _lm_chunk(model, t0, cfg, pattern):
 
 
 def _chunk_size(model, n_starts):
-    if not _is_objective_model(model):
+    if not isinstance(model, ObjectiveModel):
         return max(1, n_starts)
     return max(1, LM_BLOCK_BYTES // (LM_START_PRODUCTS * model.mats.nbytes))
 
@@ -356,7 +320,8 @@ def gradient_descent(model, t0, cfg=None):
     step_tol, fun_tol, max_iters, max_fevals = cfg.resolved(n)
     trace = []
 
-    f, grad = _value_grad(model, t)
+    ev = model.value_and_gradient(t)
+    f, grad = ev.value, ev.gradient
     fevals = 1
     if not (np.isfinite(f) and np.all(np.isfinite(grad))):
         return _finish(model, t, f, 0, fevals, StopReason.NumericalFailure, trace)
@@ -382,7 +347,7 @@ def gradient_descent(model, t0, cfg=None):
         a = alpha
         for _ in range(MAX_BACKTRACKS):
             trial = t + a * direction
-            f_trial = _value(model, trial)
+            f_trial = model.value(trial)
             fevals += 1
             if np.isfinite(f_trial) and f_trial <= f - ARMIJO_C1 * a * dnorm2:
                 accepted = True
@@ -398,7 +363,8 @@ def gradient_descent(model, t0, cfg=None):
         step = float(np.linalg.norm(trial - t))
         df = f - f_trial
         t = trial
-        f, grad = _value_grad(model, t)
+        ev = model.value_and_gradient(t)
+        f, grad = ev.value, ev.gradient
         fevals += 1
         if not (np.isfinite(f) and np.all(np.isfinite(grad))):
             return _finish(model, t, f, iters, fevals, StopReason.NumericalFailure, trace)
@@ -432,7 +398,7 @@ def nelder_mead(model, t0, cfg=None):
         if state["fevals"] >= max_fevals:
             raise _Budget
         state["fevals"] += 1
-        val = _value(model, x)
+        val = model.value(x)
         if not np.isfinite(val):
             raise NumericalError("non-finite objective value in simplex search")
         return val

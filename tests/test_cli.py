@@ -80,6 +80,24 @@ def test_verify_minima_constrained(tmp_path):
     assert len(doc["reports"]) == 4
     assert all(rep["distinct_t_count"] == 1 for rep in doc["reports"])
     assert doc["equivalence"]["passed"]
+    # the manifest lists the tolerances the constrained solves ran with
+    cfg = doc["manifest"]["stop_config"]
+    assert cfg["grad_tol"] == pytest.approx(1e-9, rel=1e-12)
+    assert (cfg["step_tol"], cfg["fun_tol"]) == (1e-12, 1e-12)
+    assert (cfg["max_iters"], cfg["max_fevals"]) == (None, None)
+
+
+def test_verify_minima_constrained_honours_budget(tmp_path, capsys):
+    out = tmp_path / "v.json"
+    assert run(
+        "verify-minima", data_path("example3.rec"), "--constrain-signs",
+        "--starts", "2", "--max-fevals", "5", "--out", str(out),
+    ) == 11
+    # the first orthant's report fails the screen and lists its two runs
+    discarded = [line for line in capsys.readouterr().err.splitlines() if "discarded:" in line]
+    assert len(discarded) == 2
+    assert all("'max-function-evals'" in line for line in discarded)
+    assert not out.exists()
 
 
 def test_exit_code_unknown_preset(tmp_path):
@@ -122,6 +140,24 @@ def test_exit_code_invalid_state_file(tmp_path, capsys, matrix):
     assert not rec.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--state", "H", "--shots", "0"],
+        ["simulate", "--state", "H", "--shots", "-3"],
+        ["verify-minima", data_path("example1.rec"), "--starts", "0"],
+    ],
+    ids=["shots-0", "shots-negative", "starts-0"],
+)
+def test_exit_code_count_bounds(tmp_path, capsys, argv):
+    out = tmp_path / "o.json"
+    assert run(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "must be a positive integer" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_exit_code_missing_record(tmp_path):
     assert run("reconstruct", str(tmp_path / "none.rec"), "--out", str(tmp_path / "o")) == 2
 
@@ -148,6 +184,15 @@ def _projector_pairs(d, k):
     return [[[x, 0.0] for x in row] for row in m]
 
 
+def _explicit_record(*matrices):
+    return {
+        "dim": 2,
+        "operators": [{"matrix": m} for m in matrices],
+        "counts": [5] * len(matrices),
+        "normalization": 10,
+    }
+
+
 @pytest.mark.parametrize(
     "doc, method",
     [
@@ -164,8 +209,28 @@ def _projector_pairs(d, k):
             },
             "linear",
         ),
+        (_explicit_record(_state_pairs(np.diag([1.0, -0.5])), _projector_pairs(2, 1)), "mle"),
+        (_explicit_record([[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]], _projector_pairs(2, 1)), "mle"),
+        (_explicit_record(_projector_pairs(2, 0), _projector_pairs(3, 1)), "linear"),
+        ({"dim": 2, "operators": "pol4", "counts": [5, "a", 5, 5], "normalization": 10}, "mle"),
+        ({"dim": 2, "operators": "pol4", "counts": [10**20, 1, 1, 1], "normalization": 10}, "mle"),
+        ({"dim": 2, "operators": [{"label": "H"}], "counts": [5], "normalization": 10}, "mle"),
+        ({"dim": 2, "operators": [1, 2], "counts": [5, 5], "normalization": 10}, "mle"),
     ],
-    ids=["count-mismatch", "no-operators", "zero-counts-mle", "zero-counts-linear", "linear-d3"],
+    ids=[
+        "count-mismatch",
+        "no-operators",
+        "zero-counts-mle",
+        "zero-counts-linear",
+        "linear-d3",
+        "non-psd-operator",
+        "non-square-operator",
+        "mixed-operator-shapes",
+        "non-integer-count",
+        "count-overflow",
+        "operator-without-matrix",
+        "operator-not-an-object",
+    ],
 )
 def test_exit_code_unsupported_record(tmp_path, capsys, doc, method):
     path = tmp_path / "bad.rec"

@@ -4,12 +4,11 @@ import pytest
 from tomomle.errors import DimensionError
 from tomomle.likelihood import (
     ObjectiveModel,
+    _probs_and_derivs,
     finite_difference_gradient,
     residuals_and_jacobian,
-    residuals_gaussian,
     value,
     value_and_gradient,
-    value_on_state,
 )
 from tomomle.measurement import (
     born_probability,
@@ -44,7 +43,10 @@ def test_gaussian_value_matches_manual(rng):
     p = np.array([np.real(np.trace(op.matrix @ rho)) for op in m.povm])
     manual = 0.5 * np.sum(((p - m.freqs) / np.sqrt(p)) ** 2)
     assert value(t, m) == pytest.approx(manual, rel=1e-12)
-    assert value_on_state(rho, m) == pytest.approx(manual, rel=1e-12)
+    # the same objective evaluated on the state, through Born probabilities
+    p_born = np.array([born_probability(op, rho) for op in m.povm])
+    on_state = 0.5 * np.sum(((p_born - m.freqs) / np.sqrt(p_born)) ** 2)
+    assert on_state == pytest.approx(manual, rel=1e-12)
 
 
 def test_multinomial_value_matches_manual(rng):
@@ -66,8 +68,12 @@ def test_value_is_scale_invariant(rng):
 def test_residuals_consistent_with_value(rng):
     m = make_model()
     t = random_param(rng, 2)
-    r = residuals_gaussian(t, m)
+    r, _, _ = residuals_and_jacobian(t, m)
     assert 0.5 * float(r @ r) == pytest.approx(value(t, m), rel=1e-12)
+    # r_mu = (p_mu - f_mu) / sqrt(p_mu), against the state's probabilities
+    rho = rho_of_t(t)
+    p = np.array([born_probability(op, rho) for op in m.povm])
+    assert np.allclose(r, (p - m.freqs) / np.sqrt(p), rtol=1e-12, atol=1e-15)
 
 
 def test_gradient_matches_finite_difference(rng):
@@ -78,6 +84,39 @@ def test_gradient_matches_finite_difference(rng):
             ev = value_and_gradient(t, m)
             fd = finite_difference_gradient(t, m)
             assert np.max(np.abs(ev.gradient - fd)) < 1e-6 * max(1.0, np.max(np.abs(fd)))
+
+
+def _reference_gradient(t, m):
+    """The gradient through the m x d^2 matrix of partials dp_mu/dt_k."""
+    p, dp = _probs_and_derivs(t, m.mats)
+    if m.kind == "gaussian":
+        r, jac, _ = residuals_and_jacobian(t, m)
+        return jac.T @ r
+    floor = m.probability_floor
+    w = np.where(p > floor, m.freqs / np.maximum(p, floor), 0.0)
+    return -(w[:, None] * dp).sum(0)
+
+
+def test_gradient_matches_partials_reference(rng):
+    pol = polarization_projectors()
+    for n_qubits in (1, 2, 3):
+        povm = tensor_povm([pol] * n_qubits)
+        freqs = np.array([born_probability(op, random_density(rng, 2**n_qubits)) for op in povm])
+        for kind in ("gaussian", "multinomial"):
+            m = ObjectiveModel(kind, povm, freqs)
+            for _ in range(3):
+                t = random_param(rng, m.dim)
+                ev = value_and_gradient(t, m)
+                ref = _reference_gradient(t, m)
+                assert np.max(np.abs(ev.gradient - ref)) <= 1e-12 * np.max(np.abs(ref))
+                assert ev.value == value(t, m)
+    # p_V (first point) and p_H (second point) fall below the floor
+    for kind, t in (("gaussian", [1.0, 1e-12, 0.0, 0.0]), ("multinomial", [1e-12, 1.0, 0.0, 0.0])):
+        m = make_model(kind=kind, freqs=(0.9, 0.1, 0.5, 0.5))
+        ev = value_and_gradient(np.array(t), m)
+        ref = _reference_gradient(np.array(t), m)
+        assert ev.floor_hit
+        assert np.max(np.abs(ev.gradient - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_jacobian_gradient_identity(rng):
@@ -110,7 +149,7 @@ def test_multinomial_floor_is_finite():
 def test_residuals_require_gaussian_kind(rng):
     m = make_model(kind="multinomial")
     with pytest.raises(ValueError):
-        residuals_gaussian(random_param(rng, 2), m)
+        residuals_and_jacobian(random_param(rng, 2), m)
 
 
 def _restacked_probs_and_derivs(t, model):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tomomle import optimizers
-from tomomle.likelihood import ObjectiveModel, residuals_and_jacobian
+from tomomle.likelihood import ObjectiveEvaluation, ObjectiveModel
 from tomomle.measurement import normalize, polarization_projectors
 from tomomle.optimizers import (
     LM_LAMBDA_INIT,
@@ -24,7 +24,11 @@ from tomomle.parameterize import all_sign_patterns, random_param, rho_of_t
 
 
 class Quadratic:
-    """0.5 * ||A t - b||^2; a convex sanity target with a known minimizer."""
+    """0.5 * ||A t - b||^2; a convex sanity target with a known minimizer.
+
+    Answers the objective's three methods with the engine's types;
+    residuals_and_jacobian takes one vector or a (B, n) block of them.
+    """
 
     def __init__(self):
         self.A = np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -37,10 +41,11 @@ class Quadratic:
 
     def value_and_gradient(self, t):
         r = self.A @ t - self.b
-        return 0.5 * float(r @ r), self.A.T @ r
+        return ObjectiveEvaluation(0.5 * float(r @ r), self.A.T @ r)
 
     def residuals_and_jacobian(self, t):
-        return self.A @ t - self.b, self.A
+        r = t @ self.A.T - self.b
+        return r, np.tile(self.A, r.shape[:-1] + (1, 1)), False
 
 
 def example1_model():
@@ -160,10 +165,7 @@ def reference_lm(model, t0, cfg, pattern=None):
     must take the same branches for every row.  Returns the stop reason,
     iters, fevals, the final point and the objective after every accepted
     step."""
-    if isinstance(model, ObjectiveModel):
-        res_jac = lambda t: residuals_and_jacobian(t, model)[:2]  # noqa: E731
-    else:
-        res_jac = model.residuals_and_jacobian
+    res_jac = lambda t: model.residuals_and_jacobian(t)[:2]  # noqa: E731
     project = (lambda t: t) if pattern is None else make_sign_projection(pattern)
     t = project(np.asarray(t0, dtype=float))
     step_tol, fun_tol, max_iters, max_fevals = cfg.resolved(t.size)
@@ -296,10 +298,10 @@ class Walled(Quadratic):
         self.b = np.array([-1.0, -1.0])
 
     def residuals_and_jacobian(self, t):
-        if t[0] < 0:
-            return np.full(2, np.nan), self.A
-        r, jac = super().residuals_and_jacobian(t)
-        return r, np.full((2, 2), 1e200) if t[1] > 100 else jac
+        r, jac, floor_hit = super().residuals_and_jacobian(t)
+        r[t[..., 0] < 0] = np.nan
+        jac[t[..., 1] > 100] = 1e200
+        return r, jac, floor_hit
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
