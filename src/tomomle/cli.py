@@ -57,6 +57,12 @@ EXIT_INCOMPLETE = 4
 EXIT_STAGNATION = 10
 EXIT_ALL_RUNS_FAILED = 11
 
+# verify-minima --constrain-signs solves with the gradient tolerance scaled
+# by CONSTRAINED_GRAD_SCALE and with CONSTRAINED_STAGNATION_TOL in place of
+# --step-tol and --fun-tol; --grad-tol itself screens the results
+CONSTRAINED_GRAD_SCALE = 1e-3
+CONSTRAINED_STAGNATION_TOL = 1e-12
+
 
 def _state_preset(name, dim):
     kets = {
@@ -117,8 +123,9 @@ def _manifest(args, command, cfg):
 
 
 def _stop_config(args):
+    grad_tol = getattr(args, "grad_tol", None)
     return StopConfig(
-        grad_tol=getattr(args, "grad_tol", 1e-6),
+        grad_tol=StopConfig.grad_tol if grad_tol is None else grad_tol,
         step_tol=getattr(args, "step_tol", None),
         fun_tol=getattr(args, "fun_tol", None),
         max_iters=getattr(args, "max_iters", None),
@@ -233,12 +240,29 @@ def cmd_verify_minima(args):
     record = read_record(args.record)
     model = _build_model(record)
     d = record.dim
-    screen = args.grad_tol
     cfg = _stop_config(args)
+    screen = cfg.grad_tol
     if args.constrain_signs:
         # sphere-constrained protocol: tight stagnation tolerances inside
         # the solver, stationarity screen applied afterwards
-        cfg = dataclasses.replace(cfg, grad_tol=screen * 1e-3, step_tol=1e-12, fun_tol=1e-12)
+        cfg = dataclasses.replace(
+            cfg,
+            grad_tol=screen * CONSTRAINED_GRAD_SCALE,
+            step_tol=CONSTRAINED_STAGNATION_TOL,
+            fun_tol=CONSTRAINED_STAGNATION_TOL,
+        )
+        given = [
+            f"--{name.replace('_', '-')} {value:g}"
+            for name in ("grad_tol", "step_tol", "fun_tol")
+            if (value := getattr(args, name)) is not None
+        ]
+        if given:
+            print(
+                f"note: --constrain-signs solves with grad_tol={cfg.grad_tol:g}, "
+                f"step_tol={cfg.step_tol:g} and fun_tol={cfg.fun_tol:g}, and screens "
+                f"at grad_tol={screen:g} (given: {', '.join(given)})",
+                file=sys.stderr,
+            )
     manifest = _manifest(args, "verify-minima", cfg)
     reports = []
     pooled = []
@@ -333,9 +357,12 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_stop_flags(p):
-        p.add_argument("--grad-tol", type=float, default=1e-6)
-        p.add_argument("--step-tol", type=float, default=None)
-        p.add_argument("--fun-tol", type=float, default=None)
+        p.add_argument(
+            "--grad-tol", type=float, default=None,
+            help=f"gradient-norm tolerance (default {StopConfig.grad_tol:g})",
+        )
+        p.add_argument("--step-tol", type=float, default=None, help="default: grad-tol^2")
+        p.add_argument("--fun-tol", type=float, default=None, help="default: grad-tol^2")
         p.add_argument("--max-iters", type=int, default=None)
         p.add_argument("--max-fevals", type=int, default=None)
 
@@ -362,7 +389,14 @@ def build_parser():
     p.add_argument("--starts", type=positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--solver", choices=sorted(SOLVERS), default="lm")
-    p.add_argument("--constrain-signs", action="store_true")
+    p.add_argument(
+        "--constrain-signs",
+        action="store_true",
+        help=f"solve on the unit sphere once per diagonal sign orthant; the solves run "
+        f"with grad-tol x {CONSTRAINED_GRAD_SCALE:g} and step and function tolerances "
+        f"of {CONSTRAINED_STAGNATION_TOL:g} in place of --step-tol and --fun-tol, "
+        f"and --grad-tol screens the results",
+    )
     p.add_argument("--rho-tol", type=float, default=1e-3)
     p.add_argument("--f-tol", type=float, default=1e-6)
     add_stop_flags(p)

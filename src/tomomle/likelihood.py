@@ -20,25 +20,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError
-from .parameterize import build_T, param_dim, param_layout
+from .parameterize import build_T, slot_map
 
 PROBABILITY_FLOOR = 1e-12
 
 _LAYOUT_CACHE = {}
 
 
-def _layout(d):
+def _layout(n_params):
     """Where d q_mu / d t_k = 2 Re(c_k * (O_mu T^dag)[col_k, row_k]) sits in
     the (re, im) float view of a (d, d) product, and the factor +-2.
 
-    c_k is 1 or 1j, so the real part of c_k z is Re z or -Im z: one entry
-    of the float view, taken with sign +1 or -1.
+    c_k is 1 or 1j, so the real part of c_k z is Re z or -Im z: the slot of
+    the transposed entry, taken with sign +1 or -1.
     """
-    if d not in _LAYOUT_CACHE:
-        rows, cols, coeffs = param_layout(d)
-        imag = coeffs.imag != 0
-        _LAYOUT_CACHE[d] = (2 * (cols * d + rows) + imag, np.where(imag, -2.0, 2.0))
-    return _LAYOUT_CACHE[d]
+    if n_params not in _LAYOUT_CACHE:
+        d, rows, cols, imag, _ = slot_map(n_params)
+        _LAYOUT_CACHE[n_params] = (2 * (cols * d + rows) + imag, np.where(imag, -2.0, 2.0))
+    return _LAYOUT_CACHE[n_params]
 
 
 @dataclass(frozen=True)
@@ -109,7 +108,7 @@ def _probs_and_derivs(t, mats):
     (m, d, d) operator stack.  A (B, d^2) block of vectors gives (B, m)
     probabilities and (B, m, d^2) partials, one row per vector."""
     t = np.asarray(t, dtype=float)
-    pos, factor = _layout(param_dim(t.shape[-1]))
+    pos, factor = _layout(t.shape[-1])
     T, a = _products(t, mats)
     s = (t[..., None, :] @ t[..., :, None])[..., 0]  # ||t||^2, shape (..., 1)
     q = np.real(np.einsum("...mij,...ji->...m", a, T))
@@ -122,15 +121,16 @@ def _probs_and_derivs(t, mats):
 
 
 def _probs(t, mats):
-    """T(t) and p_mu(t) at one vector t."""
-    t = np.asarray(t, dtype=float)
-    T, a = _products(t, mats)
-    return T, np.real(np.einsum("mij,ji->m", a, T)) / float(t @ t)
+    """T(t) and p_mu(t) at one float vector t: the products of _products,
+    without its block bookkeeping."""
+    T = build_T(t)
+    a = (mats.reshape(-1, T.shape[0]) @ T.conj().T).reshape(mats.shape)
+    return T, np.einsum("mij,ji->m", a, T).real / float(t @ t)
 
 
 def value(t, model):
     """Objective value only (used by derivative-free search)."""
-    _, p = _probs(t, model.mats)
+    _, p = _probs(np.asarray(t, dtype=float), model.mats)
     floor = model.probability_floor
     pf = np.maximum(p, floor)
     if model.kind == "gaussian":
@@ -186,10 +186,13 @@ def value_and_gradient(t, model):
         pf = np.maximum(p, floor)
         f = -float(model.freqs @ np.log(pf))
         w = np.where(p > floor, -model.freqs / pf, 0.0)
-    pos, factor = _layout(model.dim)
-    rt = np.tensordot(w, model.mats, axes=1) @ T.conj().T
+    mats = model.mats
+    pos, factor = _layout(t.size)
+    # R = sum_mu w_mu O_mu as the one gemm np.tensordot(w, mats, 1) makes
+    R = np.dot(w[None, :], mats.reshape(len(mats), -1)).reshape(T.shape)
+    rt = R @ T.conj().T
     g = factor * rt.view(float).ravel()[pos] - (2.0 * float(w @ p)) * t
-    return ObjectiveEvaluation(f, g / float(t @ t), bool(np.any(p < floor)))
+    return ObjectiveEvaluation(f, g / float(t @ t), bool((p < floor).any()))
 
 
 def finite_difference_gradient(t, model, h=None):

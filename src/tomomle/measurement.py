@@ -226,6 +226,20 @@ def _operator_from_dict(entry, dim):
         raise SchemaError(str(exc)) from exc
 
 
+def _basis_groups(spec, n_settings):
+    """basis_groups as tuples of setting indices; each must be a list of
+    integers in [0, n_settings)."""
+    if isinstance(spec, (list, tuple)) and all(
+        isinstance(group, (list, tuple))
+        and all(type(i) is int and 0 <= i < n_settings for i in group)
+        for group in spec
+    ):
+        return [tuple(group) for group in spec]
+    raise SchemaError(
+        f"basis_groups must be a list of lists of setting indices in [0, {n_settings})"
+    )
+
+
 def record_from_dict(doc):
     try:
         dim = int(doc["dim"])
@@ -237,8 +251,10 @@ def record_from_dict(doc):
         raise SchemaError(f"record is missing or has a malformed field: {exc}") from exc
     if isinstance(ops_spec, str):
         operators = povm_preset(ops_spec)
-    else:
+    elif isinstance(ops_spec, list):
         operators = [_operator_from_dict(entry, dim) for entry in ops_spec]
+    else:
+        raise SchemaError("operators must be a preset name or a list of operator objects")
     if not operators:
         raise SchemaError("record lists no operators")
     if n_counts != len(operators):
@@ -252,7 +268,7 @@ def record_from_dict(doc):
         operators=operators,
         counts=counts,
         normalization=normalization,
-        basis_groups=[tuple(g) for g in doc.get("basis_groups", [])],
+        basis_groups=_basis_groups(doc.get("basis_groups", []), n_counts),
         seed=doc.get("seed"),
     )
 

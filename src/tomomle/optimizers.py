@@ -17,6 +17,7 @@ and only its operator stack bounds the chunks of a block of starts.
 """
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -323,19 +324,20 @@ def gradient_descent(model, t0, cfg=None):
     ev = model.value_and_gradient(t)
     f, grad = ev.value, ev.gradient
     fevals = 1
-    if not (np.isfinite(f) and np.all(np.isfinite(grad))):
+    if not (math.isfinite(f) and np.isfinite(grad).all()):
         return _finish(model, t, f, 0, fevals, StopReason.NumericalFailure, trace)
     alpha = 1.0
     iters = 0
-    trace.append((f, float(np.linalg.norm(grad)), 0.0))
+    # ||g|| as np.linalg.norm computes it for a real vector, once per gradient
+    gnorm = math.sqrt(grad @ grad)
+    trace.append((f, gnorm, 0.0))
 
     while True:
         direction = -grad
         dnorm2 = float(direction @ direction)
-        gnorm = float(np.linalg.norm(grad))
         if gnorm < cfg.grad_tol:
             return _finish(model, t, f, iters, fevals, StopReason.GradientTolerance, trace, grad)
-        if np.max(np.abs(t)) > cfg.param_bound:
+        if np.abs(t).max() > cfg.param_bound:
             return _finish(model, t, f, iters, fevals, StopReason.ParamBoundHit, trace, grad)
         if iters >= max_iters:
             return _finish(model, t, f, iters, fevals, StopReason.MaxIterations, trace, grad)
@@ -349,7 +351,7 @@ def gradient_descent(model, t0, cfg=None):
             trial = t + a * direction
             f_trial = model.value(trial)
             fevals += 1
-            if np.isfinite(f_trial) and f_trial <= f - ARMIJO_C1 * a * dnorm2:
+            if math.isfinite(f_trial) and f_trial <= f - ARMIJO_C1 * a * dnorm2:
                 accepted = True
                 break
             if fevals >= max_fevals:
@@ -360,16 +362,18 @@ def gradient_descent(model, t0, cfg=None):
         if not accepted:
             return _finish(model, t, f, iters, fevals, StopReason.StepStagnation, trace, grad)
 
-        step = float(np.linalg.norm(trial - t))
+        moved = trial - t
+        step = math.sqrt(moved @ moved)
         df = f - f_trial
         t = trial
         ev = model.value_and_gradient(t)
         f, grad = ev.value, ev.gradient
         fevals += 1
-        if not (np.isfinite(f) and np.all(np.isfinite(grad))):
+        if not (math.isfinite(f) and np.isfinite(grad).all()):
             return _finish(model, t, f, iters, fevals, StopReason.NumericalFailure, trace)
         alpha = min(a * 2.0, 1e6)
-        trace.append((f, float(np.linalg.norm(grad)), step))
+        gnorm = math.sqrt(grad @ grad)
+        trace.append((f, gnorm, step))
 
         if step < step_tol:
             return _finish(model, t, f, iters, fevals, StopReason.StepStagnation, trace, grad)
@@ -392,14 +396,15 @@ def nelder_mead(model, t0, cfg=None):
     step_tol, fun_tol, max_iters, max_fevals = cfg.resolved(n)
     trace = []
 
-    state = {"fevals": 0}
+    fevals = 0
 
     def f(x):
-        if state["fevals"] >= max_fevals:
+        nonlocal fevals
+        if fevals >= max_fevals:
             raise _Budget
-        state["fevals"] += 1
+        fevals += 1
         val = model.value(x)
-        if not np.isfinite(val):
+        if not math.isfinite(val):
             raise NumericalError("non-finite objective value in simplex search")
         return val
 
@@ -414,15 +419,27 @@ def nelder_mead(model, t0, cfg=None):
 
     iters = 0
     reason = None
+    shrunk = True  # the simplex needs a full sort
     try:
         values = np.array([f(v) for v in simplex])
         while True:
-            order = np.argsort(values, kind="stable")
-            simplex = simplex[order]
-            values = values[order]
+            if shrunk:
+                order = np.argsort(values, kind="stable")
+                simplex = simplex[order]
+                values = values[order]
+                shrunk = False
+            else:
+                # only the last vertex is new: insert it where the stable
+                # sort would put it, after every vertex of equal value
+                k = int(values[:-1].searchsorted(values[-1], side="right"))
+                if k < n:
+                    vertex, fvertex = simplex[-1].copy(), values[-1]
+                    simplex[k + 1:] = simplex[k:-1]
+                    values[k + 1:] = values[k:-1]
+                    simplex[k], values[k] = vertex, fvertex
             best, fbest = simplex[0], values[0]
-            diameter = float(np.max(np.abs(simplex[1:] - best)))
-            fspread = float(np.max(np.abs(values[1:] - fbest)))
+            diameter = float(np.abs(simplex[1:] - best).max())
+            fspread = float(values[-1] - fbest)  # values are sorted
             trace.append((fbest, np.nan, diameter))
             if diameter <= step_tol and fspread <= fun_tol:
                 reason = StopReason.StepStagnation
@@ -432,7 +449,7 @@ def nelder_mead(model, t0, cfg=None):
                 break
             iters += 1
 
-            centroid = simplex[:-1].mean(axis=0)
+            centroid = simplex[:-1].sum(axis=0) / n  # bit for bit mean(axis=0)
             worst, fworst = simplex[-1], values[-1]
             reflected = centroid + (centroid - worst)
             fr = f(reflected)
@@ -458,6 +475,7 @@ def nelder_mead(model, t0, cfg=None):
                     simplex[-1], values[-1] = contracted, fc
                 else:
                     # shrink toward the best vertex
+                    shrunk = True
                     for i in range(1, n + 1):
                         simplex[i] = best + 0.5 * (simplex[i] - best)
                         values[i] = f(simplex[i])
@@ -468,7 +486,7 @@ def nelder_mead(model, t0, cfg=None):
 
     order = np.argsort(values, kind="stable")
     best, fbest = simplex[order[0]], values[order[0]]
-    return _finish(model, best, fbest, iters, state["fevals"], reason, trace)
+    return _finish(model, best, fbest, iters, fevals, reason, trace)
 
 
 def make_sign_projection(pattern):

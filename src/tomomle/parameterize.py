@@ -13,7 +13,7 @@ from .errors import BoundaryStateError, DegenerateParameterError, DimensionError
 
 NORM_GUARD = 1e-150
 
-_INDEX_CACHE = {}
+_SLOT_CACHE = {}
 
 
 def param_dim(n_params):
@@ -24,38 +24,48 @@ def param_dim(n_params):
     return d
 
 
-def _triangle_indices(d):
-    # the one statement of the layout: diagonal, then the strict upper
-    # triangle row-major (np.triu_indices order)
-    if d not in _INDEX_CACHE:
-        _INDEX_CACHE[d] = (np.diag_indices(d), np.triu_indices(d, 1))
-    return _INDEX_CACHE[d]
-
-
 def param_layout(d):
     """Entry (row, col, coefficient) of dT/dt_k for each parameter index k.
 
     Diagonal parameters come first (coefficient 1), then row-major strict
-    upper-triangle pairs with coefficients 1 and 1j.
+    upper-triangle pairs with coefficients 1 and 1j.  This is the one
+    statement of the layout; slot_map caches it per parameter count.
     """
-    (diag, _), (upper_rows, upper_cols) = _triangle_indices(d)
+    diag = np.arange(d)
+    upper_rows, upper_cols = np.triu_indices(d, 1)
     rows = np.concatenate([diag, np.repeat(upper_rows, 2)])
     cols = np.concatenate([diag, np.repeat(upper_cols, 2)])
     coeffs = np.concatenate([np.ones(d), np.tile([1.0, 1.0j], len(upper_rows))])
     return rows, cols, coeffs
 
 
+def slot_map(n_params):
+    """(d, rows, cols, imag, slots) for a length-n_params parameter vector.
+
+    rows, cols and imag say which entry of T parameter k fills and whether
+    it is that entry's imaginary part; slots = 2 (rows d + cols) + imag is
+    where t_k sits in the (re, im) float view of T.  Cached per n_params,
+    so d is computed once.
+    """
+    layout = _SLOT_CACHE.get(n_params)
+    if layout is None:
+        d = param_dim(n_params)
+        rows, cols, coeffs = param_layout(d)
+        imag = coeffs.imag != 0
+        layout = _SLOT_CACHE[n_params] = (d, rows, cols, imag, 2 * (rows * d + cols) + imag)
+    return layout
+
+
 def build_T(t):
     """Upper-triangular T(t) for a length-d^2 real parameter vector.
 
     A (B, d^2) block of vectors gives the (B, d, d) stack of their T.
+    Each t_k is written straight into its slot of T's (re, im) float view.
     """
     t = np.asarray(t, dtype=float)
-    d = param_dim(t.shape[-1])
-    (diag_rows, diag_cols), (upper_rows, upper_cols) = _triangle_indices(d)
+    d, *_, slots = slot_map(t.shape[-1])
     T = np.zeros(t.shape[:-1] + (d, d), dtype=complex)
-    T[..., diag_rows, diag_cols] = t[..., :d]
-    T[..., upper_rows, upper_cols] = t[..., d::2] + 1j * t[..., d + 1::2]
+    T.reshape(t.shape[:-1] + (d * d,)).view(float)[..., slots] = t
     return T
 
 
@@ -99,12 +109,8 @@ def inverse_param(rho, pattern=None, alpha=1.0):
         raise BoundaryStateError(f"Cholesky factorization failed: {exc}") from exc
     T = lower.conj().T  # upper triangular, positive real diagonal
     T = pattern[:, None] * T  # row sign flips leave T^dag T unchanged
-    diagonal, upper = _triangle_indices(d)
-    t = np.empty(d * d)
-    t[:d] = T[diagonal].real
-    t[d::2] = T[upper].real
-    t[d + 1::2] = T[upper].imag
-    return t
+    *_, slots = slot_map(d * d)
+    return np.ravel(T).view(float)[slots]
 
 
 def in_r_star_star(t, tol=1e-8):

@@ -146,7 +146,9 @@ def orthant_multistart(
     Every orthant starts from the same n_starts draws, and all (pattern,
     start) pairs are solved as one block of sign-constrained LM runs, so the
     slowest runs of different orthants share their rounds instead of each
-    running alone.
+    running alone.  If the screen discards every run of some orthant, the
+    AllRunsFailedError lists the discarded runs of every orthant, each
+    under its sign pattern.
     """
     cfg = cfg or StopConfig()
     patterns = np.asarray(patterns, dtype=float)
@@ -158,10 +160,24 @@ def orthant_multistart(
         cfg,
     )
     screen = cfg.grad_tol if screen_tol is None else screen_tol
-    return [
-        _screen(results[k * n_starts:(k + 1) * n_starts], screen, dedup_tol)
-        for k in range(len(patterns))
-    ]
+    reports, discards, failed = [], [], 0
+    for k, pattern in enumerate(patterns):
+        try:
+            report = _screen(results[k * n_starts:(k + 1) * n_starts], screen, dedup_tol)
+            diagnostics = report.discard_diagnostics
+        except AllRunsFailedError as exc:
+            report, diagnostics = None, exc.diagnostics
+            failed += 1
+        reports.append(report)
+        sign = [int(s) for s in pattern]
+        discards += [{"sign_pattern": sign, **diag} for diag in diagnostics]
+    if failed:
+        raise AllRunsFailedError(
+            f"all {n_starts} runs of {failed} of {len(patterns)} sign orthants failed "
+            f"the stationarity screen at {screen}",
+            diagnostics=discards,
+        )
+    return reports
 
 
 def equivalence_check(results, rho_tol=1e-4, f_tol=1e-8):

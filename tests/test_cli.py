@@ -87,16 +87,36 @@ def test_verify_minima_constrained(tmp_path):
     assert (cfg["max_iters"], cfg["max_fevals"]) == (None, None)
 
 
+def test_verify_minima_constrained_names_replaced_tolerances(tmp_path, capsys):
+    args = ["verify-minima", data_path("example3.rec"), "--constrain-signs", "--starts", "2"]
+    assert run(*args, "--out", str(tmp_path / "a.json")) == 0
+    assert capsys.readouterr().err == ""
+    out = tmp_path / "b.json"
+    assert run(*args, "--grad-tol", "1e-5", "--fun-tol", "1e-9", "--out", str(out)) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("note: ")
+    for text in (
+        "grad_tol=1e-08", "step_tol=1e-12", "fun_tol=1e-12", "screens at grad_tol=1e-05",
+        "--grad-tol 1e-05", "--fun-tol 1e-09",
+    ):
+        assert text in err[0]
+    cfg = json.loads(out.read_text())["manifest"]["stop_config"]
+    assert (cfg["step_tol"], cfg["fun_tol"]) == (1e-12, 1e-12)
+
+
 def test_verify_minima_constrained_honours_budget(tmp_path, capsys):
     out = tmp_path / "v.json"
     assert run(
         "verify-minima", data_path("example3.rec"), "--constrain-signs",
         "--starts", "2", "--max-fevals", "5", "--out", str(out),
     ) == 11
-    # the first orthant's report fails the screen and lists its two runs
+    # every orthant fails the screen; all 4 x 2 runs are listed, each under
+    # its sign pattern
     discarded = [line for line in capsys.readouterr().err.splitlines() if "discarded:" in line]
-    assert len(discarded) == 2
+    assert len(discarded) == 8
     assert all("'max-function-evals'" in line for line in discarded)
+    for pattern in ("[1, 1]", "[-1, 1]", "[1, -1]", "[-1, -1]"):
+        assert sum(f"'sign_pattern': {pattern}," in line for line in discarded) == 2
     assert not out.exists()
 
 
@@ -193,6 +213,16 @@ def _explicit_record(*matrices):
     }
 
 
+def _grouped_record(basis_groups):
+    return {
+        "dim": 2,
+        "operators": "pol4",
+        "counts": [5, 5, 5, 5],
+        "normalization": "per-basis-group",
+        "basis_groups": basis_groups,
+    }
+
+
 @pytest.mark.parametrize(
     "doc, method",
     [
@@ -216,6 +246,9 @@ def _explicit_record(*matrices):
         ({"dim": 2, "operators": "pol4", "counts": [10**20, 1, 1, 1], "normalization": 10}, "mle"),
         ({"dim": 2, "operators": [{"label": "H"}], "counts": [5], "normalization": 10}, "mle"),
         ({"dim": 2, "operators": [1, 2], "counts": [5, 5], "normalization": 10}, "mle"),
+        ({"dim": 2, "operators": 5, "counts": [5], "normalization": 10}, "mle"),
+        (_grouped_record(5), "mle"),
+        (_grouped_record([[0, 1], [2, 9]]), "mle"),
     ],
     ids=[
         "count-mismatch",
@@ -230,6 +263,9 @@ def _explicit_record(*matrices):
         "count-overflow",
         "operator-without-matrix",
         "operator-not-an-object",
+        "operators-not-a-list",
+        "basis-groups-not-a-list",
+        "basis-group-index-out-of-range",
     ],
 )
 def test_exit_code_unsupported_record(tmp_path, capsys, doc, method):

@@ -198,3 +198,59 @@ def test_block_matches_row_by_row(rng, example1, example2, example3):
             assert np.max(np.abs(r_b - r)) <= 1e-14 * max(1.0, np.max(np.abs(r)))
             assert np.max(np.abs(jac_b - jac)) <= 1e-14 * max(1.0, np.max(np.abs(jac)))
         assert np.array_equal(build_T(ts), np.stack([build_T(t) for t in ts]))
+
+
+def _previous_build_T(t):
+    """T(t) as two fancy-index writes: the diagonal, then re + 1j im."""
+    t = np.asarray(t, dtype=float)
+    d = int(round(np.sqrt(t.shape[-1])))
+    (diag_rows, diag_cols), (upper_rows, upper_cols) = np.diag_indices(d), np.triu_indices(d, 1)
+    T = np.zeros(t.shape[:-1] + (d, d), dtype=complex)
+    T[..., diag_rows, diag_cols] = t[..., :d]
+    T[..., upper_rows, upper_cols] = t[..., d::2] + 1j * t[..., d + 1::2]
+    return T
+
+
+def _previous_value_and_gradient(t, m):
+    """value and value_and_gradient as written before the single-vector fast
+    path: np.real, swapaxes and np.tensordot."""
+    d = m.dim
+    T = _previous_build_T(t)
+    a = (m.mats.reshape(-1, d) @ T.conj().swapaxes(-1, -2)).reshape(m.mats.shape)
+    p = np.real(np.einsum("mij,ji->m", a, T)) / float(t @ t)
+    floor = m.probability_floor
+    pf = np.maximum(p, floor)
+    if m.kind == "gaussian":
+        r = (p - m.freqs) / np.sqrt(pf)
+        f = 0.5 * float(r @ r)
+        w = r * np.where(p > floor, (p + m.freqs) / (2.0 * pf**1.5), 1.0 / np.sqrt(floor))
+    else:
+        f = -float(m.freqs @ np.log(pf))
+        w = np.where(p > floor, -m.freqs / pf, 0.0)
+    rows, cols, coeffs = param_layout(d)
+    imag = coeffs.imag != 0
+    pos, factor = 2 * (cols * d + rows) + imag, np.where(imag, -2.0, 2.0)
+    rt = np.tensordot(w, m.mats, axes=1) @ T.conj().T
+    g = factor * rt.view(float).ravel()[pos] - (2.0 * float(w @ p)) * t
+    return f, g / float(t @ t), bool(np.any(p < floor))
+
+
+def test_single_vector_path_matches_previous_formulas_bitwise(rng):
+    pol = polarization_projectors()
+    for n_qubits in (1, 2, 3):
+        povm = tensor_povm([pol] * n_qubits)
+        d = 2**n_qubits
+        freqs = np.array([born_probability(op, random_density(rng, d)) for op in povm])
+        ts = np.stack([random_param(rng, d) for _ in range(4)])
+        if d == 2:  # p_V, then p_H below the floor
+            ts = np.vstack([ts, [1.0, 1e-12, 0.0, 0.0], [1e-12, 1.0, 0.0, 0.0]])
+        assert np.array_equal(build_T(ts), _previous_build_T(ts))
+        for kind in ("gaussian", "multinomial"):
+            m = ObjectiveModel(kind, povm, freqs)
+            for t in ts:
+                f, g, floor_hit = _previous_value_and_gradient(t, m)
+                ev = value_and_gradient(t, m)
+                assert value(t, m) == f
+                assert ev.value == f
+                assert np.array_equal(ev.gradient, g)
+                assert ev.floor_hit == floor_hit

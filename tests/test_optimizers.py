@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from tomomle import optimizers
+from tomomle.errors import NumericalError
 from tomomle.likelihood import ObjectiveEvaluation, ObjectiveModel
 from tomomle.measurement import normalize, polarization_projectors
 from tomomle.optimizers import (
@@ -10,7 +13,9 @@ from tomomle.optimizers import (
     SOLVERS,
     StopConfig,
     StopReason,
+    _Budget,
     _damped_steps,
+    _finish,
     constrained_sign_solve,
     default_start,
     gradient_descent,
@@ -341,3 +346,128 @@ def test_singular_damped_system_rejects_only_its_row():
     delta = _damped_steps(jtj, np.array([0.0, 1.0]), np.array([[1.0, 1.0], [2.0, -4.0]]))
     assert np.all(np.isnan(delta[0]))
     assert delta[1] == pytest.approx([-1.0, 2.0])
+
+
+def reference_nelder_mead(model, t0, cfg=None):
+    """The simplex search as it was written before the insertion-ordered
+    bookkeeping: a full stable argsort of the simplex every iteration,
+    np.mean for the centroid and the largest |f_i - f_best| as the spread.
+    nelder_mead must reproduce it bit for bit."""
+    cfg = cfg or StopConfig()
+    t0 = np.asarray(t0, dtype=float).copy()
+    n = t0.size
+    step_tol, fun_tol, max_iters, max_fevals = cfg.resolved(n)
+    trace = []
+
+    state = {"fevals": 0}
+
+    def f(x):
+        if state["fevals"] >= max_fevals:
+            raise _Budget
+        state["fevals"] += 1
+        val = model.value(x)
+        if not np.isfinite(val):
+            raise NumericalError("non-finite objective value in simplex search")
+        return val
+
+    # fminsearch-style initial simplex: 5% relative perturbation per
+    # coordinate, 0.00025 absolute where the coordinate is zero
+    simplex = [t0]
+    for i in range(n):
+        v = t0.copy()
+        v[i] = v[i] * 1.05 if v[i] != 0.0 else 0.00025
+        simplex.append(v)
+    simplex = np.array(simplex)
+
+    iters = 0
+    reason = None
+    try:
+        values = np.array([f(v) for v in simplex])
+        while True:
+            order = np.argsort(values, kind="stable")
+            simplex = simplex[order]
+            values = values[order]
+            best, fbest = simplex[0], values[0]
+            diameter = float(np.max(np.abs(simplex[1:] - best)))
+            fspread = float(np.max(np.abs(values[1:] - fbest)))
+            trace.append((fbest, np.nan, diameter))
+            if diameter <= step_tol and fspread <= fun_tol:
+                reason = StopReason.StepStagnation
+                break
+            if iters >= max_iters:
+                reason = StopReason.MaxIterations
+                break
+            iters += 1
+
+            centroid = simplex[:-1].mean(axis=0)
+            worst, fworst = simplex[-1], values[-1]
+            reflected = centroid + (centroid - worst)
+            fr = f(reflected)
+            if fr < fbest:
+                expanded = centroid + 2.0 * (centroid - worst)
+                fe = f(expanded)
+                if fe < fr:
+                    simplex[-1], values[-1] = expanded, fe
+                else:
+                    simplex[-1], values[-1] = reflected, fr
+            elif fr < values[-2]:
+                simplex[-1], values[-1] = reflected, fr
+            else:
+                if fr < fworst:
+                    contracted = centroid + 0.5 * (reflected - centroid)
+                    fc = f(contracted)
+                    better_than = fr
+                else:
+                    contracted = centroid + 0.5 * (worst - centroid)
+                    fc = f(contracted)
+                    better_than = fworst
+                if fc < better_than:
+                    simplex[-1], values[-1] = contracted, fc
+                else:
+                    # shrink toward the best vertex
+                    for i in range(1, n + 1):
+                        simplex[i] = best + 0.5 * (simplex[i] - best)
+                        values[i] = f(simplex[i])
+    except _Budget:
+        reason = StopReason.MaxFunctionEvals
+    except NumericalError:
+        reason = StopReason.NumericalFailure
+
+    order = np.argsort(values, kind="stable")
+    best, fbest = simplex[order[0]], values[order[0]]
+    return _finish(model, best, fbest, iters, state["fevals"], reason, trace)
+
+
+def assert_same_simplex_run(model, t0, cfg=None):
+    """nelder_mead and reference_nelder_mead agree bit for bit; returns the
+    reference result."""
+    got, ref = nelder_mead(model, t0, cfg), reference_nelder_mead(model, t0, cfg)
+    assert (got.reason, got.iters, got.fevals) == (ref.reason, ref.iters, ref.fevals)
+    assert np.array_equal(got.t_final, ref.t_final)
+    assert got.f_final == ref.f_final
+    assert got.grad_norm == ref.grad_norm
+    np.testing.assert_array_equal(np.array(got.trace_log), np.array(ref.trace_log))
+    return ref
+
+
+EXAMPLE1_START = np.array([-0.0001, 0.999, 0.001, 0.999])
+
+
+def test_nelder_mead_matches_reference(example2):
+    assert_same_simplex_run(example1_model(), EXAMPLE1_START)
+    ref = assert_same_simplex_run(record_model(example2), default_start(4))
+    assert (ref.reason, ref.fevals) == (StopReason.MaxFunctionEvals, 6400)
+
+
+def test_nelder_mead_matches_reference_through_shrinks():
+    model, start = example1_model(), default_start(2)
+    assert_same_simplex_run(model, start)  # stops on step-stagnation
+    # every budget up to 60 evaluations; an iteration that shrinks makes
+    # n + 2 = 6 evaluations, so six consecutive budgets end in it, four of
+    # them after the reflection and contraction and before the last
+    # shrink evaluation (mid-shrink)
+    iters = [
+        assert_same_simplex_run(model, start, StopConfig(max_fevals=budget)).iters
+        for budget in range(model.n_params + 2, 60)
+    ]
+    assert max(len(list(run)) for _, run in itertools.groupby(iters)) == model.n_params + 2

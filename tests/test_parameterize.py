@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tomomle.errors import (
     BoundaryStateError,
@@ -126,3 +129,46 @@ def test_build_T_block(rng):
     for d in (1, 2, 3):
         ts = rng.normal(size=(5, d * d))
         assert np.array_equal(build_T(ts), np.stack([build_T(t) for t in ts]))
+
+
+# derandomized and without an example database: the same cases every run
+PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+
+
+@PROPERTY
+@given(st.data())
+def test_build_T_block_matches_entrywise_reference(data):
+    d = data.draw(st.integers(1, 5), label="d")
+    shape = data.draw(st.sampled_from([(d * d,), (1, d * d), (3, d * d), (2, 2, d * d)]))
+    ts = data.draw(arrays(float, shape, elements=st.floats(allow_nan=False, width=64)))
+    ref = np.zeros(shape[:-1] + (d, d), dtype=complex)
+    for idx in np.ndindex(shape[:-1]):
+        t, k = ts[idx], d
+        for i in range(d):
+            ref[idx + (i, i)] = t[i]
+            for j in range(i + 1, d):
+                ref[idx + (i, j)] = complex(t[k], t[k + 1])
+                k += 2
+    T = build_T(ts)
+    assert T.shape == ref.shape
+    assert np.array_equal(T.view(float), ref.view(float))
+
+
+@st.composite
+def interior_params(draw):
+    """t with off-diagonal entries in [-1, 1] and every diagonal entry at
+    least 0.5 away from 0, with either sign."""
+    d = draw(st.integers(1, 4))
+    t = draw(arrays(float, d * d, elements=st.floats(-1.0, 1.0)))
+    mags = draw(arrays(float, d, elements=st.floats(0.5, 1.0)))
+    signs = draw(arrays(float, d, elements=st.sampled_from([-1.0, 1.0])))
+    t[:d] = signs * mags
+    return t
+
+
+@PROPERTY
+@given(interior_params())
+def test_inverse_param_recovers_t(t):
+    d = int(round(np.sqrt(t.size)))
+    back = inverse_param(rho_of_t(t), np.sign(t[:d]), t @ t)
+    assert np.max(np.abs(back - t)) <= 1e-10
