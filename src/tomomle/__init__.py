@@ -13,7 +13,6 @@ from .hermitian import (
 from .inversion import InversionReport, build_b_matrix, linear_invert
 from .likelihood import ObjectiveEvaluation, ObjectiveModel, value_and_gradient
 from .measurement import (
-    MeasurementOperator,
     MeasurementRecord,
     born_probability,
     normalize,

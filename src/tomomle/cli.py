@@ -35,9 +35,9 @@ from .measurement import (
     normalize,
     povm_preset,
     read_record,
+    record_to_dict,
     simulate_counts,
     write_json_atomic,
-    write_record,
 )
 from .optimizers import (
     SOLVERS,
@@ -130,7 +130,6 @@ def _stop_config(args):
         fun_tol=getattr(args, "fun_tol", None),
         max_iters=getattr(args, "max_iters", None),
         max_fevals=getattr(args, "max_fevals", None),
-        param_bound=getattr(args, "param_bound", 1e3),
     )
 
 
@@ -159,14 +158,9 @@ def _emit_trace(result):
 
 def cmd_simulate(args):
     povm = povm_preset(args.povm)
-    dim = povm[0].matrix.shape[0]
-    rho = _load_state(args.state, dim)
+    rho = _load_state(args.state, povm.shape[1])
     record = simulate_counts(rho, povm, args.shots, args.noise, args.seed)
-    try:
-        write_record(args.out, record, preset=args.povm)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        sys.exit(EXIT_UNWRITABLE)
+    _write_out(args.out, record_to_dict(record, preset=args.povm))
     return EXIT_OK
 
 
@@ -303,12 +297,6 @@ def cmd_verify_minima(args):
         ],
         "equivalence": eq,
     }
-    doc["equivalence"]["worst_rho_pair"] = (
-        list(eq["worst_rho_pair"]) if eq["worst_rho_pair"] else None
-    )
-    doc["equivalence"]["worst_f_pair"] = (
-        list(eq["worst_f_pair"]) if eq["worst_f_pair"] else None
-    )
     _write_out(args.out, doc)
     return EXIT_OK if passed else EXIT_NOT_EQUIVALENT
 

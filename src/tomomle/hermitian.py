@@ -6,6 +6,8 @@ semidefinite up to small numerical slack; `check_density_matrix` enforces
 exactly that contract.
 """
 
+from functools import reduce
+
 import numpy as np
 
 from .errors import CapacityError, DimensionError, InvalidBasisError, NumericalError
@@ -47,50 +49,55 @@ def check_density_matrix(rho, tol_eig=EIGENVALUE_TOL):
     return rho
 
 
-def pauli_basis(n_qubits, max_qubits=MAX_QUBITS):
+def kron_stack(a, b):
+    """np.kron(a[i], b[j]) for every pair of matrices of two stacks, bit for
+    bit, as one (len(a) * len(b), m * n, m * n) stack with i the major index."""
+    (p, m, _), (q, n, _) = a.shape, b.shape
+    prod = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
+    return prod.reshape(p * q, m * n, m * n)
+
+
+def pauli_basis(n_qubits):
     """Orthonormal Hermitian basis from normalized Pauli tensor products.
 
-    Returns 4**n_qubits matrices of dimension 2**n_qubits, ordered
-    lexicographically over Pauli indices (identity first), each scaled by
-    1/sqrt(2**n_qubits) so that tr(G_i G_j) = delta_ij.
+    Returns the (4**n_qubits, 2**n_qubits, 2**n_qubits) stack ordered
+    lexicographically over Pauli indices (identity first), each matrix
+    scaled by 1/sqrt(2**n_qubits) so that tr(G_i G_j) = delta_ij.
     """
     if n_qubits < 1:
         raise ValueError("n_qubits must be >= 1")
-    if n_qubits > max_qubits:
-        raise CapacityError(f"n_qubits={n_qubits} exceeds the maximum {max_qubits}")
+    if n_qubits > MAX_QUBITS:
+        raise CapacityError(f"n_qubits={n_qubits} exceeds the maximum {MAX_QUBITS}")
     scale = 1.0 / np.sqrt(2.0**n_qubits)
-    stack = _SIGMA
-    for _ in range(n_qubits - 1):
-        # batched kron(A_a, S_b) for every pair; a stays the major index
-        n, dim = stack.shape[:2]
-        stack = np.einsum("aij,bkl->abikjl", stack, _SIGMA).reshape(4 * n, 2 * dim, 2 * dim)
-    return list(scale * stack)
+    return scale * reduce(kron_stack, [_SIGMA] * n_qubits)
 
 
 def _check_orthonormal(basis, tol=1e-10):
-    for i, gi in enumerate(basis):
-        for j, gj in enumerate(basis):
-            val = np.trace(gi @ gj)
-            want = 1.0 if i == j else 0.0
-            if abs(val - want) > tol:
-                raise InvalidBasisError(f"tr(G_{i} G_{j}) = {val}, expected {want}")
+    n = len(basis)
+    # tr(G_i G_j) = sum_kl G_i[k, l] G_j[l, k]
+    gram = basis.reshape(n, -1) @ basis.swapaxes(1, 2).reshape(n, -1).T
+    bad = np.argwhere(np.abs(gram - np.eye(n)) > tol)  # (i, j) in row-major order
+    if len(bad):
+        i, j = bad[0]
+        raise InvalidBasisError(
+            f"tr(G_{i} G_{j}) = {gram[i, j]}, expected {1.0 if i == j else 0.0}"
+        )
 
 
 def stokes_decompose(rho, basis, validate_basis=False):
     """Coefficients s[i] = tr(G_i rho) of rho in an orthonormal Hermitian basis."""
     rho = np.asarray(rho, dtype=complex)
+    basis = np.asarray(basis)
     d = rho.shape[0]
     if len(basis) != d * d:
         raise DimensionError(f"basis has {len(basis)} elements, expected {d * d}")
     if validate_basis:
         _check_orthonormal(basis)
-    coeffs = np.empty(d * d)
-    for i, g in enumerate(basis):
-        val = np.trace(g @ rho)
-        if abs(val.imag) >= 1e-10:
-            raise NumericalError(f"tr(G_{i} rho) has imaginary part {val.imag}")
-        coeffs[i] = val.real
-    return coeffs
+    coeffs = np.einsum("nij,ji->n", basis, rho)
+    bad = np.flatnonzero(np.abs(coeffs.imag) >= 1e-10)
+    if len(bad):
+        raise NumericalError(f"tr(G_{bad[0]} rho) has imaginary part {coeffs[bad[0]].imag}")
+    return coeffs.real
 
 
 def stokes_reconstruct(coeffs, basis):
@@ -98,7 +105,7 @@ def stokes_reconstruct(coeffs, basis):
     coeffs = np.asarray(coeffs, dtype=float)
     if len(coeffs) != len(basis):
         raise DimensionError(f"{len(coeffs)} coefficients for {len(basis)} basis matrices")
-    return np.tensordot(coeffs, np.stack(basis), axes=1)
+    return np.tensordot(coeffs, np.asarray(basis), axes=1)
 
 
 def purity(rho):

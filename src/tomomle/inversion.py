@@ -29,14 +29,11 @@ class InversionReport:
 def build_b_matrix(povm, basis):
     """Real matrix with entry (nu, mu) = tr(O_mu G_nu); shape d^2 x m.
 
-    The operators (MeasurementOperators or raw arrays) and the basis are each
-    stacked once, and B is one complex matmul of the flattened stacks:
-    tr(O G) = sum_ij G_ji O_ij.
+    B is one complex matmul of the flattened (m, d, d) operator stack and
+    basis stack: tr(O G) = sum_ij G_ji O_ij.
     """
-    ops = np.stack(
-        [op.matrix if hasattr(op, "matrix") else np.asarray(op, dtype=complex) for op in povm]
-    )
-    g = np.stack(basis)
+    ops = np.asarray(povm, dtype=complex)
+    g = np.asarray(basis)
     b = np.swapaxes(g, 1, 2).reshape(len(g), -1) @ ops.reshape(len(ops), -1).T
     bad = np.argwhere(np.abs(b.imag.T) >= 1e-10)  # (mu, nu) in row-major order
     if len(bad):

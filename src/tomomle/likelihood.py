@@ -15,7 +15,7 @@ grad F(c t) = grad F(t) / c for any c != 0 -- the reason gradient norms can
 become artificially small at large ||t||.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,31 +44,28 @@ def _layout(n_params):
 class ObjectiveModel:
     """Objective kind, measurement operators and observed frequencies.
 
-    The operator matrices are stacked once, at construction, into the
-    (m, d, d) array `mats` that every evaluation reuses.  The methods are
-    the solvers' interface; each calls the module function of the same name.
+    `povm` is the complex (m, d, d) operator stack that every evaluation
+    reads.  The methods are the solvers' interface; each calls the module
+    function of the same name.
     """
 
     kind: str  # "gaussian" | "multinomial"
-    povm: tuple
+    povm: np.ndarray
     freqs: np.ndarray
-    probability_floor: float = PROBABILITY_FLOOR
-    mats: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("gaussian", "multinomial"):
             raise ValueError(f"unknown objective kind {self.kind!r}")
-        object.__setattr__(self, "povm", tuple(self.povm))
+        object.__setattr__(self, "povm", np.asarray(self.povm, dtype=complex))
         object.__setattr__(self, "freqs", np.asarray(self.freqs, dtype=float))
         if len(self.povm) != len(self.freqs):
             raise DimensionError(
                 f"{len(self.povm)} operators for {len(self.freqs)} frequencies"
             )
-        object.__setattr__(self, "mats", np.stack([op.matrix for op in self.povm]))
 
     @property
     def dim(self):
-        return self.mats.shape[1]
+        return self.povm.shape[1]
 
     @property
     def n_params(self):
@@ -130,9 +127,8 @@ def _probs(t, mats):
 
 def value(t, model):
     """Objective value only (used by derivative-free search)."""
-    _, p = _probs(np.asarray(t, dtype=float), model.mats)
-    floor = model.probability_floor
-    pf = np.maximum(p, floor)
+    _, p = _probs(np.asarray(t, dtype=float), model.povm)
+    pf = np.maximum(p, PROBABILITY_FLOOR)
     if model.kind == "gaussian":
         r = (p - model.freqs) / np.sqrt(pf)
         return 0.5 * float(r @ r)
@@ -142,13 +138,12 @@ def value(t, model):
 def _residuals(p, model):
     """Weighted residuals r_mu = (p_mu - f_mu) / sqrt(p_mu) and dr_mu/dp_mu,
     with p floored."""
-    floor = model.probability_floor
-    pf = np.maximum(p, floor)
+    pf = np.maximum(p, PROBABILITY_FLOOR)
     r = (p - model.freqs) / np.sqrt(pf)
     drdp = np.where(
-        p > floor,
+        p > PROBABILITY_FLOOR,
         (p + model.freqs) / (2.0 * pf**1.5),
-        1.0 / np.sqrt(floor),
+        1.0 / np.sqrt(PROBABILITY_FLOOR),
     )
     return r, drdp
 
@@ -161,10 +156,10 @@ def residuals_and_jacobian(t, model):
     """
     if model.kind != "gaussian":
         raise ValueError("residuals are defined for the gaussian objective only")
-    p, dp = _probs_and_derivs(t, model.mats)
+    p, dp = _probs_and_derivs(t, model.povm)
     r, drdp = _residuals(p, model)
     dp *= drdp[..., None]
-    return r, dp, bool(np.any(p < model.probability_floor))
+    return r, dp, bool(np.any(p < PROBABILITY_FLOOR))
 
 
 def value_and_gradient(t, model):
@@ -176,23 +171,22 @@ def value_and_gradient(t, model):
     Gaussian: w = r dr/dp; multinomial: w = -f / p, zero where p is floored.
     """
     t = np.asarray(t, dtype=float)
-    T, p = _probs(t, model.mats)
-    floor = model.probability_floor
+    mats = model.povm
+    T, p = _probs(t, mats)
     if model.kind == "gaussian":
         r, drdp = _residuals(p, model)
         f = 0.5 * float(r @ r)
         w = r * drdp
     else:
-        pf = np.maximum(p, floor)
+        pf = np.maximum(p, PROBABILITY_FLOOR)
         f = -float(model.freqs @ np.log(pf))
-        w = np.where(p > floor, -model.freqs / pf, 0.0)
-    mats = model.mats
+        w = np.where(p > PROBABILITY_FLOOR, -model.freqs / pf, 0.0)
     pos, factor = _layout(t.size)
     # R = sum_mu w_mu O_mu as the one gemm np.tensordot(w, mats, 1) makes
     R = np.dot(w[None, :], mats.reshape(len(mats), -1)).reshape(T.shape)
     rt = R @ T.conj().T
     g = factor * rt.view(float).ravel()[pos] - (2.0 * float(w @ p)) * t
-    return ObjectiveEvaluation(f, g / float(t @ t), bool((p < floor).any()))
+    return ObjectiveEvaluation(f, g / float(t @ t), bool((p < PROBABILITY_FLOOR).any()))
 
 
 def finite_difference_gradient(t, model, h=None):

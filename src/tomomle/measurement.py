@@ -1,60 +1,83 @@
 """Measurement operators, Born probabilities, synthetic counts, and record files.
 
-The four polarization projectors |H>, |V>, |D>, |R> are the single-qubit
-workhorse set; multi-qubit setups are built with `tensor_povm`.  The four
-projectors do not form a single POVM (they do not sum to the identity): each
-is treated as an independent measurement setting, and informational
-completeness is checked downstream via the rank of the linear-inversion
-system.
+An operator set is one complex (m, d, d) array, O_mu = ops[mu], from the
+record file to the likelihood kernels.  The four polarization projectors
+|H>, |V>, |D>, |R> are the single-qubit workhorse set; multi-qubit setups
+are built with `tensor_povm`.  The four projectors do not form a single POVM
+(they do not sum to the identity): each is treated as an independent
+measurement setting, and informational completeness is checked downstream
+via the rank of the linear-inversion system.
 """
 
 import json
 import os
 import tempfile
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .errors import CapacityError, DimensionError, NumericalError, SchemaError
+from .hermitian import EIGENVALUE_TOL, HERMITICITY_TOL, kron_stack
 
 MAX_TENSOR_DIM = 256
 
 
-@dataclass(frozen=True)
-class MeasurementOperator:
-    """A labelled positive-semidefinite operator."""
-
-    label: str
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
-        if np.linalg.eigvalsh(m)[0] < -1e-10:
-            raise NumericalError(f"operator {self.label!r} is not positive semidefinite")
+def _check_operators(ops):
+    """The operator set as one complex (m, d, d) stack, each O_mu finite,
+    Hermitian within HERMITICITY_TOL and positive semidefinite within
+    EIGENVALUE_TOL."""
+    try:
+        ops = np.asarray(ops, dtype=complex)
+    except ValueError as exc:  # ragged
+        raise DimensionError(f"operators do not form one (m, d, d) stack: {exc}") from exc
+    if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+        raise DimensionError(f"operators form a stack of shape {ops.shape}, not (m, d, d)")
+    bad = np.flatnonzero(~np.isfinite(ops).all(axis=(1, 2)))
+    if len(bad):
+        raise NumericalError(f"operator {bad[0]} has a non-finite entry")
+    bad = np.flatnonzero(
+        (np.abs(ops - ops.conj().swapaxes(1, 2)) > HERMITICITY_TOL).any(axis=(1, 2))
+    )
+    if len(bad):
+        raise NumericalError(f"operator {bad[0]} is not Hermitian")
+    bad = np.flatnonzero(np.linalg.eigvalsh(ops)[:, 0] < -EIGENVALUE_TOL)
+    if len(bad):
+        raise NumericalError(f"operator {bad[0]} is not positive semidefinite")
+    return ops
 
 
 @dataclass
 class MeasurementRecord:
-    """Raw counts for a list of measurement settings.
+    """Raw counts for a stack of measurement settings.
 
-    `normalization` is either a positive number N (counts[i]/N are the
-    frequencies) or the policy string "per-basis-group", in which case
-    `basis_groups` partitions the settings and each group is normalized by
-    its own count sum.
+    `operators` is the complex (m, d, d) stack of the settings' operators,
+    checked once, on construction, to be finite, Hermitian and positive
+    semidefinite; `labels` names them (as read from an explicit record
+    file) or is empty.  `normalization` is either a positive number N
+    (counts[i]/N are the frequencies) or the policy string "per-basis-group",
+    in which case `basis_groups` partitions the settings and each group is
+    normalized by its own count sum.
     """
 
-    operators: list
+    operators: np.ndarray
     counts: np.ndarray
     normalization: object
     basis_groups: list = field(default_factory=list)
     seed: int | None = None
+    labels: tuple = ()
 
     def __post_init__(self):
+        self.operators = _check_operators(self.operators)
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if len(self.counts) != len(self.operators):
             raise DimensionError(
                 f"{len(self.counts)} counts for {len(self.operators)} operators"
+            )
+        self.labels = tuple(self.labels)
+        if self.labels and len(self.labels) != len(self.operators):
+            raise DimensionError(
+                f"{len(self.labels)} labels for {len(self.operators)} operators"
             )
         if np.any(self.counts < 0):
             raise SchemaError("counts must be nonnegative")
@@ -68,47 +91,43 @@ class MeasurementRecord:
 
     @property
     def dim(self):
-        return self.operators[0].matrix.shape[0]
+        return self.operators.shape[1]
 
 
-def _ket_projector(label, vec):
+def _ket_projector(vec):
     v = np.asarray(vec, dtype=complex)
     v = v / np.linalg.norm(v)
-    return MeasurementOperator(label, np.outer(v, v.conj()))
+    return np.outer(v, v.conj())
 
 
 def polarization_projectors():
-    """Rank-1 projectors onto |H>, |V>, |D>, |R>, in that order."""
-    return [
-        _ket_projector("H", [1, 0]),
-        _ket_projector("V", [0, 1]),
-        _ket_projector("D", [1 / np.sqrt(2), 1 / np.sqrt(2)]),
-        _ket_projector("R", [1 / np.sqrt(2), -1j / np.sqrt(2)]),
-    ]
+    """Stack of the rank-1 projectors onto |H>, |V>, |D>, |R>, in that order."""
+    return np.stack(
+        [
+            _ket_projector([1, 0]),
+            _ket_projector([0, 1]),
+            _ket_projector([1 / np.sqrt(2), 1 / np.sqrt(2)]),
+            _ket_projector([1 / np.sqrt(2), -1j / np.sqrt(2)]),
+        ]
+    )
 
 
-def tensor_povm(sets, max_dim=MAX_TENSOR_DIM):
-    """All Kronecker products across the given operator lists, lexicographic order."""
+def tensor_povm(sets):
+    """All Kronecker products across the given operator stacks, as one stack in
+    lexicographic order (first factor most significant)."""
     if any(len(s) == 0 for s in sets):
         raise DimensionError("every factor set must be nonempty")
     dim = 1
     for s in sets:
-        dim *= s[0].matrix.shape[0]
-    if dim > max_dim:
-        raise CapacityError(f"tensor dimension {dim} exceeds the cap {max_dim}")
-    out = [MeasurementOperator("", np.ones((1, 1), dtype=complex))]
-    for s in sets:
-        out = [
-            MeasurementOperator(a.label + b.label, np.kron(a.matrix, b.matrix))
-            for a in out
-            for b in s
-        ]
-    return out
+        dim *= s.shape[1]
+    if dim > MAX_TENSOR_DIM:
+        raise CapacityError(f"tensor dimension {dim} exceeds the cap {MAX_TENSOR_DIM}")
+    return reduce(kron_stack, sets, np.ones((1, 1, 1), dtype=complex))
 
 
 def born_probability(op, rho):
     """tr(O rho); real within numerical noise, raised if not."""
-    m = op.matrix if isinstance(op, MeasurementOperator) else np.asarray(op, dtype=complex)
+    m = np.asarray(op, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
     if m.shape != rho.shape:
         raise DimensionError(f"operator {m.shape} vs state {rho.shape}")
@@ -140,7 +159,7 @@ def simulate_counts(rho, povm, n_per_setting, noise="none", seed=0):
         raise ValueError(f"unknown noise model {noise!r}")
     counts = np.clip(counts, 0, None).astype(np.int64)
     return MeasurementRecord(
-        operators=list(povm),
+        operators=povm,
         counts=counts,
         normalization=float(n_per_setting),
         seed=seed,
@@ -170,8 +189,8 @@ def normalize(record):
 # --- record files -----------------------------------------------------------
 
 _PRESETS = {
-    "pol4": lambda: polarization_projectors(),
-    "pol4x4": lambda: tensor_povm([polarization_projectors(), polarization_projectors()]),
+    "pol4": polarization_projectors,
+    "pol4x4": lambda: tensor_povm([polarization_projectors()] * 2),
 }
 
 
@@ -182,26 +201,18 @@ def povm_preset(name):
         raise SchemaError(f"unknown POVM preset {name!r}") from None
 
 
-def _matrix_to_pairs(m):
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
-
-
-def _matrix_from_pairs(pairs):
-    try:
-        return np.array([[complex(re, im) for re, im in row] for row in pairs])
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed matrix entry: {exc}") from exc
+def _operator_entries(record):
+    """The explicit operator list: each matrix as rows of [re, im] pairs."""
+    ops = record.operators
+    labels = record.labels or ("",) * len(ops)
+    pairs = np.stack([ops.real, ops.imag], axis=-1).tolist()
+    return [{"label": label, "matrix": m} for label, m in zip(labels, pairs)]
 
 
 def record_to_dict(record, preset=None):
     doc = {
         "dim": int(record.dim),
-        "operators": preset
-        if preset
-        else [
-            {"label": op.label, "matrix": _matrix_to_pairs(op.matrix)}
-            for op in record.operators
-        ],
+        "operators": preset or _operator_entries(record),
         "counts": [int(c) for c in record.counts],
         "normalization": record.normalization,
     }
@@ -212,18 +223,23 @@ def record_to_dict(record, preset=None):
     return doc
 
 
-def _operator_from_dict(entry, dim):
+def _operators_from_list(entries):
+    """The operator stack and the labels of an explicit operator list."""
+    if not entries:
+        raise SchemaError("record lists no operators")
     try:
-        label, pairs = entry.get("label", ""), entry["matrix"]
+        labels = tuple(entry.get("label", "") for entry in entries)
+        matrices = [entry["matrix"] for entry in entries]
     except (AttributeError, KeyError) as exc:
         raise SchemaError("an operator entry is not an object with a matrix") from exc
-    matrix = _matrix_from_pairs(pairs)
-    if matrix.shape != (dim, dim):
-        raise SchemaError(f"operator matrix is {matrix.shape}, declared dim is {dim}")
     try:
-        return MeasurementOperator(label, matrix)
-    except NumericalError as exc:
-        raise SchemaError(str(exc)) from exc
+        ops = np.array(
+            [[[complex(re, im) for re, im in row] for row in m] for m in matrices],
+            dtype=complex,
+        )
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"malformed operator matrix: {exc}") from exc
+    return ops, labels
 
 
 def _basis_groups(spec, n_settings):
@@ -250,27 +266,28 @@ def record_from_dict(doc):
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"record is missing or has a malformed field: {exc}") from exc
     if isinstance(ops_spec, str):
-        operators = povm_preset(ops_spec)
+        operators, labels = povm_preset(ops_spec), ()
     elif isinstance(ops_spec, list):
-        operators = [_operator_from_dict(entry, dim) for entry in ops_spec]
+        operators, labels = _operators_from_list(ops_spec)
     else:
         raise SchemaError("operators must be a preset name or a list of operator objects")
-    if not operators:
-        raise SchemaError("record lists no operators")
     if n_counts != len(operators):
         raise SchemaError(f"{n_counts} counts for {len(operators)} operators")
-    if operators[0].matrix.shape[0] != dim:
+    if operators.shape[1] != dim:
         raise SchemaError(
-            f"declared dim {dim} does not match operator dimension "
-            f"{operators[0].matrix.shape[0]}"
+            f"declared dim {dim} does not match operator dimension {operators.shape[1]}"
         )
-    return MeasurementRecord(
-        operators=operators,
-        counts=counts,
-        normalization=normalization,
-        basis_groups=_basis_groups(doc.get("basis_groups", []), n_counts),
-        seed=doc.get("seed"),
-    )
+    try:
+        return MeasurementRecord(
+            operators=operators,
+            counts=counts,
+            normalization=normalization,
+            basis_groups=_basis_groups(doc.get("basis_groups", []), n_counts),
+            seed=doc.get("seed"),
+            labels=labels,
+        )
+    except (DimensionError, NumericalError) as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def write_json_atomic(path, doc):

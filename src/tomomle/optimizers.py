@@ -281,7 +281,7 @@ def _lm_chunk(model, t0, cfg, pattern):
 def _chunk_size(model, n_starts):
     if not isinstance(model, ObjectiveModel):
         return max(1, n_starts)
-    return max(1, LM_BLOCK_BYTES // (LM_START_PRODUCTS * model.mats.nbytes))
+    return max(1, LM_BLOCK_BYTES // (LM_START_PRODUCTS * model.povm.nbytes))
 
 
 def lm_block(model, t0, cfg=None, pattern=None):
@@ -396,7 +396,11 @@ def nelder_mead(model, t0, cfg=None):
     step_tol, fun_tol, max_iters, max_fevals = cfg.resolved(n)
     trace = []
 
-    fevals = 0
+    # the start is always evaluated, as in LM and gradient descent
+    fevals = 1
+    f0 = model.value(t0)
+    if not math.isfinite(f0):
+        return _finish(model, t0, f0, 0, fevals, StopReason.NumericalFailure, trace)
 
     def f(x):
         nonlocal fevals
@@ -417,11 +421,14 @@ def nelder_mead(model, t0, cfg=None):
         simplex.append(v)
     simplex = np.array(simplex)
 
+    values = np.full(n + 1, np.inf)  # a vertex not evaluated ranks last
+    values[0] = f0
     iters = 0
     reason = None
     shrunk = True  # the simplex needs a full sort
     try:
-        values = np.array([f(v) for v in simplex])
+        for i in range(1, n + 1):
+            values[i] = f(simplex[i])
         while True:
             if shrunk:
                 order = np.argsort(values, kind="stable")

@@ -61,9 +61,9 @@ def _draw_starts(model, n_starts, seed):
     )
 
 
-def _screen(results, screen, dedup_tol):
+def _screen(results, screen):
     """The report on one multistart's results: runs with gradient norm at or
-    above `screen` are discarded, the rest deduplicated at `dedup_tol`."""
+    above `screen` are discarded, the rest deduplicated at DEDUP_TOL."""
     screened = []
     solutions = []
     discards = []
@@ -71,7 +71,7 @@ def _screen(results, screen, dedup_tol):
         if result.grad_norm < screen:
             screened.append(result)
             if all(
-                np.linalg.norm(result.t_final - kept.t_final) > dedup_tol
+                np.linalg.norm(result.t_final - kept.t_final) > DEDUP_TOL
                 for kept in solutions
             ):
                 solutions.append(result)
@@ -102,16 +102,7 @@ def _screen(results, screen, dedup_tol):
     )
 
 
-def multistart(
-    model,
-    n_starts,
-    seed,
-    solver="lm",
-    cfg=None,
-    dedup_tol=DEDUP_TOL,
-    screen_tol=None,
-    pattern=None,
-):
+def multistart(model, n_starts, seed, solver="lm", cfg=None, screen_tol=None, pattern=None):
     """Run `solver` from n_starts uniform draws in [-1, 1]^{d^2}.
 
     Draws with a near-zero diagonal parameter are rejected and redrawn.
@@ -122,24 +113,20 @@ def multistart(
     diagonal-sign orthant (see orthant_multistart).  Runs with final
     gradient norm at or above `screen_tol` (default: the solver's grad_tol)
     are discarded; retained parameter vectors are deduplicated at
-    `dedup_tol` in the 2-norm.
+    DEDUP_TOL in the 2-norm.
     """
     if pattern is not None:
-        return orthant_multistart(
-            model, [pattern], n_starts, seed, cfg, dedup_tol, screen_tol
-        )[0]
+        return orthant_multistart(model, [pattern], n_starts, seed, cfg, screen_tol)[0]
     cfg = cfg or StopConfig()
     starts = _draw_starts(model, n_starts, seed)
     if solver == "lm":
         results = lm_block(model, starts, cfg)
     else:
         results = [run_solver(solver, model, t0, cfg) for t0 in starts]
-    return _screen(results, cfg.grad_tol if screen_tol is None else screen_tol, dedup_tol)
+    return _screen(results, cfg.grad_tol if screen_tol is None else screen_tol)
 
 
-def orthant_multistart(
-    model, patterns, n_starts, seed, cfg=None, dedup_tol=DEDUP_TOL, screen_tol=None
-):
+def orthant_multistart(model, patterns, n_starts, seed, cfg=None, screen_tol=None):
     """multistart(..., pattern=p) for each sign pattern p in `patterns`, one
     report per pattern, in order.
 
@@ -163,7 +150,7 @@ def orthant_multistart(
     reports, discards, failed = [], [], 0
     for k, pattern in enumerate(patterns):
         try:
-            report = _screen(results[k * n_starts:(k + 1) * n_starts], screen, dedup_tol)
+            report = _screen(results[k * n_starts:(k + 1) * n_starts], screen)
             diagnostics = report.discard_diagnostics
         except AllRunsFailedError as exc:
             report, diagnostics = None, exc.diagnostics

@@ -213,6 +213,14 @@ def _explicit_record(*matrices):
     }
 
 
+def _pol4_record_with(mu, i, j, pair):
+    """The pol4 settings as an explicit record, entry (i, j) of operator mu
+    replaced by the [re, im] pair."""
+    matrices = [_state_pairs(o) for o in polarization_projectors()]
+    matrices[mu][i][j] = pair
+    return _explicit_record(*matrices)
+
+
 def _grouped_record(basis_groups):
     return {
         "dim": 2,
@@ -249,6 +257,10 @@ def _grouped_record(basis_groups):
         ({"dim": 2, "operators": 5, "counts": [5], "normalization": 10}, "mle"),
         (_grouped_record(5), "mle"),
         (_grouped_record([[0, 1], [2, 9]]), "mle"),
+        (_pol4_record_with(2, 0, 1, [float("nan"), float("inf")]), "mle"),
+        (_pol4_record_with(2, 0, 1, [float("nan"), float("inf")]), "linear"),
+        (_pol4_record_with(0, 0, 1, [5.0, 0.0]), "mle"),
+        (_pol4_record_with(0, 0, 1, [5.0, 0.0]), "linear"),
     ],
     ids=[
         "count-mismatch",
@@ -266,6 +278,10 @@ def _grouped_record(basis_groups):
         "operators-not-a-list",
         "basis-groups-not-a-list",
         "basis-group-index-out-of-range",
+        "nan-operator-entry-mle",
+        "nan-operator-entry-linear",
+        "non-hermitian-operator-mle",
+        "non-hermitian-operator-linear",
     ],
 )
 def test_exit_code_unsupported_record(tmp_path, capsys, doc, method):
@@ -286,6 +302,19 @@ def test_exit_code_stagnation(tmp_path):
     )
     assert code == 10
     assert json.loads(out.read_text())["stop_reason"] != "gradient-tolerance"
+
+
+@pytest.mark.parametrize("budget", [0, 1, 3, 4])
+def test_nelder_mead_budget_inside_initial_simplex(tmp_path, capsys, budget):
+    out = tmp_path / "nm.json"
+    code = run(
+        "reconstruct", data_path("example1.rec"), "--solver", "nelder-mead",
+        "--max-fevals", str(budget), "--out", str(out),
+    )
+    assert code == 10
+    doc = json.loads(out.read_text())
+    assert (doc["stop_reason"], doc["fevals"]) == ("max-function-evals", max(1, budget))
+    assert capsys.readouterr().err == ""
 
 
 def test_exit_code_all_runs_failed(tmp_path):

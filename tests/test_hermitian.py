@@ -4,7 +4,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from tomomle.errors import CapacityError, DimensionError, NumericalError
+from tomomle.errors import CapacityError, DimensionError, InvalidBasisError, NumericalError
 from tomomle.hermitian import (
     check_density_matrix,
     eig_hermitian,
@@ -50,9 +50,10 @@ def test_pauli_basis_matches_kron_chain():
             for idx in itertools.product(range(4), repeat=n)
         ]
         basis = pauli_basis(n)
-        assert isinstance(basis, list)
+        assert isinstance(basis, np.ndarray)
         assert len(basis) == len(want)
-        assert all(np.array_equal(g, w) for g, w in zip(basis, want))
+        # bit for bit, signed zeros included
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(basis, want))
 
 
 def test_pauli_basis_qubit_cap():
@@ -69,6 +70,14 @@ def test_stokes_roundtrip(rng):
         coeffs = stokes_decompose(rho, basis, validate_basis=True)
         back = stokes_reconstruct(coeffs, basis)
         assert np.max(np.abs(back - rho)) < 1e-12
+
+
+def test_stokes_rejects_non_orthonormal_basis():
+    basis = pauli_basis(1)
+    basis[3] = basis[3] + basis[1]
+    # bad pairs (1, 3), (3, 1) and (3, 3): the first in row-major order is named
+    with pytest.raises(InvalidBasisError, match=r"^tr\(G_1 G_3\) = .*, expected 0\.0$"):
+        stokes_decompose(np.eye(2) / 2, basis, validate_basis=True)
 
 
 def test_stokes_dimension_mismatch(rng):

@@ -5,7 +5,6 @@ from tomomle.errors import IncompleteMeasurementsError, NumericalError
 from tomomle.hermitian import pauli_basis
 from tomomle.inversion import build_b_matrix, linear_invert
 from tomomle.measurement import (
-    MeasurementOperator,
     born_probability,
     normalize,
     polarization_projectors,
@@ -21,27 +20,18 @@ def test_b_matrix_shape_and_entries():
     b = build_b_matrix(pol, basis)
     assert b.shape == (4, 4)
     # entry (nu, mu) = tr(O_mu G_nu)
-    assert b[0, 0] == pytest.approx(np.real(np.trace(pol[0].matrix @ basis[0])))
-    assert b[3, 1] == pytest.approx(np.real(np.trace(pol[1].matrix @ basis[3])))
+    assert b[0, 0] == pytest.approx(np.real(np.trace(pol[0] @ basis[0])))
+    assert b[3, 1] == pytest.approx(np.real(np.trace(pol[1] @ basis[3])))
 
 
 def test_b_matrix_matches_per_element_traces(rng):
     for d, n in ((2, 1), (4, 2)):
         basis = pauli_basis(n)
-        # random PSD operators that are not tensor products; half are passed
-        # as raw arrays
-        povm = []
-        for mu in range(d * d + 3):
-            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            o = a @ a.conj().T
-            povm.append(MeasurementOperator(str(mu), o) if mu % 2 else o)
+        # random PSD operators that are not tensor products
+        a = rng.normal(size=(d * d + 3, d, d)) + 1j * rng.normal(size=(d * d + 3, d, d))
+        povm = a @ a.conj().swapaxes(1, 2)
         b = build_b_matrix(povm, basis)
-        ref = np.array(
-            [
-                [np.trace(np.asarray(getattr(o, "matrix", o)) @ g).real for o in povm]
-                for g in basis
-            ]
-        )
+        ref = np.array([[np.trace(o @ g).real for o in povm] for g in basis])
         assert b.shape == ref.shape
         assert np.max(np.abs(b - ref)) < 1e-12
 

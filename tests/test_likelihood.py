@@ -3,6 +3,7 @@ import pytest
 
 from tomomle.errors import DimensionError
 from tomomle.likelihood import (
+    PROBABILITY_FLOOR,
     ObjectiveModel,
     _probs_and_derivs,
     finite_difference_gradient,
@@ -40,7 +41,7 @@ def test_gaussian_value_matches_manual(rng):
     m = make_model()
     t = random_param(rng, 2)
     rho = rho_of_t(t)
-    p = np.array([np.real(np.trace(op.matrix @ rho)) for op in m.povm])
+    p = np.array([np.real(np.trace(op @ rho)) for op in m.povm])
     manual = 0.5 * np.sum(((p - m.freqs) / np.sqrt(p)) ** 2)
     assert value(t, m) == pytest.approx(manual, rel=1e-12)
     # the same objective evaluated on the state, through Born probabilities
@@ -53,7 +54,7 @@ def test_multinomial_value_matches_manual(rng):
     m = make_model(kind="multinomial")
     t = random_param(rng, 2)
     rho = rho_of_t(t)
-    p = np.array([np.real(np.trace(op.matrix @ rho)) for op in m.povm])
+    p = np.array([np.real(np.trace(op @ rho)) for op in m.povm])
     manual = -np.sum(m.freqs * np.log(p))
     assert value(t, m) == pytest.approx(manual, rel=1e-12)
 
@@ -88,11 +89,11 @@ def test_gradient_matches_finite_difference(rng):
 
 def _reference_gradient(t, m):
     """The gradient through the m x d^2 matrix of partials dp_mu/dt_k."""
-    p, dp = _probs_and_derivs(t, m.mats)
+    p, dp = _probs_and_derivs(t, m.povm)
     if m.kind == "gaussian":
         r, jac, _ = residuals_and_jacobian(t, m)
         return jac.T @ r
-    floor = m.probability_floor
+    floor = PROBABILITY_FLOOR
     w = np.where(p > floor, m.freqs / np.maximum(p, floor), 0.0)
     return -(w[:, None] * dp).sum(0)
 
@@ -153,8 +154,8 @@ def test_residuals_require_gaussian_kind(rng):
 
 
 def _restacked_probs_and_derivs(t, model):
-    """Reference: stacks the operators afresh on every call."""
-    mats = np.stack([op.matrix for op in model.povm])
+    """Reference: copies the operator stack afresh on every call."""
+    mats = np.array(model.povm)
     rows, cols, coeffs = param_layout(model.dim)
     T = build_T(t)
     s = float(t @ t)
@@ -172,7 +173,7 @@ def test_cached_stack_matches_restacked_reference(rng, example2):
     cases = [(example2.operators, normalize(example2)), (povm3, freqs3)]
     for povm, freqs in cases:
         m = ObjectiveModel("gaussian", povm, freqs)
-        floor = m.probability_floor
+        floor = PROBABILITY_FLOOR
         for _ in range(3):
             t = random_param(rng, m.dim)
             p, dp = _restacked_probs_and_derivs(t, m)
@@ -216,9 +217,9 @@ def _previous_value_and_gradient(t, m):
     path: np.real, swapaxes and np.tensordot."""
     d = m.dim
     T = _previous_build_T(t)
-    a = (m.mats.reshape(-1, d) @ T.conj().swapaxes(-1, -2)).reshape(m.mats.shape)
+    a = (m.povm.reshape(-1, d) @ T.conj().swapaxes(-1, -2)).reshape(m.povm.shape)
     p = np.real(np.einsum("mij,ji->m", a, T)) / float(t @ t)
-    floor = m.probability_floor
+    floor = PROBABILITY_FLOOR
     pf = np.maximum(p, floor)
     if m.kind == "gaussian":
         r = (p - m.freqs) / np.sqrt(pf)
@@ -230,7 +231,7 @@ def _previous_value_and_gradient(t, m):
     rows, cols, coeffs = param_layout(d)
     imag = coeffs.imag != 0
     pos, factor = 2 * (cols * d + rows) + imag, np.where(imag, -2.0, 2.0)
-    rt = np.tensordot(w, m.mats, axes=1) @ T.conj().T
+    rt = np.tensordot(w, m.povm, axes=1) @ T.conj().T
     g = factor * rt.view(float).ravel()[pos] - (2.0 * float(w @ p)) * t
     return f, g / float(t @ t), bool(np.any(p < floor))
 

@@ -3,10 +3,12 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tomomle.errors import CapacityError, DimensionError, NumericalError, SchemaError
 from tomomle.measurement import (
-    MeasurementOperator,
     MeasurementRecord,
     born_probability,
     normalize,
@@ -23,30 +25,40 @@ from tomomle.measurement import (
 
 def test_polarization_projectors():
     ops = polarization_projectors()
-    assert [op.label for op in ops] == ["H", "V", "D", "R"]
+    assert ops.shape == (4, 2, 2)
     for op in ops:
-        assert np.trace(op.matrix) == pytest.approx(1.0)
-        assert np.allclose(op.matrix @ op.matrix, op.matrix)
+        assert np.trace(op) == pytest.approx(1.0)
+        assert np.allclose(op @ op, op)
     # circular projector uses the (1, -i)/sqrt(2) ket
-    R = ops[3].matrix
+    R = ops[3]
     assert R[0, 1] == pytest.approx(0.5j)
     assert R[1, 0] == pytest.approx(-0.5j)
 
 
 def test_operator_rejects_indefinite():
+    pol = polarization_projectors()
     with pytest.raises(NumericalError):
-        MeasurementOperator("bad", np.diag([1.0, -1.0]))
+        MeasurementRecord([np.diag([1.0, -1.0])], [1], 1.0)
+    with pytest.raises(DimensionError):
+        MeasurementRecord(np.ones((2, 2, 3)), [1, 1], 1.0)  # non-square
+    with pytest.raises(DimensionError):
+        MeasurementRecord([np.eye(2), np.eye(3)], [1, 1], 1.0)  # ragged
+    with pytest.raises(DimensionError):
+        MeasurementRecord(pol, [1, 1, 1, 1], 1.0, labels=("H", "V"))
+    # PSD is checked to 1e-10, Hermiticity to 1e-12, and only finite entries pass
+    MeasurementRecord([np.diag([1.0, -1e-11])], [1], 1.0)
+    for bad in (np.diag([1.0, -1e-9]), [[1, 1e-11], [0, 0]], [[1, 0], [0, np.nan]]):
+        with pytest.raises(NumericalError):
+            MeasurementRecord([bad], [1], 1.0)
 
 
 def test_tensor_povm_order_and_dim():
+    H, V = polarization_projectors()[:2]
     ops = tensor_povm([polarization_projectors(), polarization_projectors()])
-    assert len(ops) == 16
-    assert ops[0].label == "HH"
-    assert ops[1].label == "HV"
-    assert ops[4].label == "VH"
-    assert ops[0].matrix.shape == (4, 4)
-    hh = np.kron(polarization_projectors()[0].matrix, polarization_projectors()[0].matrix)
-    assert np.allclose(ops[0].matrix, hh)
+    assert ops.shape == (16, 4, 4)
+    assert (ops[0] == np.kron(H, H)).all()
+    assert (ops[1] == np.kron(H, V)).all()
+    assert (ops[4] == np.kron(V, H)).all()
 
 
 def test_tensor_povm_capacity():
@@ -132,7 +144,7 @@ def test_record_file_roundtrip(tmp_path):
     assert np.array_equal(back.counts, rec.counts)
     assert back.normalization == 10.0
     assert back.seed == 3
-    assert [op.label for op in back.operators] == ["H", "V", "D", "R"]
+    assert np.array_equal(back.operators, rec.operators)
     # preset name stored instead of explicit matrices
     doc = json.loads(path.read_text())
     assert doc["operators"] == "pol4"
@@ -143,8 +155,8 @@ def test_record_explicit_matrices_roundtrip(tmp_path):
     path = tmp_path / "r.rec"
     write_record(path, rec)
     back = read_record(path)
-    for a, b in zip(back.operators, rec.operators):
-        assert np.allclose(a.matrix, b.matrix)
+    assert np.array_equal(back.operators, rec.operators)
+    assert back.labels == ("",) * 4
 
 
 def test_record_schema_errors(tmp_path):
@@ -179,3 +191,43 @@ def test_record_to_dict_counts_are_plain_ints():
     rec = MeasurementRecord(polarization_projectors(), [9, 1, 5, 5], 10.0)
     doc = record_to_dict(rec, preset="pol4")
     assert all(type(c) is int for c in doc["counts"])
+
+
+@st.composite
+def records(draw):
+    """Records with a random PSD stack A A^dag (d <= 4), labels, counts,
+    normalization, basis_groups and seed."""
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
+    parts = draw(arrays(float, (2, m, d, d), elements=st.floats(-1.0, 1.0)))
+    a = parts[0] + 1j * parts[1]
+    index = st.integers(0, m - 1)
+    groups = draw(st.lists(st.lists(index, min_size=1, max_size=m), max_size=3))
+    normalization = draw(
+        st.one_of(
+            st.floats(1e-300, 1e300),
+            st.integers(1, 10**6),
+            st.just("per-basis-group") if groups else st.nothing(),
+        )
+    )
+    return MeasurementRecord(
+        a @ a.conj().swapaxes(1, 2),
+        draw(st.lists(st.integers(0, 2**63 - 1), min_size=m, max_size=m)),
+        normalization,
+        basis_groups=[tuple(g) for g in groups],
+        seed=draw(st.none() | st.integers(0, 2**32)),
+        labels=draw(st.lists(st.text(max_size=4), min_size=m, max_size=m)),
+    )
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(records())
+def test_record_roundtrip_is_exact(rec):
+    back = record_from_dict(json.loads(json.dumps(record_to_dict(rec))))
+    assert back.operators.tobytes() == rec.operators.tobytes()
+    assert back.labels == rec.labels
+    assert back.counts.tobytes() == rec.counts.tobytes()
+    assert type(back.normalization) is type(rec.normalization)
+    assert back.normalization == rec.normalization
+    assert back.basis_groups == rec.basis_groups
+    assert back.seed == rec.seed

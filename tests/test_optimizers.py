@@ -335,7 +335,7 @@ def test_block_chunks_keep_row_order(example2, monkeypatch):
     model = record_model(example2)
     starts = multistart_block(model.dim, 5, seed=40)
     # room for two starts per chunk: chunks of 2, 2 and 1
-    budget = 2 * optimizers.LM_START_PRODUCTS * model.mats.nbytes
+    budget = 2 * optimizers.LM_START_PRODUCTS * model.povm.nbytes
     monkeypatch.setattr(optimizers, "LM_BLOCK_BYTES", budget)
     assert optimizers._chunk_size(model, len(starts)) == 2
     assert_matches_reference(lm_block(model, starts), model, starts)
@@ -471,3 +471,32 @@ def test_nelder_mead_matches_reference_through_shrinks():
         for budget in range(model.n_params + 2, 60)
     ]
     assert max(len(list(run)) for _, run in itertools.groupby(iters)) == model.n_params + 2
+
+
+class NaNBelow(Quadratic):
+    """The quadratic, with a NaN value wherever t[1] < -5.1."""
+
+    def value(self, t):
+        return np.nan if t[1] < -5.1 else super().value(t)
+
+
+def test_nelder_mead_stops_inside_initial_simplex():
+    # the start is always evaluated; a budget that runs out, or a NaN met,
+    # inside the initial simplex stops at the best vertex evaluated so far
+    model = example1_model()
+    vertices = [EXAMPLE1_START] + [EXAMPLE1_START * (1 + 0.05 * e) for e in np.eye(4)]
+    values = [model.value(v) for v in vertices]
+    for budget in (0, 1, 3, 4):
+        res = nelder_mead(model, EXAMPLE1_START, StopConfig(max_fevals=budget))
+        k = max(1, budget)
+        best = int(np.argmin(values[:k]))
+        assert (res.reason, res.fevals, res.iters) == (StopReason.MaxFunctionEvals, k, 0)
+        assert np.array_equal(res.t_final, vertices[best])
+        assert res.f_final == values[best]
+    q = NaNBelow()
+    res = nelder_mead(q, np.array([5.0, -5.0]))  # the second vertex is [5, -5.25]
+    assert (res.reason, res.fevals) == (StopReason.NumericalFailure, 3)
+    assert res.f_final == min(q.value(np.array([5.0, -5.0])), q.value(np.array([5.25, -5.0])))
+    res = nelder_mead(q, np.array([5.0, -6.0]))
+    assert (res.reason, res.fevals) == (StopReason.NumericalFailure, 1)
+    assert np.array_equal(res.t_final, [5.0, -6.0])
