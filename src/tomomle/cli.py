@@ -136,10 +136,10 @@ def _stop_config(args):
 def _matrix_fields(m):
     m = np.asarray(m, dtype=complex)
     return {
-        "re": [[x.real for x in row] for row in m],
-        "im": [[x.imag for x in row] for row in m],
-        "rounded_re": [[round(x.real, 4) for x in row] for row in m],
-        "rounded_im": [[round(x.imag, 4) for x in row] for row in m],
+        "re": m.real.tolist(),
+        "im": m.imag.tolist(),
+        "rounded_re": np.round(m.real, 4).tolist(),
+        "rounded_im": np.round(m.imag, 4).tolist(),
     }
 
 

@@ -1,13 +1,18 @@
+import contextlib
 import importlib.resources
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tomomle.cli import main
+from tomomle.cli import _matrix_fields, main
 from tomomle.measurement import (
     MeasurementRecord,
     polarization_projectors,
+    povm_preset,
     read_record,
     write_record,
 )
@@ -120,6 +125,37 @@ def test_verify_minima_constrained_honours_budget(tmp_path, capsys):
     assert not out.exists()
 
 
+def _matrix_fields_per_entry(m):
+    """The per-entry formula the matrix fields were once built with."""
+    m = np.asarray(m, dtype=complex)
+    return {
+        "re": [[x.real for x in row] for row in m],
+        "im": [[x.imag for x in row] for row in m],
+        "rounded_re": [[round(x.real, 4) for x in row] for row in m],
+        "rounded_im": [[round(x.imag, 4) for x in row] for row in m],
+    }
+
+
+def _near_ties(rng, shape):
+    """Values on and one ulp either side of x.xxxx5, small negatives that
+    round to -0.0, and plain random values."""
+    ties = rng.integers(-20000, 20000, size=shape) / 1e4 + 5e-5
+    ties = np.nextafter(ties, ties + rng.choice([-1.0, 0.0, 1.0], size=shape))
+    other = rng.choice([-1e-9, -0.0, 0.0, 1e-5, -5e-5], size=shape)
+    return np.where(rng.random(shape) < 0.8, ties, np.where(rng.random(shape) < 0.5, other,
+                                                            rng.normal(size=shape)))
+
+
+@pytest.mark.parametrize("d", [2, 4, 16])
+def test_matrix_fields_bytes_match_per_entry_formula(d):
+    rng = np.random.default_rng(d)
+    for _ in range(20):
+        m = _near_ties(rng, (d, d)) + 1j * _near_ties(rng, (d, d))
+        assert json.dumps(_matrix_fields(m), indent=2) == json.dumps(
+            _matrix_fields_per_entry(m), indent=2
+        )
+
+
 def test_exit_code_unknown_preset(tmp_path):
     assert run(
         "simulate", "--state", "H", "--povm", "pol9", "--shots", "10",
@@ -182,6 +218,15 @@ def test_exit_code_missing_record(tmp_path):
     assert run("reconstruct", str(tmp_path / "none.rec"), "--out", str(tmp_path / "o")) == 2
 
 
+@pytest.mark.parametrize("data", [b"{not json", b'\xff\xfe{"dim": 2}'], ids=["not-json", "not-utf8"])
+def test_exit_code_undecodable_record(tmp_path, capsys, data):
+    path = tmp_path / "bad.rec"
+    path.write_bytes(data)
+    assert run("reconstruct", str(path), "--out", str(tmp_path / "o.json")) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: not valid JSON")
+
+
 def test_exit_code_unwritable(tmp_path):
     assert run(
         "reconstruct", data_path("example1.rec"),
@@ -219,6 +264,17 @@ def _pol4_record_with(mu, i, j, pair):
     matrices = [_state_pairs(o) for o in polarization_projectors()]
     matrices[mu][i][j] = pair
     return _explicit_record(*matrices)
+
+
+def _pol4_record(**fields):
+    doc = {"dim": 2, "operators": "pol4", "counts": [5, 5, 5, 5], "normalization": 10}
+    return {**doc, **fields}
+
+
+def _labelled_record(label):
+    doc = _pol4_record_with(0, 0, 0, [1.0, 0.0])
+    doc["operators"][1]["label"] = label
+    return doc
 
 
 def _grouped_record(basis_groups):
@@ -261,6 +317,24 @@ def _grouped_record(basis_groups):
         (_pol4_record_with(2, 0, 1, [float("nan"), float("inf")]), "linear"),
         (_pol4_record_with(0, 0, 1, [5.0, 0.0]), "mle"),
         (_pol4_record_with(0, 0, 1, [5.0, 0.0]), "linear"),
+        (_pol4_record(normalization=None), "mle"),
+        (_pol4_record(normalization=[1]), "mle"),
+        (_pol4_record(normalization={}), "mle"),
+        (_pol4_record(normalization=True), "mle"),
+        (_pol4_record(normalization=True), "linear"),
+        (_pol4_record(normalization=10**400), "mle"),
+        (_pol4_record(seed="abc"), "mle"),
+        (_pol4_record(seed=1.5), "mle"),
+        (_labelled_record(5), "mle"),
+        (_labelled_record(None), "linear"),
+        (_pol4_record_with(1, 1, 1, [True, 0]), "mle"),
+        (_pol4_record_with(1, 1, 1, [True, 0]), "linear"),
+        (_pol4_record_with(1, 1, 1, ["1", 0]), "mle"),
+        (_pol4_record_with(1, 1, 1, [None, 0]), "mle"),
+        (_pol4_record_with(1, 1, 1, [[1.0], 0]), "mle"),
+        (_pol4_record_with(1, 1, 1, [10**400, 0]), "mle"),
+        (_explicit_record([], []), "mle"),
+        (_explicit_record({"0": [[1, 0], [0, 0]]}, _projector_pairs(2, 1)), "mle"),
     ],
     ids=[
         "count-mismatch",
@@ -282,6 +356,24 @@ def _grouped_record(basis_groups):
         "nan-operator-entry-linear",
         "non-hermitian-operator-mle",
         "non-hermitian-operator-linear",
+        "normalization-null",
+        "normalization-list",
+        "normalization-object",
+        "normalization-bool-mle",
+        "normalization-bool-linear",
+        "normalization-overflow",
+        "seed-string",
+        "seed-float",
+        "label-number",
+        "label-null",
+        "bool-operator-entry-mle",
+        "bool-operator-entry-linear",
+        "string-operator-entry",
+        "null-operator-entry",
+        "nested-operator-entry",
+        "operator-entry-overflow",
+        "empty-operator-matrix",
+        "operator-matrix-not-a-list",
     ],
 )
 def test_exit_code_unsupported_record(tmp_path, capsys, doc, method):
@@ -292,6 +384,54 @@ def test_exit_code_unsupported_record(tmp_path, capsys, doc, method):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**20) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def record_documents(draw):
+    """Record documents whose fields are each missing (1 in 6), any JSON
+    value (1 in 6) or valid or nearly so."""
+    preset = draw(st.sampled_from(["pol4", "pol4x4"]))
+    ops = povm_preset(preset)
+    m, d = ops.shape[:2]
+    explicit = [{"label": "", "matrix": _state_pairs(o)} for o in ops]
+    fields = {
+        "dim": st.sampled_from([d, d, 3, "2"]),
+        "operators": st.sampled_from([preset, explicit, "nope"]),
+        "counts": st.lists(st.integers(0, 10**4), min_size=m, max_size=m),
+        "normalization": st.floats(1, 1e5) | st.sampled_from(["per-basis-group", 0]),
+        "basis_groups": st.lists(st.lists(st.integers(0, m - 1), min_size=1), max_size=4),
+        "seed": st.none() | st.integers(),
+    }
+    doc = {}
+    for key, values in fields.items():
+        kind = draw(st.integers(0, 5))
+        if kind:
+            doc[key] = draw(JSON_VALUES if kind == 1 else values)
+    return doc
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(record_documents(), st.sampled_from(["mle", "linear"]))
+def test_reconstruct_on_fuzzed_records_keeps_exit_contract(tmp_path_factory, doc, method):
+    work = tmp_path_factory.mktemp("fuzz")
+    path = work / "r.rec"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run("reconstruct", str(path), "--method", method, "--out", str(work / "o.json"))
+    lines = err.getvalue().splitlines()
+    assert code in {0, 2, 3, 4, 10, 11}, lines
+    assert "Traceback" not in err.getvalue()
+    if code in {2, 4}:
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_exit_code_stagnation(tmp_path):

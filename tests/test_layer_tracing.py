@@ -1,6 +1,7 @@
 """The per-layer benchmark (perfbench/) wraps tomomle functions where their
 callers look them up.  These checks keep every evaluation the solvers make
-through ObjectiveModel's methods visible to it."""
+through ObjectiveModel's methods, and every record read and document
+written by the CLI, visible to it."""
 
 import importlib.resources
 import types
@@ -14,6 +15,7 @@ OBJECTIVE_SPANS = (
     "likelihood.value_and_gradient",
     "likelihood.residuals_and_jacobian",
 )
+RECORD_IO_SPANS = ("measurement.read_record", "measurement.write_json_atomic")
 
 
 def data_path(name):
@@ -49,9 +51,19 @@ def test_layer_tracer_sees_every_objective_evaluation(tmp_path, monkeypatch):
                 "verify-minima", data_path("example3.rec"), "--constrain-signs",
                 "--starts", "2", "--out", str(tmp_path / "ver.json"),
             ]),
+            *(
+                cli.main([
+                    "reconstruct", data_path("example1.rec"), "--method", method,
+                    "--out", str(tmp_path / f"rec_{method}.json"),
+                ])
+                for method in ("mle", "linear")
+            ),
         ]
-    assert codes == [0, 0]
+    assert codes == [0, 0, 0, 0]
     assert all(tracer._get(ns, key) is fn for (ns, key), fn in zip(bindings, originals))
     spans = tr.self_times()
     for name in OBJECTIVE_SPANS:
         assert spans.get(name, (0, 0.0))[0] > 0, name
+    # every op reads one record and writes one document, each seen as one span
+    for name in RECORD_IO_SPANS:
+        assert spans.get(name, (0, 0.0))[0] == len(codes), name

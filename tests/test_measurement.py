@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from tomomle import measurement
 from tomomle.errors import CapacityError, DimensionError, NumericalError, SchemaError
 from tomomle.measurement import (
     MeasurementRecord,
@@ -110,6 +112,50 @@ def test_record_validation():
         MeasurementRecord(pol, [1, 2, 3, 4], "bogus-policy")
 
 
+@pytest.mark.parametrize(
+    "normalization",
+    [None, [1], {}, True, False, -1, 0, float("nan"), float("inf"), 10**400, "10"],
+)
+def test_record_rejects_normalization_of_wrong_type_or_range(normalization):
+    with pytest.raises(SchemaError):
+        MeasurementRecord(polarization_projectors(), [1, 2, 3, 4], normalization)
+
+
+@pytest.mark.parametrize("normalization", [1, 10**6, 1e-300, 2.5, np.float64(4.0)])
+def test_record_accepts_positive_finite_normalization(normalization):
+    rec = MeasurementRecord(polarization_projectors(), [1, 2, 3, 4], normalization)
+    assert rec.normalization == normalization
+
+
+def _pol4_doc(**fields):
+    doc = {"dim": 2, "operators": "pol4", "counts": [1, 2, 3, 4], "normalization": 10}
+    return {**doc, **fields}
+
+
+def _pol4_matrices():
+    """The pol4 settings as explicit matrices of [re, im] pairs."""
+    return [np.stack([m.real, m.imag], axis=-1).tolist() for m in polarization_projectors()]
+
+
+@pytest.mark.parametrize("seed", ["abc", True, 1.5, [1], {}])
+def test_record_from_dict_rejects_non_integer_seed(seed):
+    with pytest.raises(SchemaError):
+        record_from_dict(_pol4_doc(seed=seed))
+
+
+@pytest.mark.parametrize("seed", [None, 0, -3, 2**70])
+def test_record_from_dict_reads_integer_or_null_seed(seed):
+    assert record_from_dict(_pol4_doc(seed=seed)).seed == seed
+
+
+@pytest.mark.parametrize("label", [5, 1.5, None, True, ["H"]])
+def test_record_from_dict_rejects_non_string_label(label):
+    operators = [{"label": "", "matrix": m} for m in _pol4_matrices()]
+    operators[2]["label"] = label
+    with pytest.raises(SchemaError):
+        record_from_dict(_pol4_doc(operators=operators))
+
+
 def test_normalize_single_constant():
     rec = MeasurementRecord(polarization_projectors(), [600, 400, 500, 500], 1000.0)
     assert normalize(rec) == pytest.approx([0.6, 0.4, 0.5, 0.5])
@@ -187,6 +233,17 @@ def test_atomic_write_leaves_no_temp(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["r.rec"]
 
 
+def test_atomic_write_bytes_match_json_dump(tmp_path):
+    rec = MeasurementRecord(polarization_projectors(), [9, 1, 5, 5], 10.0, seed=3)
+    doc = record_to_dict(rec)
+    path = tmp_path / "r.rec"
+    write_record(path, rec)
+    with open(tmp_path / "ref.json", "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
 def test_record_to_dict_counts_are_plain_ints():
     rec = MeasurementRecord(polarization_projectors(), [9, 1, 5, 5], 10.0)
     doc = record_to_dict(rec, preset="pol4")
@@ -220,14 +277,144 @@ def records(draw):
     )
 
 
+def _per_entry_operators(entries):
+    """The per-entry conversion that explicit operator lists once went through."""
+    return np.array(
+        [[[complex(re, im) for re, im in row] for row in e["matrix"]] for e in entries],
+        dtype=complex,
+    )
+
+
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(records())
 def test_record_roundtrip_is_exact(rec):
-    back = record_from_dict(json.loads(json.dumps(record_to_dict(rec))))
+    doc = json.loads(json.dumps(record_to_dict(rec)))
+    back = record_from_dict(doc)
     assert back.operators.tobytes() == rec.operators.tobytes()
+    assert back.operators.tobytes() == _per_entry_operators(doc["operators"]).tobytes()
     assert back.labels == rec.labels
     assert back.counts.tobytes() == rec.counts.tobytes()
     assert type(back.normalization) is type(rec.normalization)
     assert back.normalization == rec.normalization
     assert back.basis_groups == rec.basis_groups
     assert back.seed == rec.seed
+
+
+NUMBERS = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0, -0.0, 2**53 + 1, 0.1]),
+)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.lists(st.lists(st.lists(NUMBERS, min_size=2, max_size=2), min_size=d, max_size=d),
+             min_size=d, max_size=d),
+    min_size=1, max_size=3,
+)))
+def test_operator_conversion_reads_ints_and_floats_like_complex(matrices):
+    """JSON ints and floats, huge ints and -0.0 included, convert to the bits
+    complex(re, im) gives them."""
+    entries = [{"matrix": m} for m in matrices]
+    ops, labels = measurement._operators_from_list(entries)
+    assert ops.tobytes() == _per_entry_operators(entries).tobytes()
+    assert labels == ("",) * len(matrices)
+
+
+NOT_A_LIST = st.one_of(
+    st.text(max_size=3),
+    st.none(),
+    st.booleans(),
+    st.integers(-5, 5),
+    st.floats(allow_nan=False),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+)
+NOT_A_NUMBER = st.one_of(
+    st.text(max_size=3),
+    st.sampled_from(["0.5", "1", "NaN"]),
+    st.none(),
+    st.booleans(),
+    st.lists(st.floats(0, 1), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+)
+
+
+@st.composite
+def malformed_operator_lists(draw):
+    """The pol4 settings as an explicit list with one defect: a ragged matrix
+    or row, a pair of the wrong length, a non-number entry, one nesting level
+    too many, or a non-list in place of a matrix, row or pair."""
+    mats = _pol4_matrices()
+    mu, i, j, k = (draw(st.integers(0, n)) for n in (3, 1, 1, 1))
+    kind = draw(st.sampled_from([
+        "entry", "pair-length", "pair", "row-length", "row", "matrix-length", "matrix",
+        "nested-matrix", "nested-pair",
+    ]))
+    if kind == "entry":
+        mats[mu][i][j][k] = draw(NOT_A_NUMBER)
+    elif kind == "pair-length":
+        mats[mu][i][j] = draw(st.sampled_from([[], [0.5], [0.5, 0.0, 0.0]]))
+    elif kind == "pair":
+        mats[mu][i][j] = draw(NOT_A_LIST)
+    elif kind == "row-length":
+        mats[mu][i] = mats[mu][i][:1] if draw(st.booleans()) else mats[mu][i] + [[0.0, 0.0]]
+    elif kind == "row":
+        mats[mu][i] = draw(NOT_A_LIST)
+    elif kind == "matrix-length":
+        mats[mu] = mats[mu][:1] if draw(st.booleans()) else mats[mu] + [[[0.0, 0.0]] * 2]
+    elif kind == "matrix":
+        mats[mu] = draw(NOT_A_LIST)
+    elif kind == "nested-matrix":
+        mats[mu] = [mats[mu]]
+    else:
+        mats[mu][i][j] = [mats[mu][i][j]]
+    return [{"label": "", "matrix": m} for m in mats]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(malformed_operator_lists())
+def test_malformed_operator_lists_raise_schema_error(operators):
+    doc = json.loads(json.dumps(_pol4_doc(operators=operators)))
+    with pytest.raises(SchemaError):
+        record_from_dict(doc)
+
+
+def _set_collector(enabled):
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize(
+    "text, ok",
+    [
+        (json.dumps(_pol4_doc()), True),
+        ("{not json", False),
+        (json.dumps(_pol4_doc(normalization=None)), False),
+    ],
+    ids=["valid", "bad-json", "bad-schema"],
+)
+def test_read_record_restores_collector_state(tmp_path, monkeypatch, enabled, text, ok):
+    path = tmp_path / "r.rec"
+    path.write_text(text)
+    seen = []
+    decode = measurement.record_from_dict
+
+    def spy(doc):
+        seen.append(gc.isenabled())
+        return decode(doc)
+
+    monkeypatch.setattr(measurement, "record_from_dict", spy)
+    was_enabled = gc.isenabled()
+    try:
+        _set_collector(enabled)
+        if ok:
+            read_record(path)
+        else:
+            with pytest.raises(SchemaError):
+                read_record(path)
+        assert gc.isenabled() is enabled
+    finally:
+        _set_collector(was_enabled)
+    # the collector is paused while the decoded document is alive
+    assert seen == ([] if text.startswith("{not") else [False])
