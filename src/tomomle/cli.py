@@ -7,7 +7,7 @@ output.  Exit codes are part of the contract:
 
     0   success (for `reconstruct --method mle`: first-order stationarity)
     1   verify-minima equivalence check failed
-    2   unknown preset / malformed or unsupported input document
+    2   unknown preset / malformed, unsupported or unreadable input
     3   output path not writable
     4   measurement set not informationally complete (linear inversion)
     10  MLE run ended on a stagnation criterion, not stationarity
@@ -97,8 +97,10 @@ def _load_state(spec, dim):
         with open(spec) as fh:
             doc = json.load(fh)
         rho = np.array([[complex(re, im) for re, im in row] for row in doc["matrix"]])
-    except FileNotFoundError:
-        raise SchemaError(f"unknown state preset or missing file: {spec!r}") from None
+    except OSError as exc:
+        raise SchemaError(
+            f"unknown state preset or unreadable file {spec!r}: {exc.strerror}"
+        ) from exc
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed state file {spec!r}: {exc}") from exc
     if rho.shape != (dim, dim):
@@ -407,9 +409,6 @@ def main(argv=None):
     try:
         return args.func(args)
     except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except TomographyError as exc:

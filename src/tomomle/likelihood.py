@@ -24,21 +24,6 @@ from .parameterize import build_T, slot_map
 
 PROBABILITY_FLOOR = 1e-12
 
-_LAYOUT_CACHE = {}
-
-
-def _layout(n_params):
-    """Where d q_mu / d t_k = 2 Re(c_k * (O_mu T^dag)[col_k, row_k]) sits in
-    the (re, im) float view of a (d, d) product, and the factor +-2.
-
-    c_k is 1 or 1j, so the real part of c_k z is Re z or -Im z: the slot of
-    the transposed entry, taken with sign +1 or -1.
-    """
-    if n_params not in _LAYOUT_CACHE:
-        d, rows, cols, imag, _ = slot_map(n_params)
-        _LAYOUT_CACHE[n_params] = (2 * (cols * d + rows) + imag, np.where(imag, -2.0, 2.0))
-    return _LAYOUT_CACHE[n_params]
-
 
 @dataclass(frozen=True)
 class ObjectiveModel:
@@ -105,7 +90,7 @@ def _probs_and_derivs(t, mats):
     (m, d, d) operator stack.  A (B, d^2) block of vectors gives (B, m)
     probabilities and (B, m, d^2) partials, one row per vector."""
     t = np.asarray(t, dtype=float)
-    pos, factor = _layout(t.shape[-1])
+    *_, pos, factor = slot_map(t.shape[-1])
     T, a = _products(t, mats)
     s = (t[..., None, :] @ t[..., :, None])[..., 0]  # ||t||^2, shape (..., 1)
     q = np.real(np.einsum("...mij,...ji->...m", a, T))
@@ -181,7 +166,7 @@ def value_and_gradient(t, model):
         pf = np.maximum(p, PROBABILITY_FLOOR)
         f = -float(model.freqs @ np.log(pf))
         w = np.where(p > PROBABILITY_FLOOR, -model.freqs / pf, 0.0)
-    pos, factor = _layout(t.size)
+    *_, pos, factor = slot_map(t.size)
     # R = sum_mu w_mu O_mu as the one gemm np.tensordot(w, mats, 1) makes
     R = np.dot(w[None, :], mats.reshape(len(mats), -1)).reshape(T.shape)
     rt = R @ T.conj().T

@@ -35,8 +35,10 @@ def _check_operators(ops):
         ops = np.asarray(ops, dtype=complex)
     except ValueError as exc:  # ragged
         raise DimensionError(f"operators do not form one (m, d, d) stack: {exc}") from exc
-    if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
-        raise DimensionError(f"operators form a stack of shape {ops.shape}, not (m, d, d)")
+    if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or ops.shape[1] == 0:
+        raise DimensionError(
+            f"operators form a stack of shape {ops.shape}, not (m, d, d) with d >= 1"
+        )
     bad = np.flatnonzero(~np.isfinite(ops).all(axis=(1, 2)))
     if len(bad):
         raise NumericalError(f"operator {bad[0]} has a non-finite entry")
@@ -285,13 +287,21 @@ def _basis_groups(spec, n_settings):
 
 def record_from_dict(doc):
     try:
-        dim = int(doc["dim"])
+        dim = doc["dim"]
         ops_spec = doc["operators"]
-        counts = np.asarray(doc["counts"], dtype=np.int64)
-        n_counts = len(counts)
+        counts = doc["counts"]
         normalization = doc["normalization"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise SchemaError(f"record is missing or has a malformed field: {exc}") from exc
+    if type(dim) is not int:
+        raise SchemaError(f"dim must be an integer, not {dim!r}")
+    if type(counts) is not list or not set(map(type, counts)) <= {int}:
+        raise SchemaError("counts must be a list of integers")
+    try:
+        counts = np.asarray(counts, dtype=np.int64)
+    except OverflowError as exc:
+        raise SchemaError(f"a count is out of range: {exc}") from exc
+    n_counts = len(counts)
     if isinstance(ops_spec, str):
         operators, labels = povm_preset(ops_spec), ()
     elif isinstance(ops_spec, list):
@@ -356,9 +366,14 @@ def _collector_paused():
 
 
 def read_record(path):
-    with open(path) as fh, _collector_paused():
+    """The record in the JSON file at `path`; a file that cannot be opened or
+    read raises SchemaError, as does one that holds no valid record."""
+    with _collector_paused():
         try:
-            doc = json.load(fh)
+            with open(path) as fh:
+                doc = json.load(fh)
+        except OSError as exc:
+            raise SchemaError(str(exc)) from exc
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaError(f"not valid JSON: {exc}") from exc
         return record_from_dict(doc)

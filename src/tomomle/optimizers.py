@@ -141,19 +141,14 @@ def _damped_steps(a, lam, grad):
         return delta
 
 
-# stop checks in the order a row runs them: before an iteration; after an
-# accepted trial, then after a rejected one
-_BEGIN_STOPS = (
-    StopReason.GradientTolerance,
-    StopReason.ParamBoundHit,
-    StopReason.MaxIterations,
-    StopReason.MaxFunctionEvals,
-)
-_END_STOPS = (
+# one stop decision per LM round: the first true check of _lm_chunk's list
+_LM_STOPS = (
     StopReason.GradientTolerance,
     StopReason.StepStagnation,
     StopReason.FunctionStagnation,
     StopReason.StepStagnation,
+    StopReason.ParamBoundHit,
+    StopReason.MaxIterations,
     StopReason.MaxFunctionEvals,
 )
 
@@ -161,11 +156,23 @@ _END_STOPS = (
 def _lm_chunk(model, t0, cfg, pattern):
     """Levenberg-Marquardt on every row of t0 at once.
 
-    Each row follows the single-start algorithm step for step: a round runs
-    the stop checks of the rows that begin an iteration, one batched damped
-    solve for all running rows and one batched evaluation of their trial
-    points; each row then takes its own accept/reject branch.  Rows that
-    stop are dropped from the running state.
+    Each row follows the single-start algorithm step for step.  The start
+    counts as an accepted point with step = df = inf.  After each round,
+    every running row makes one stop decision, on the first true check of
+
+        1. accepted and ||g|| < grad_tol           gradient-tolerance
+        2. accepted and step < step_tol            step-stagnation
+        3. accepted and df < fun_tol               function-stagnation
+        4. rejected and lambda > LM_LAMBDA_MAX     step-stagnation
+        5. accepted and ||t||_inf > param_bound    param-bound-hit
+        6. accepted and iters >= max_iters         max-iterations
+        7. fevals >= max_fevals                    max-function-evals
+
+    and stopped rows are dropped from the running state.  The rows left
+    that accepted their point begin an iteration (J^T J is formed, iters
+    counts it); a round is then one batched damped solve for all running
+    rows and one batched evaluation of their trial points, after which
+    each row takes its own accept/reject branch.
     """
     n = t0.shape[1]
     step_tol, fun_tol, max_iters, max_fevals = cfg.resolved(n)
@@ -188,7 +195,9 @@ def _lm_chunk(model, t0, cfg, pattern):
         lam=np.full(k, LM_LAMBDA_INIT),
         iters=np.zeros(k, dtype=int),
         fevals=np.ones(k, dtype=int),
-        fresh=np.ones(k, dtype=bool),  # about to begin an iteration
+        accepted=np.ones(k, dtype=bool),
+        step=np.full(k, np.inf),
+        df=np.full(k, np.inf),
     )
     s.f = 0.5 * _rowdot(s.r, s.r)
     s.grad = _jt_r(s.jac, s.r)
@@ -196,49 +205,41 @@ def _lm_chunk(model, t0, cfg, pattern):
     for i, row in enumerate(s.rows):
         traces[row].append((float(s.f[i]), float(s.gnorm[i]), 0.0))
 
-    def stop(reasons, checks):
-        """Finish each running row on its first true check and drop it."""
-        checks = np.array(checks)
-        hit = checks.any(axis=0)
-        if not hit.any():
-            return
-        for i, c in zip(np.flatnonzero(hit), checks[:, hit].argmax(axis=0)):
-            row = s.rows[i]
-            results[row] = _finish(
-                model, s.t[i], s.f[i], s.iters[i], s.fevals[i], reasons[c], traces[row], s.grad[i]
-            )
-        keep = ~hit
-        for name, value in vars(s).items():
-            setattr(s, name, value[keep])
-
     while True:
-        begin = s.fresh
-        if begin.any():
-            stop(
-                _BEGIN_STOPS,
-                [
-                    begin & (s.gnorm < cfg.grad_tol),
-                    begin & (np.max(np.abs(s.t), axis=1) > cfg.param_bound),
-                    begin & (s.iters >= max_iters),
-                    begin & (s.fevals >= max_fevals),
-                ],
-            )
-            begin = s.fresh
-            if begin.all():
-                s.jtj = s.jac.swapaxes(1, 2) @ s.jac
-            else:
-                s.jtj[begin] = s.jac[begin].swapaxes(1, 2) @ s.jac[begin]
-            s.iters += begin
-        if len(s.rows) == 0:
-            return results
+        accepted, rejected = s.accepted, ~s.accepted
+        checks = np.array(
+            [
+                accepted & (s.gnorm < cfg.grad_tol),
+                accepted & (s.step < step_tol),
+                accepted & (s.df < fun_tol),
+                rejected & (s.lam > LM_LAMBDA_MAX),
+                accepted & (np.max(np.abs(s.t), axis=1) > cfg.param_bound),
+                accepted & (s.iters >= max_iters),
+                s.fevals >= max_fevals,
+            ]
+        )
+        hit = checks.any(axis=0)
+        if hit.any():
+            for i, c in zip(np.flatnonzero(hit), checks[:, hit].argmax(axis=0)):
+                row = s.rows[i]
+                results[row] = _finish(
+                    model, s.t[i], s.f[i], s.iters[i], s.fevals[i], _LM_STOPS[c], traces[row],
+                    s.grad[i],
+                )
+            for name, value in vars(s).items():
+                setattr(s, name, value[~hit])
+            if len(s.rows) == 0:
+                return results
+        begin = s.accepted
+        s.jtj[begin] = s.jac[begin].swapaxes(1, 2) @ s.jac[begin]
+        s.iters += begin
 
         # identity damping: near-Newton steps survive in stiff directions
         # (12-orders curvature spread near the boundary would freeze them
         # under diag(J^T J) scaling)
         delta = _damped_steps(s.jtj.copy(), s.lam, s.grad)
         solved = np.isfinite(delta).all(axis=1)
-        if not solved.all():
-            delta[~solved] = 0.0  # such a row is evaluated at its own point and rejected
+        delta[~solved] = 0.0  # such a row is evaluated at its own point and rejected
         trial = s.t + delta
         if project is not None:
             trial = project(trial, s.rows)
@@ -253,29 +254,15 @@ def _lm_chunk(model, t0, cfg, pattern):
             better, np.where(strong, np.maximum(s.lam * 0.5, 1e-15), s.lam), s.lam * 2.0
         )
         moved = trial - s.t
-        step = np.sqrt(_rowdot(moved, moved))
-        df = s.f - f_new
-        if better.all():
-            s.t, s.r, s.jac = trial, r_new, jac_new
-        else:
-            s.t[better], s.r[better], s.jac[better] = trial[better], r_new[better], jac_new[better]
+        s.step = np.sqrt(_rowdot(moved, moved))
+        s.df = s.f - f_new
+        s.t[better], s.r[better], s.jac[better] = trial[better], r_new[better], jac_new[better]
         s.f = np.where(better, f_new, s.f)
         s.grad = _jt_r(s.jac, s.r)
         s.gnorm = np.sqrt(_rowdot(s.grad, s.grad))
         for i in np.flatnonzero(better):
-            traces[s.rows[i]].append((float(s.f[i]), float(s.gnorm[i]), float(step[i])))
-        s.fresh = better
-        rejected = ~better
-        stop(
-            _END_STOPS,
-            [
-                better & (s.gnorm < cfg.grad_tol),
-                better & (step < step_tol),
-                better & (df < fun_tol),
-                rejected & (s.lam > LM_LAMBDA_MAX),
-                rejected & (s.fevals >= max_fevals),
-            ],
-        )
+            traces[s.rows[i]].append((float(s.f[i]), float(s.gnorm[i]), float(s.step[i])))
+        s.accepted = better
 
 
 def _chunk_size(model, n_starts):
@@ -314,71 +301,74 @@ def levenberg_marquardt(model, t0, cfg=None):
 
 
 def gradient_descent(model, t0, cfg=None):
-    """Steepest descent with Armijo backtracking (c1 = 1e-4, halving)."""
+    """Steepest descent with Armijo backtracking (c1 = 1e-4, halving).
+
+    Each pass of the one loop evaluates the value and gradient at the
+    current point and makes one stop decision, on the first of: a
+    non-finite value or gradient (numerical-failure), step < step_tol,
+    df < fun_tol, ||g|| < grad_tol, ||t||_inf > param_bound, iters >=
+    max_iters, fevals >= max_fevals.  The start counts as reached with
+    step = df = inf.  Within a line search, a spent evaluation budget
+    stops on max-function-evals and MAX_BACKTRACKS rejected trials on
+    step-stagnation.
+    """
     cfg = cfg or StopConfig()
     t = np.asarray(t0, dtype=float).copy()
-    n = t.size
-    step_tol, fun_tol, max_iters, max_fevals = cfg.resolved(n)
+    step_tol, fun_tol, max_iters, max_fevals = cfg.resolved(t.size)
     trace = []
-
-    ev = model.value_and_gradient(t)
-    f, grad = ev.value, ev.gradient
-    fevals = 1
-    if not (math.isfinite(f) and np.isfinite(grad).all()):
-        return _finish(model, t, f, 0, fevals, StopReason.NumericalFailure, trace)
+    iters = fevals = 0
     alpha = 1.0
-    iters = 0
-    # ||g|| as np.linalg.norm computes it for a real vector, once per gradient
-    gnorm = math.sqrt(grad @ grad)
-    trace.append((f, gnorm, 0.0))
+    step = df = math.inf
 
     while True:
-        direction = -grad
-        dnorm2 = float(direction @ direction)
-        if gnorm < cfg.grad_tol:
-            return _finish(model, t, f, iters, fevals, StopReason.GradientTolerance, trace, grad)
-        if np.abs(t).max() > cfg.param_bound:
-            return _finish(model, t, f, iters, fevals, StopReason.ParamBoundHit, trace, grad)
-        if iters >= max_iters:
-            return _finish(model, t, f, iters, fevals, StopReason.MaxIterations, trace, grad)
-        if fevals >= max_fevals:
-            return _finish(model, t, f, iters, fevals, StopReason.MaxFunctionEvals, trace, grad)
+        ev = model.value_and_gradient(t)
+        f, grad = ev.value, ev.gradient
+        fevals += 1
+        if not (math.isfinite(f) and np.isfinite(grad).all()):
+            return _finish(model, t, f, iters, fevals, StopReason.NumericalFailure, trace)
+        # ||g|| as np.linalg.norm computes it for a real vector, once per gradient
+        gnorm = math.sqrt(grad @ grad)
+        trace.append((f, gnorm, step if iters else 0.0))
+        if step < step_tol:
+            reason = StopReason.StepStagnation
+        elif df < fun_tol:
+            reason = StopReason.FunctionStagnation
+        elif gnorm < cfg.grad_tol:
+            reason = StopReason.GradientTolerance
+        elif np.abs(t).max() > cfg.param_bound:
+            reason = StopReason.ParamBoundHit
+        elif iters >= max_iters:
+            reason = StopReason.MaxIterations
+        elif fevals >= max_fevals:
+            reason = StopReason.MaxFunctionEvals
+        else:
+            reason = None
+        if reason is not None:
+            return _finish(model, t, f, iters, fevals, reason, trace, grad)
         iters += 1
 
-        accepted = False
+        direction = -grad
+        dnorm2 = float(direction @ direction)
         a = alpha
         for _ in range(MAX_BACKTRACKS):
             trial = t + a * direction
             f_trial = model.value(trial)
             fevals += 1
             if math.isfinite(f_trial) and f_trial <= f - ARMIJO_C1 * a * dnorm2:
-                accepted = True
                 break
             if fevals >= max_fevals:
                 return _finish(
                     model, t, f, iters, fevals, StopReason.MaxFunctionEvals, trace, grad
                 )
             a *= 0.5
-        if not accepted:
+        else:
             return _finish(model, t, f, iters, fevals, StopReason.StepStagnation, trace, grad)
 
         moved = trial - t
         step = math.sqrt(moved @ moved)
         df = f - f_trial
         t = trial
-        ev = model.value_and_gradient(t)
-        f, grad = ev.value, ev.gradient
-        fevals += 1
-        if not (math.isfinite(f) and np.isfinite(grad).all()):
-            return _finish(model, t, f, iters, fevals, StopReason.NumericalFailure, trace)
         alpha = min(a * 2.0, 1e6)
-        gnorm = math.sqrt(grad @ grad)
-        trace.append((f, gnorm, step))
-
-        if step < step_tol:
-            return _finish(model, t, f, iters, fevals, StopReason.StepStagnation, trace, grad)
-        if df < fun_tol:
-            return _finish(model, t, f, iters, fevals, StopReason.FunctionStagnation, trace, grad)
 
 
 def nelder_mead(model, t0, cfg=None):

@@ -40,19 +40,25 @@ def param_layout(d):
 
 
 def slot_map(n_params):
-    """(d, rows, cols, imag, slots) for a length-n_params parameter vector.
+    """(d, slots, transposed, factor) for a length-n_params parameter vector.
 
-    rows, cols and imag say which entry of T parameter k fills and whether
-    it is that entry's imaginary part; slots = 2 (rows d + cols) + imag is
-    where t_k sits in the (re, im) float view of T.  Cached per n_params,
-    so d is computed once.
+    slots[k] is where t_k sits in the (re, im) float view of T.  The
+    likelihood reads d q_mu / d t_k = 2 Re(c_k (O_mu T^dag)[col_k, row_k])
+    from the float view of a (d, d) product: c_k is 1 or 1j, so this is the
+    slot transposed[k] of the transposed entry, times factor[k] = +2 or -2.
+    Cached per n_params, so d and the layout are computed once.
     """
     layout = _SLOT_CACHE.get(n_params)
     if layout is None:
         d = param_dim(n_params)
         rows, cols, coeffs = param_layout(d)
         imag = coeffs.imag != 0
-        layout = _SLOT_CACHE[n_params] = (d, rows, cols, imag, 2 * (rows * d + cols) + imag)
+        layout = _SLOT_CACHE[n_params] = (
+            d,
+            2 * (rows * d + cols) + imag,
+            2 * (cols * d + rows) + imag,
+            np.where(imag, -2.0, 2.0),
+        )
     return layout
 
 
@@ -63,7 +69,7 @@ def build_T(t):
     Each t_k is written straight into its slot of T's (re, im) float view.
     """
     t = np.asarray(t, dtype=float)
-    d, *_, slots = slot_map(t.shape[-1])
+    d, slots, *_ = slot_map(t.shape[-1])
     T = np.zeros(t.shape[:-1] + (d, d), dtype=complex)
     T.reshape(t.shape[:-1] + (d * d,)).view(float)[..., slots] = t
     return T
@@ -109,7 +115,7 @@ def inverse_param(rho, pattern=None, alpha=1.0):
         raise BoundaryStateError(f"Cholesky factorization failed: {exc}") from exc
     T = lower.conj().T  # upper triangular, positive real diagonal
     T = pattern[:, None] * T  # row sign flips leave T^dag T unchanged
-    *_, slots = slot_map(d * d)
+    _, slots, *_ = slot_map(d * d)
     return np.ravel(T).view(float)[slots]
 
 

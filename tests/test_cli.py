@@ -218,6 +218,27 @@ def test_exit_code_missing_record(tmp_path):
     assert run("reconstruct", str(tmp_path / "none.rec"), "--out", str(tmp_path / "o")) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reconstruct", "{dir}"],
+        ["reconstruct", "{file}/x.rec"],
+        ["simulate", "--state", "{dir}", "--shots", "10"],
+        ["simulate", "--state", "{file}/x.json", "--shots", "10"],
+    ],
+    ids=["record-directory", "record-under-a-file", "state-directory", "state-under-a-file"],
+)
+def test_exit_code_unreadable_input(tmp_path, capsys, argv):
+    (tmp_path / "d").mkdir()
+    (tmp_path / "f").write_text("{}")
+    out = tmp_path / "o.json"
+    argv = [a.format(dir=tmp_path / "d", file=tmp_path / "f") for a in argv]
+    assert run(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("data", [b"{not json", b'\xff\xfe{"dim": 2}'], ids=["not-json", "not-utf8"])
 def test_exit_code_undecodable_record(tmp_path, capsys, data):
     path = tmp_path / "bad.rec"
@@ -335,6 +356,13 @@ def _grouped_record(basis_groups):
         (_pol4_record_with(1, 1, 1, [10**400, 0]), "mle"),
         (_explicit_record([], []), "mle"),
         (_explicit_record({"0": [[1, 0], [0, 0]]}, _projector_pairs(2, 1)), "mle"),
+        (_pol4_record(counts=[2.7, 5, 5, 5]), "mle"),
+        (_pol4_record(counts=[5, 5, 5, True]), "mle"),
+        (_pol4_record(counts=[5, 5, 5, True]), "linear"),
+        (_pol4_record(counts=5), "mle"),
+        (_pol4_record(dim="2"), "mle"),
+        (_pol4_record(dim=2.0), "linear"),
+        (_pol4_record(dim=True), "mle"),
     ],
     ids=[
         "count-mismatch",
@@ -374,6 +402,13 @@ def _grouped_record(basis_groups):
         "operator-entry-overflow",
         "empty-operator-matrix",
         "operator-matrix-not-a-list",
+        "float-count",
+        "bool-count-mle",
+        "bool-count-linear",
+        "counts-not-a-list",
+        "dim-string",
+        "dim-float",
+        "dim-bool",
     ],
 )
 def test_exit_code_unsupported_record(tmp_path, capsys, doc, method):

@@ -1,7 +1,7 @@
 """The per-layer benchmark (perfbench/) wraps tomomle functions where their
 callers look them up.  These checks keep every evaluation the solvers make
-through ObjectiveModel's methods, and every record read and document
-written by the CLI, visible to it."""
+through ObjectiveModel's methods, every solver call, and every record read
+and document written by the CLI, visible to it."""
 
 import importlib.resources
 import types
@@ -67,3 +67,8 @@ def test_layer_tracer_sees_every_objective_evaluation(tmp_path, monkeypatch):
     # every op reads one record and writes one document, each seen as one span
     for name in RECORD_IO_SPANS:
         assert spans.get(name, (0, 0.0))[0] == len(codes), name
+    # the benchmark's solver spans and counters stay bound to the solvers
+    for name in layers.SOLVER_SPANS:
+        assert spans.get(name, (0, 0.0))[0] > 0, name
+    assert tr.counters["optimizers.iters"] > 0
+    assert tr.counters["optimizers.fevals"] > 0

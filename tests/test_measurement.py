@@ -46,6 +46,8 @@ def test_operator_rejects_indefinite():
     with pytest.raises(DimensionError):
         MeasurementRecord([np.eye(2), np.eye(3)], [1, 1], 1.0)  # ragged
     with pytest.raises(DimensionError):
+        MeasurementRecord(np.zeros((1, 0, 0)), [1], 1.0)  # d = 0
+    with pytest.raises(DimensionError):
         MeasurementRecord(pol, [1, 1, 1, 1], 1.0, labels=("H", "V"))
     # PSD is checked to 1e-10, Hermiticity to 1e-12, and only finite entries pass
     MeasurementRecord([np.diag([1.0, -1e-11])], [1], 1.0)

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -341,6 +343,30 @@ def test_block_chunks_keep_row_order(example2, monkeypatch):
     assert_matches_reference(lm_block(model, starts), model, starts)
 
 
+# every single budget from 1 to 40, then joint budgets, under which the
+# iteration and evaluation counts can run out in the same step
+BUDGETS = [
+    StopConfig(**{budget: b}) for b in range(1, 41) for budget in ("max_fevals", "max_iters")
+] + [StopConfig(max_iters=i, max_fevals=f) for i in range(1, 5) for f in range(2, 13)]
+
+
+def test_block_matches_reference_at_every_budget(example1, example2, example3):
+    for record in (example1, example2, example3):
+        model = record_model(record)
+        starts = np.vstack([default_start(model.dim), multistart_block(model.dim, 1, seed=70)])
+        for cfg in BUDGETS:
+            assert_matches_reference(lm_block(model, starts, cfg), model, starts, cfg)
+    # one sign-constrained block, one orthant per start, at the CLI's
+    # constrained tolerances
+    model = record_model(example3)
+    patterns = np.array(all_sign_patterns(model.dim))
+    starts = np.repeat(multistart_block(model.dim, 1, seed=90), len(patterns), axis=0)
+    for budget in BUDGETS:
+        cfg = dataclasses.replace(budget, grad_tol=1e-9, step_tol=1e-12, fun_tol=1e-12)
+        block = lm_block(model, starts, cfg, pattern=patterns)
+        assert_matches_reference(block, model, starts, cfg, patterns)
+
+
 def test_singular_damped_system_rejects_only_its_row():
     jtj = np.stack([np.zeros((2, 2)), np.eye(2)])
     delta = _damped_steps(jtj, np.array([0.0, 1.0]), np.array([[1.0, 1.0], [2.0, -4.0]]))
@@ -438,16 +464,20 @@ def reference_nelder_mead(model, t0, cfg=None):
     return _finish(model, best, fbest, iters, state["fevals"], reason, trace)
 
 
+def assert_same_result(got, ref):
+    """Two results agree bit for bit (NaN matching NaN); returns ref."""
+    assert (got.reason, got.iters, got.fevals) == (ref.reason, ref.iters, ref.fevals)
+    np.testing.assert_array_equal(got.t_final, ref.t_final)
+    np.testing.assert_array_equal(got.f_final, ref.f_final)
+    np.testing.assert_array_equal(got.grad_norm, ref.grad_norm)
+    np.testing.assert_array_equal(np.array(got.trace_log), np.array(ref.trace_log))
+    return ref
+
+
 def assert_same_simplex_run(model, t0, cfg=None):
     """nelder_mead and reference_nelder_mead agree bit for bit; returns the
     reference result."""
-    got, ref = nelder_mead(model, t0, cfg), reference_nelder_mead(model, t0, cfg)
-    assert (got.reason, got.iters, got.fevals) == (ref.reason, ref.iters, ref.fevals)
-    assert np.array_equal(got.t_final, ref.t_final)
-    assert got.f_final == ref.f_final
-    assert got.grad_norm == ref.grad_norm
-    np.testing.assert_array_equal(np.array(got.trace_log), np.array(ref.trace_log))
-    return ref
+    return assert_same_result(nelder_mead(model, t0, cfg), reference_nelder_mead(model, t0, cfg))
 
 
 EXAMPLE1_START = np.array([-0.0001, 0.999, 0.001, 0.999])
@@ -500,3 +530,118 @@ def test_nelder_mead_stops_inside_initial_simplex():
     res = nelder_mead(q, np.array([5.0, -6.0]))
     assert (res.reason, res.fevals) == (StopReason.NumericalFailure, 1)
     assert np.array_equal(res.t_final, [5.0, -6.0])
+
+
+def reference_gd(model, t0, cfg=None):
+    """Gradient descent as it was written with two evaluation sites: the
+    budget and gradient checks before an iteration, the stagnation checks
+    after its accepted step.  gradient_descent must reproduce it bit for
+    bit."""
+    cfg = cfg or StopConfig()
+    t = np.asarray(t0, dtype=float).copy()
+    n = t.size
+    step_tol, fun_tol, max_iters, max_fevals = cfg.resolved(n)
+    trace = []
+
+    ev = model.value_and_gradient(t)
+    f, grad = ev.value, ev.gradient
+    fevals = 1
+    if not (math.isfinite(f) and np.isfinite(grad).all()):
+        return _finish(model, t, f, 0, fevals, StopReason.NumericalFailure, trace)
+    alpha = 1.0
+    iters = 0
+    gnorm = math.sqrt(grad @ grad)
+    trace.append((f, gnorm, 0.0))
+
+    while True:
+        direction = -grad
+        dnorm2 = float(direction @ direction)
+        if gnorm < cfg.grad_tol:
+            return _finish(model, t, f, iters, fevals, StopReason.GradientTolerance, trace, grad)
+        if np.abs(t).max() > cfg.param_bound:
+            return _finish(model, t, f, iters, fevals, StopReason.ParamBoundHit, trace, grad)
+        if iters >= max_iters:
+            return _finish(model, t, f, iters, fevals, StopReason.MaxIterations, trace, grad)
+        if fevals >= max_fevals:
+            return _finish(model, t, f, iters, fevals, StopReason.MaxFunctionEvals, trace, grad)
+        iters += 1
+
+        accepted = False
+        a = alpha
+        for _ in range(optimizers.MAX_BACKTRACKS):
+            trial = t + a * direction
+            f_trial = model.value(trial)
+            fevals += 1
+            if math.isfinite(f_trial) and f_trial <= f - optimizers.ARMIJO_C1 * a * dnorm2:
+                accepted = True
+                break
+            if fevals >= max_fevals:
+                return _finish(
+                    model, t, f, iters, fevals, StopReason.MaxFunctionEvals, trace, grad
+                )
+            a *= 0.5
+        if not accepted:
+            return _finish(model, t, f, iters, fevals, StopReason.StepStagnation, trace, grad)
+
+        moved = trial - t
+        step = math.sqrt(moved @ moved)
+        df = f - f_trial
+        t = trial
+        ev = model.value_and_gradient(t)
+        f, grad = ev.value, ev.gradient
+        fevals += 1
+        if not (math.isfinite(f) and np.isfinite(grad).all()):
+            return _finish(model, t, f, iters, fevals, StopReason.NumericalFailure, trace)
+        alpha = min(a * 2.0, 1e6)
+        gnorm = math.sqrt(grad @ grad)
+        trace.append((f, gnorm, step))
+
+        if step < step_tol:
+            return _finish(model, t, f, iters, fevals, StopReason.StepStagnation, trace, grad)
+        if df < fun_tol:
+            return _finish(model, t, f, iters, fevals, StopReason.FunctionStagnation, trace, grad)
+
+
+def assert_same_descent_run(model, t0, cfg=None):
+    return assert_same_result(gradient_descent(model, t0, cfg), reference_gd(model, t0, cfg))
+
+
+def test_gradient_descent_matches_reference(example1, example2, example3):
+    for record in (example1, example2, example3):
+        model = record_model(record)
+        start = default_start(model.dim)
+        assert_same_descent_run(model, start)
+        for cfg in BUDGETS:
+            assert_same_descent_run(model, start, cfg)
+    model = example1_model()
+    assert_same_descent_run(model, EXAMPLE1_START)
+    assert assert_same_descent_run(model, [2e3, 1.0, 0.0, 0.0]).reason is StopReason.ParamBoundHit
+
+
+class NoDescent(Quadratic):
+    """The quadratic, with a NaN value at every trial point."""
+
+    def value(self, t):
+        return np.nan
+
+
+class NaNGradientAbove(Quadratic):
+    """The quadratic, with a NaN gradient wherever t[1] > -4.9."""
+
+    def value_and_gradient(self, t):
+        ev = super().value_and_gradient(t)
+        return ev if t[1] <= -4.9 else ObjectiveEvaluation(ev.value, np.full(2, np.nan))
+
+
+def test_gradient_descent_matches_reference_on_failures():
+    start = np.array([5.0, -5.0])
+    # MAX_BACKTRACKS rejected trials, then a budget spent inside the search
+    res = assert_same_descent_run(NoDescent(), start)
+    assert (res.reason, res.fevals) == (StopReason.StepStagnation, 1 + optimizers.MAX_BACKTRACKS)
+    res = assert_same_descent_run(NoDescent(), start, StopConfig(max_fevals=30))
+    assert (res.reason, res.fevals) == (StopReason.MaxFunctionEvals, 30)
+    # a non-finite gradient after the first step, and at the start
+    res = assert_same_descent_run(NaNGradientAbove(), start)
+    assert (res.reason, res.iters, len(res.trace_log)) == (StopReason.NumericalFailure, 1, 1)
+    res = assert_same_descent_run(NaNGradientAbove(), np.array([5.0, 0.0]))
+    assert (res.reason, res.iters, res.trace_log) == (StopReason.NumericalFailure, 0, [])
