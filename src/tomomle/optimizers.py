@@ -228,10 +228,11 @@ def _lm_chunk(model, t0, cfg, pattern):
                 )
             for name, value in vars(s).items():
                 setattr(s, name, value[~hit])
-            if len(s.rows) == 0:
-                return results
+        if len(s.rows) == 0:  # every row stopped, or none started finite
+            return results
         begin = s.accepted
-        s.jtj[begin] = s.jac[begin].swapaxes(1, 2) @ s.jac[begin]
+        jb = s.jac[begin]
+        s.jtj[begin] = jb.swapaxes(1, 2) @ jb
         s.iters += begin
 
         # identity damping: near-Newton steps survive in stiff directions

@@ -294,6 +294,25 @@ def test_block_rows_stop_independently():
     }
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_all_non_finite_starts_end_on_numerical_failure():
+    # no row of the chunk starts running: the solver reports, it does not raise
+    model = example1_model()
+    nan_start = np.array([np.nan, 1.0, 0.0, 0.0])
+    starts = np.array([nan_start, [1.0, np.inf, 0.0, 0.0], [np.nan] * 4])
+    runs = [
+        [levenberg_marquardt(model, nan_start)],
+        lm_block(model, starts),
+        lm_block(model, starts, StopConfig(max_iters=1)),
+        lm_block(model, starts, pattern=np.ones(2)),
+    ]
+    for results in runs:
+        for res in results:
+            assert res.reason is StopReason.NumericalFailure
+            assert (res.iters, res.fevals, res.trace_log) == (0, 1, [])
+    assert_matches_reference(runs[1], model, starts, StopConfig())
+
+
 class Walled(Quadratic):
     """The quadratic with minimizer (-1, -1), undefined where t[0] < 0: from
     (0, 0) every damped step crosses the wall and is rejected.  Where
