@@ -16,7 +16,6 @@ output.  Exit codes are part of the contract:
 
 import argparse
 import dataclasses
-import json
 import sys
 
 import numpy as np
@@ -28,13 +27,14 @@ from .errors import (
     SchemaError,
     TomographyError,
 )
-from .hermitian import check_density_matrix, eig_hermitian, pauli_basis, purity
+from .hermitian import eig_hermitian, pauli_basis, purity
 from .inversion import linear_invert
 from .likelihood import ObjectiveModel
 from .measurement import (
     normalize,
     povm_preset,
     read_record,
+    read_state,
     record_to_dict,
     simulate_counts,
     write_json_atomic,
@@ -73,42 +73,28 @@ def _state_preset(name, dim):
     }
     if name in kets:
         v = kets[name]
-        rho = np.outer(v, v.conj())
-    elif name == "mixed":
-        rho = np.eye(dim, dtype=complex) / dim
-    elif name == "bell":
+        return np.outer(v, v.conj())
+    if name == "mixed":
+        return np.eye(dim, dtype=complex) / dim
+    if name == "bell":
         v = np.zeros(4, dtype=complex)
         v[0] = v[3] = 1 / np.sqrt(2)
-        rho = np.outer(v, v.conj())
-    else:
-        return None
-    if rho.shape[0] != dim:
-        raise SchemaError(
-            f"state preset {name!r} has dimension {rho.shape[0]}, POVM needs {dim}"
-        )
-    return rho
+        return np.outer(v, v.conj())
+    return None
 
 
 def _load_state(spec, dim):
     rho = _state_preset(spec, dim)
-    if rho is not None:
-        return rho
-    try:
-        with open(spec) as fh:
-            doc = json.load(fh)
-        rho = np.array([[complex(re, im) for re, im in row] for row in doc["matrix"]])
-    except OSError as exc:
-        raise SchemaError(
-            f"unknown state preset or unreadable file {spec!r}: {exc.strerror}"
-        ) from exc
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed state file {spec!r}: {exc}") from exc
-    if rho.shape != (dim, dim):
-        raise SchemaError(f"state matrix is {rho.shape}, POVM needs dimension {dim}")
-    try:
-        return check_density_matrix(rho)
-    except TomographyError as exc:
-        raise SchemaError(f"state file {spec!r} is not a density matrix: {exc}") from exc
+    if rho is None:
+        try:
+            rho = read_state(spec)
+        except SchemaError as exc:
+            raise SchemaError(
+                f"--state {spec!r} is neither a state preset nor a valid state file: {exc}"
+            ) from exc
+    if rho.shape[0] != dim:
+        raise SchemaError(f"state {spec!r} has dimension {rho.shape[0]}, POVM needs {dim}")
+    return rho
 
 
 def _manifest(args, command, cfg):

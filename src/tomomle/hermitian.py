@@ -13,7 +13,7 @@ import numpy as np
 from .errors import CapacityError, DimensionError, InvalidBasisError, NumericalError
 
 HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-12
+TRACE_TOL = 1e-8
 EIGENVALUE_TOL = 1e-10
 
 MAX_QUBITS = 8
@@ -29,23 +29,37 @@ _SIGMA = np.array(
 )
 
 
-def is_hermitian(m, tol=HERMITICITY_TOL):
-    m = np.asarray(m)
-    return bool(np.all(np.abs(m - m.conj().T) <= tol))
+def check_psd_stack(ops):
+    """The matrices as one complex (m, d, d) stack, each finite, Hermitian
+    within HERMITICITY_TOL and positive semidefinite within EIGENVALUE_TOL."""
+    try:
+        ops = np.asarray(ops, dtype=complex)
+    except ValueError as exc:  # ragged
+        raise DimensionError(f"operators do not form one (m, d, d) stack: {exc}") from exc
+    if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or ops.shape[1] == 0:
+        raise DimensionError(
+            f"operators form a stack of shape {ops.shape}, not (m, d, d) with d >= 1"
+        )
+    bad = np.flatnonzero(~np.isfinite(ops).all(axis=(1, 2)))
+    if len(bad):
+        raise NumericalError(f"operator {bad[0]} has a non-finite entry")
+    bad = np.flatnonzero(
+        (np.abs(ops - ops.conj().swapaxes(1, 2)) > HERMITICITY_TOL).any(axis=(1, 2))
+    )
+    if len(bad):
+        raise NumericalError(f"operator {bad[0]} is not Hermitian")
+    bad = np.flatnonzero(eig_hermitian(ops)[:, 0] < -EIGENVALUE_TOL)
+    if len(bad):
+        raise NumericalError(f"operator {bad[0]} is not positive semidefinite")
+    return ops
 
 
-def check_density_matrix(rho, tol_eig=EIGENVALUE_TOL):
-    """Validate the density-matrix contract; returns rho as a complex array."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {rho.shape}")
-    if not is_hermitian(rho):
-        raise NumericalError("matrix is not Hermitian within tolerance")
+def check_density_matrix(rho):
+    """rho as a complex array, checked as a one-matrix stack and for unit trace."""
+    rho = check_psd_stack([rho])[0]
     tr = rho.trace()
-    if abs(tr - 1.0) > 1e-8:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise NumericalError(f"trace {tr} is not 1")
-    if eig_hermitian(rho)[0] < -tol_eig:
-        raise NumericalError("matrix has a negative eigenvalue beyond tolerance")
     return rho
 
 
@@ -116,7 +130,7 @@ def purity(rho):
 
 
 def eig_hermitian(h):
-    """Real eigenvalues of a Hermitian matrix, sorted ascending."""
+    """Real eigenvalues of a Hermitian matrix (or stack), sorted ascending."""
     try:
         return np.linalg.eigvalsh(np.asarray(h, dtype=complex))
     except np.linalg.LinAlgError as exc:

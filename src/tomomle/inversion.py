@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IncompleteMeasurementsError, NumericalError
-from .hermitian import eig_hermitian, stokes_reconstruct
+from .hermitian import EIGENVALUE_TOL, TRACE_TOL, eig_hermitian, stokes_reconstruct
 
 RANK_RTOL = 1e-10
 
@@ -51,18 +51,17 @@ def linear_invert(freqs, povm, basis):
     freqs = np.asarray(freqs, dtype=float)
     b = build_b_matrix(povm, basis)
     a = b.T  # rows indexed by settings
-    sv = np.linalg.svd(a, compute_uv=False)
-    rank = int(np.sum(sv > RANK_RTOL * sv[0]))
+    # one SVD: lstsq counts the singular values above RANK_RTOL * sv[0]
+    stokes, _, rank, sv = np.linalg.lstsq(a, freqs, rcond=RANK_RTOL)
     n = len(basis)
     if rank < n:
         raise IncompleteMeasurementsError(
             f"measurement set determines only {rank} of {n} coefficients"
         )
-    stokes, *_ = np.linalg.lstsq(a, freqs, rcond=None)
     matrix = stokes_reconstruct(stokes, basis)
     eigs = eig_hermitian(matrix)
     trace = float(np.real(matrix.trace()))
-    is_physical = bool(eigs[0] >= -1e-10 and abs(trace - 1.0) <= 1e-8)
+    is_physical = bool(eigs[0] >= -EIGENVALUE_TOL and abs(trace - 1.0) <= TRACE_TOL)
     return InversionReport(
         matrix=matrix,
         stokes=stokes,

@@ -22,35 +22,9 @@ from itertools import chain
 import numpy as np
 
 from .errors import CapacityError, DimensionError, NumericalError, SchemaError
-from .hermitian import EIGENVALUE_TOL, HERMITICITY_TOL, kron_stack
+from .hermitian import check_density_matrix, check_psd_stack, kron_stack
 
 MAX_TENSOR_DIM = 256
-
-
-def _check_operators(ops):
-    """The operator set as one complex (m, d, d) stack, each O_mu finite,
-    Hermitian within HERMITICITY_TOL and positive semidefinite within
-    EIGENVALUE_TOL."""
-    try:
-        ops = np.asarray(ops, dtype=complex)
-    except ValueError as exc:  # ragged
-        raise DimensionError(f"operators do not form one (m, d, d) stack: {exc}") from exc
-    if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or ops.shape[1] == 0:
-        raise DimensionError(
-            f"operators form a stack of shape {ops.shape}, not (m, d, d) with d >= 1"
-        )
-    bad = np.flatnonzero(~np.isfinite(ops).all(axis=(1, 2)))
-    if len(bad):
-        raise NumericalError(f"operator {bad[0]} has a non-finite entry")
-    bad = np.flatnonzero(
-        (np.abs(ops - ops.conj().swapaxes(1, 2)) > HERMITICITY_TOL).any(axis=(1, 2))
-    )
-    if len(bad):
-        raise NumericalError(f"operator {bad[0]} is not Hermitian")
-    bad = np.flatnonzero(np.linalg.eigvalsh(ops)[:, 0] < -EIGENVALUE_TOL)
-    if len(bad):
-        raise NumericalError(f"operator {bad[0]} is not positive semidefinite")
-    return ops
 
 
 @dataclass
@@ -74,7 +48,7 @@ class MeasurementRecord:
     labels: tuple = ()
 
     def __post_init__(self):
-        self.operators = _check_operators(self.operators)
+        self.operators = check_psd_stack(self.operators)
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if len(self.counts) != len(self.operators):
             raise DimensionError(
@@ -235,10 +209,7 @@ def record_to_dict(record, preset=None):
 
 
 def _operators_from_list(entries):
-    """The operator stack and the labels of an explicit operator list.
-
-    Each matrix is d rows of d [re, im] pairs of JSON numbers (int or float,
-    not bool); all are checked and converted in one flat pass."""
+    """The operator stack and the labels of an explicit operator list."""
     if not entries:
         raise SchemaError("record lists no operators")
     try:
@@ -248,10 +219,17 @@ def _operators_from_list(entries):
         raise SchemaError("an operator entry is not an object with a matrix") from exc
     if not all(isinstance(label, str) for label in labels):
         raise SchemaError("operator labels must be strings")
+    return _matrices_from_pairs(matrices), labels
+
+
+def _matrices_from_pairs(matrices):
+    """One complex (m, d, d) stack from a nonempty list of m matrices, each d
+    rows of d [re, im] pairs of JSON numbers (int or float, not bool); all
+    are checked and converted in one flat pass."""
     d = len(matrices[0]) if type(matrices[0]) is list else 0
     if d == 0:
-        raise SchemaError("operator matrices must be nonempty lists of rows")
-    rows = _chained(matrices, d, f"operator matrix must be a list of {d} rows")
+        raise SchemaError("matrices must be nonempty lists of rows")
+    rows = _chained(matrices, d, f"matrix must be a list of {d} rows")
     pairs = _chained(rows, d, f"matrix row must be a list of {d} [re, im] pairs")
     numbers = _chained(pairs, 2, "matrix entry must be a [re, im] pair")
     if not set(map(type, numbers)) <= {int, float}:
@@ -259,8 +237,8 @@ def _operators_from_list(entries):
     try:
         flat = np.array(numbers, dtype=float)
     except OverflowError as exc:
-        raise SchemaError(f"malformed operator matrix: {exc}") from exc
-    return flat.view(complex).reshape(len(matrices), d, d), labels
+        raise SchemaError(f"malformed matrix: {exc}") from exc
+    return flat.view(complex).reshape(len(matrices), d, d)
 
 
 def _chained(items, n, rule):
@@ -301,15 +279,12 @@ def record_from_dict(doc):
         counts = np.asarray(counts, dtype=np.int64)
     except OverflowError as exc:
         raise SchemaError(f"a count is out of range: {exc}") from exc
-    n_counts = len(counts)
     if isinstance(ops_spec, str):
         operators, labels = povm_preset(ops_spec), ()
     elif isinstance(ops_spec, list):
         operators, labels = _operators_from_list(ops_spec)
     else:
         raise SchemaError("operators must be a preset name or a list of operator objects")
-    if n_counts != len(operators):
-        raise SchemaError(f"{n_counts} counts for {len(operators)} operators")
     seed = doc.get("seed")
     if seed is not None and type(seed) is not int:
         raise SchemaError(f"seed must be an integer or null, not {seed!r}")
@@ -322,7 +297,7 @@ def record_from_dict(doc):
             operators=operators,
             counts=counts,
             normalization=normalization,
-            basis_groups=_basis_groups(doc.get("basis_groups", []), n_counts),
+            basis_groups=_basis_groups(doc.get("basis_groups", []), len(counts)),
             seed=seed,
             labels=labels,
         )
@@ -365,9 +340,10 @@ def _collector_paused():
             gc.enable()
 
 
-def read_record(path):
-    """The record in the JSON file at `path`; a file that cannot be opened or
-    read raises SchemaError, as does one that holds no valid record."""
+def _read_json(path, decode):
+    """decode(doc) for the JSON document in the file at `path`, decoded with
+    the cyclic collector paused; a file that cannot be opened or read, or
+    holds no valid JSON, raises SchemaError, as `decode` must on a bad doc."""
     with _collector_paused():
         try:
             with open(path) as fh:
@@ -376,4 +352,25 @@ def read_record(path):
             raise SchemaError(str(exc)) from exc
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaError(f"not valid JSON: {exc}") from exc
-        return record_from_dict(doc)
+        return decode(doc)
+
+
+def read_record(path):
+    """The record in the JSON file at `path`; a file that cannot be opened or
+    read raises SchemaError, as does one that holds no valid record."""
+    return _read_json(path, record_from_dict)
+
+
+def _state_from_dict(doc):
+    if not isinstance(doc, dict) or "matrix" not in doc:
+        raise SchemaError('a state file must be an object with a "matrix" field')
+    try:
+        return check_density_matrix(_matrices_from_pairs([doc["matrix"]])[0])
+    except NumericalError as exc:
+        raise SchemaError(f"not a density matrix: {exc}") from exc
+
+
+def read_state(path):
+    """The density matrix in the JSON state file {"matrix": rows of [re, im]
+    pairs} at `path`, under the record matrix rules, or SchemaError."""
+    return _read_json(path, _state_from_dict)

@@ -257,10 +257,12 @@ def _lm_chunk(model, t0, cfg, pattern):
         moved = trial - s.t
         s.step = np.sqrt(_rowdot(moved, moved))
         s.df = s.f - f_new
-        s.t[better], s.r[better], s.jac[better] = trial[better], r_new[better], jac_new[better]
+        r_kept, jac_kept = r_new[better], jac_new[better]
+        s.t[better], s.r[better], s.jac[better] = trial[better], r_kept, jac_kept
         s.f = np.where(better, f_new, s.f)
-        s.grad = _jt_r(s.jac, s.r)
-        s.gnorm = np.sqrt(_rowdot(s.grad, s.grad))
+        # a rejected row keeps its r and J, so its gradient stands
+        s.grad[better] = grad = _jt_r(jac_kept, r_kept)
+        s.gnorm[better] = np.sqrt(_rowdot(grad, grad))
         for i in np.flatnonzero(better):
             traces[s.rows[i]].append((float(s.f[i]), float(s.gnorm[i]), float(s.step[i])))
         s.accepted = better

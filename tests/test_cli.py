@@ -174,18 +174,34 @@ def _state_pairs(m):
     return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
 
 
+def _with_entry(value):
+    pairs = _state_pairs(np.eye(2) / 2)
+    pairs[0][0][0] = value
+    return {"matrix": pairs}
+
+
 @pytest.mark.parametrize(
-    "matrix",
+    "doc",
     [
-        np.diag([2.0, -1.0]),
-        np.diag([0.5, 0.2]),
-        np.array([[0.5, 0.3], [0.0, 0.5]]),
+        {"matrix": _state_pairs(np.diag([2.0, -1.0]))},
+        {"matrix": _state_pairs(np.diag([0.5, 0.2]))},
+        {"matrix": _state_pairs(np.array([[0.5, 0.3], [0.0, 0.5]]))},
+        # read as 1 and 0, |H><H| would pass
+        {"matrix": [[[True, False], [False, False]], [[False, False], [False, False]]]},
+        _with_entry("0.5"),
+        _with_entry(None),
+        {"matrix": [[[0.5, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]},
+        {"rho": _state_pairs(np.eye(2) / 2)},
+        [_state_pairs(np.eye(2) / 2)],
     ],
-    ids=["indefinite", "trace-0.7", "non-hermitian"],
+    ids=[
+        "indefinite", "trace-0.7", "non-hermitian", "bool-entry", "string-entry",
+        "null-entry", "ragged-row", "missing-matrix", "top-level-list",
+    ],
 )
-def test_exit_code_invalid_state_file(tmp_path, capsys, matrix):
+def test_exit_code_invalid_state_file(tmp_path, capsys, doc):
     state = tmp_path / "state.json"
-    state.write_text(json.dumps({"matrix": _state_pairs(matrix)}))
+    state.write_text(json.dumps(doc))
     rec = tmp_path / "x.rec"
     assert run(
         "simulate", "--state", str(state), "--povm", "pol4", "--shots", "100",

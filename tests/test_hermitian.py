@@ -9,7 +9,6 @@ from tomomle.hermitian import (
     check_density_matrix,
     eig_hermitian,
     fidelity,
-    is_hermitian,
     pauli_basis,
     purity,
     stokes_decompose,
@@ -23,7 +22,7 @@ def test_pauli_basis_orthonormal():
         basis = pauli_basis(n)
         assert len(basis) == 4**n
         for i, gi in enumerate(basis):
-            assert is_hermitian(gi)
+            assert np.abs(gi - gi.conj().T).max() <= 1e-12
             for j, gj in enumerate(basis):
                 want = 1.0 if i == j else 0.0
                 assert abs(np.trace(gi @ gj) - want) < 1e-12
@@ -97,6 +96,11 @@ def test_check_density_matrix_rejections():
         check_density_matrix(np.eye(2))  # trace 2
     with pytest.raises(NumericalError):
         check_density_matrix(np.diag([1.5, -0.5]).astype(complex))
+    for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan)):
+        with pytest.raises(NumericalError):
+            check_density_matrix(np.array([[0.5, bad], [np.conj(bad), 0.5]]))
+        with pytest.raises(NumericalError):
+            check_density_matrix(np.diag([bad, 0.5]))
 
 
 def test_purity_range(rng):

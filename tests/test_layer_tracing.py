@@ -1,13 +1,18 @@
 """The per-layer benchmark (perfbench/) wraps tomomle functions where their
 callers look them up.  These checks keep every evaluation the solvers make
 through ObjectiveModel's methods, every solver call, and every record read
-and document written by the CLI, visible to it."""
+and document written by the CLI, visible to it, and keep the benchmark's
+density-matrix check, which decides whether a run counts as correct, in
+step with `hermitian.check_density_matrix`."""
 
 import importlib.resources
+import json
 import types
 from pathlib import Path
 
-from tomomle import cli, inversion, likelihood, optimizers, parameterize, verify
+import numpy as np
+
+from tomomle import cli, errors, hermitian, inversion, likelihood, optimizers, parameterize, verify
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 OBJECTIVE_SPANS = (
@@ -72,3 +77,27 @@ def test_layer_tracer_sees_every_objective_evaluation(tmp_path, monkeypatch):
         assert spans.get(name, (0, 0.0))[0] > 0, name
     assert tr.counters["optimizers.iters"] > 0
     assert tr.counters["optimizers.fevals"] > 0
+
+
+
+def test_benchmark_state_check_agrees_with_density_matrix_check(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    prog = types.SimpleNamespace(hermitian=hermitian, errors=errors)
+    out = tmp_path / "mle.json"
+    assert cli.main(["reconstruct", data_path("example3.rec"), "--out", str(out)]) == 0
+    mle = workloads.doc_matrix(json.loads(out.read_text())["matrix"])
+    assert np.linalg.eigvalsh(mle)[0] < 1e-6  # the MLE is a boundary state; LM ends beside it
+    findings = workloads.Findings()
+    workloads._check_state(prog, findings, mle, "example3")
+    assert findings.problems == []
+    invalid = {
+        "trace-0.7": np.diag([0.5, 0.2]),
+        "indefinite": np.diag([2.0, -1.0]),
+        "non-hermitian": np.array([[0.5, 0.3], [0.0, 0.5]]),
+        "nan": np.diag([0.5, np.nan]),
+    }
+    for what, matrix in invalid.items():
+        workloads._check_state(prog, findings, matrix, what)
+    assert [p.split(":")[0] for p in findings.problems] == list(invalid)

@@ -17,6 +17,7 @@ from tomomle.measurement import (
     polarization_projectors,
     povm_preset,
     read_record,
+    read_state,
     record_from_dict,
     record_to_dict,
     simulate_counts,
@@ -380,6 +381,20 @@ def test_malformed_operator_lists_raise_schema_error(operators):
     doc = json.loads(json.dumps(_pol4_doc(operators=operators)))
     with pytest.raises(SchemaError):
         record_from_dict(doc)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(malformed_operator_lists())
+def test_malformed_matrices_in_state_files_raise_schema_error(tmp_path_factory, operators):
+    """State files follow the record matrix rules: the defective matrix of
+    each malformed operator list, alone in a state file, is rejected."""
+    pristine = [json.dumps(m) for m in _pol4_matrices()]
+    defective = [e["matrix"] for e, m in zip(operators, pristine) if json.dumps(e["matrix"]) != m]
+    assert len(defective) == 1
+    path = tmp_path_factory.getbasetemp() / "state.json"
+    path.write_text(json.dumps({"matrix": defective[0]}))
+    with pytest.raises(SchemaError):
+        read_state(path)
 
 
 def _set_collector(enabled):
