@@ -6,12 +6,18 @@ settings, tool version), so a run can be reproduced byte-for-byte from its
 output.  Exit codes are part of the contract:
 
     0   success (for `reconstruct --method mle`: first-order stationarity)
-    1   verify-minima equivalence check failed
-    2   unknown preset / malformed, unsupported or unreadable input
+    1   verify-minima equivalence check failed; also any other internal
+        error, such as a numerical failure
+    2   unknown preset / malformed, unsupported or unreadable input, or a
+        size past the capacity caps
     3   output path not writable
     4   measurement set not informationally complete (linear inversion)
     10  MLE run ended on a stagnation criterion, not stationarity
     11  every multistart run was discarded by the stationarity screen
+
+A command returns 0, 1 or 10 or raises; `main` maps the error to its code
+through EXIT_FOR_ERROR and prints one `error:` line, followed for exit 11
+by one `  discarded:` line per discarded run.
 """
 
 import argparse
@@ -23,6 +29,7 @@ import numpy as np
 from . import __version__
 from .errors import (
     AllRunsFailedError,
+    CapacityError,
     IncompleteMeasurementsError,
     SchemaError,
     TomographyError,
@@ -56,6 +63,17 @@ EXIT_UNWRITABLE = 3
 EXIT_INCOMPLETE = 4
 EXIT_STAGNATION = 10
 EXIT_ALL_RUNS_FAILED = 11
+
+# the one map from a raised error to its exit code, first match first; an OSError
+# comes from writing the output, as reads turn theirs into SchemaError
+EXIT_FOR_ERROR = (
+    (SchemaError, EXIT_SCHEMA),
+    (CapacityError, EXIT_SCHEMA),
+    (OSError, EXIT_UNWRITABLE),
+    (IncompleteMeasurementsError, EXIT_INCOMPLETE),
+    (AllRunsFailedError, EXIT_ALL_RUNS_FAILED),
+    (TomographyError, EXIT_NOT_EQUIVALENT),
+)
 
 # verify-minima --constrain-signs solves with the gradient tolerance scaled
 # by CONSTRAINED_GRAD_SCALE and with CONSTRAINED_STAGNATION_TOL in place of
@@ -131,14 +149,6 @@ def _matrix_fields(m):
     }
 
 
-def _write_out(path, doc):
-    try:
-        write_json_atomic(path, doc)
-    except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        sys.exit(EXIT_UNWRITABLE)
-
-
 def _emit_trace(result):
     for i, (f, gnorm, step) in enumerate(result.trace_log):
         print(f"iter={i} f={f:.6e} grad_norm={gnorm:.3e} step={step:.3e}", file=sys.stderr)
@@ -148,7 +158,7 @@ def cmd_simulate(args):
     povm = povm_preset(args.povm)
     rho = _load_state(args.state, povm.shape[1])
     record = simulate_counts(rho, povm, args.shots, args.noise, args.seed)
-    _write_out(args.out, record_to_dict(record, preset=args.povm))
+    write_json_atomic(args.out, record_to_dict(record, preset=args.povm))
     return EXIT_OK
 
 
@@ -166,11 +176,7 @@ def cmd_reconstruct(args):
         if n_qubits < 1 or 2**n_qubits != d:
             raise SchemaError(f"linear inversion needs d = 2^n with n >= 1, got d = {d}")
         basis = pauli_basis(n_qubits)
-        try:
-            report = linear_invert(normalize(record), record.operators, basis)
-        except IncompleteMeasurementsError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            sys.exit(EXIT_INCOMPLETE)
+        report = linear_invert(normalize(record), record.operators, basis)
         doc = {
             "manifest": manifest,
             "method": "linear",
@@ -182,7 +188,7 @@ def cmd_reconstruct(args):
             "condition_estimate": report.condition_estimate,
             "purity": float(np.real(np.trace(report.matrix @ report.matrix))),
         }
-        _write_out(args.out, doc)
+        write_json_atomic(args.out, doc)
         return EXIT_OK
 
     model = _build_model(record)
@@ -203,7 +209,7 @@ def cmd_reconstruct(args):
         "fevals": result.fevals,
         "t_final": list(result.t_final),
     }
-    _write_out(args.out, doc)
+    write_json_atomic(args.out, doc)
     return EXIT_OK if result.reason is StopReason.GradientTolerance else EXIT_STAGNATION
 
 
@@ -221,7 +227,6 @@ def _solution_fields(res):
 def cmd_verify_minima(args):
     record = read_record(args.record)
     model = _build_model(record)
-    d = record.dim
     cfg = _stop_config(args)
     screen = cfg.grad_tol
     if args.constrain_signs:
@@ -246,26 +251,15 @@ def cmd_verify_minima(args):
                 file=sys.stderr,
             )
     manifest = _manifest(args, "verify-minima", cfg)
-    reports = []
-    pooled = []
-    try:
-        if args.constrain_signs:
-            patterns = all_sign_patterns(d)
-            orthant_reports = orthant_multistart(
-                model, patterns, args.starts, args.seed, cfg=cfg, screen_tol=screen
-            )
-            for pattern, rep in zip(patterns, orthant_reports):
-                reports.append((pattern, rep))
-                pooled.extend(rep.screened_results)
-        else:
-            rep = multistart(model, args.starts, args.seed, solver=args.solver, cfg=cfg)
-            reports.append((None, rep))
-            pooled.extend(rep.screened_results)
-    except AllRunsFailedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        for diag in exc.diagnostics:
-            print(f"  discarded: {diag}", file=sys.stderr)
-        sys.exit(EXIT_ALL_RUNS_FAILED)
+    if args.constrain_signs:
+        patterns = all_sign_patterns(record.dim)
+        per_orthant = orthant_multistart(
+            model, patterns, args.starts, args.seed, cfg=cfg, screen_tol=screen
+        )
+        reports = list(zip(patterns, per_orthant))
+    else:
+        reports = [(None, multistart(model, args.starts, args.seed, solver=args.solver, cfg=cfg))]
+    pooled = [res for _, rep in reports for res in rep.screened_results]
 
     passed, eq = equivalence_check(pooled, args.rho_tol, args.f_tol)
     doc = {
@@ -285,7 +279,7 @@ def cmd_verify_minima(args):
         ],
         "equivalence": eq,
     }
-    _write_out(args.out, doc)
+    write_json_atomic(args.out, doc)
     return EXIT_OK if passed else EXIT_NOT_EQUIVALENT
 
 
@@ -294,12 +288,12 @@ def cmd_compare(args):
     model = _build_model(record)
     cfg = _stop_config(args)
     manifest = _manifest(args, "compare", cfg)
-    rows = []
-    for name in args.solver.split(","):
-        name = name.strip()
+    names = [name.strip() for name in args.solver.split(",")]
+    for name in names:
         if name not in SOLVERS:
-            print(f"error: unknown solver {name!r}", file=sys.stderr)
-            sys.exit(EXIT_SCHEMA)
+            raise SchemaError(f"unknown solver {name!r}")
+    rows = []
+    for name in names:
         res = run_solver(name, model, default_start(record.dim), cfg)
         rows.append(
             {
@@ -312,7 +306,7 @@ def cmd_compare(args):
                 "reason": res.reason.value,
             }
         )
-    _write_out(args.out, {"manifest": manifest, "rows": rows})
+    write_json_atomic(args.out, {"manifest": manifest, "rows": rows})
     return EXIT_OK
 
 
@@ -394,12 +388,14 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except TomographyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (OSError, TomographyError) as exc:
+        code = next(code for kind, code in EXIT_FOR_ERROR if isinstance(exc, kind))
+        message = f"cannot write {args.out}: {exc}" if code == EXIT_UNWRITABLE else exc
+        print(f"error: {message}", file=sys.stderr)
+        if isinstance(exc, AllRunsFailedError):
+            for diag in exc.diagnostics:
+                print(f"  discarded: {diag}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

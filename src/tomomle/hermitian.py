@@ -15,6 +15,7 @@ from .errors import CapacityError, DimensionError, InvalidBasisError, NumericalE
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-8
 EIGENVALUE_TOL = 1e-10
+REAL_TRACE_TOL = 1e-10  # tr(A B) of Hermitian A and B is real within this
 
 MAX_QUBITS = 8
 
@@ -108,7 +109,7 @@ def stokes_decompose(rho, basis, validate_basis=False):
     if validate_basis:
         _check_orthonormal(basis)
     coeffs = np.einsum("nij,ji->n", basis, rho)
-    bad = np.flatnonzero(np.abs(coeffs.imag) >= 1e-10)
+    bad = np.flatnonzero(np.abs(coeffs.imag) >= REAL_TRACE_TOL)
     if len(bad):
         raise NumericalError(f"tr(G_{bad[0]} rho) has imaginary part {coeffs[bad[0]].imag}")
     return coeffs.real

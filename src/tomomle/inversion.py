@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IncompleteMeasurementsError, NumericalError
-from .hermitian import EIGENVALUE_TOL, TRACE_TOL, eig_hermitian, stokes_reconstruct
+from .hermitian import EIGENVALUE_TOL, REAL_TRACE_TOL, TRACE_TOL, eig_hermitian, stokes_reconstruct
 
 RANK_RTOL = 1e-10
 
@@ -35,7 +35,7 @@ def build_b_matrix(povm, basis):
     ops = np.asarray(povm, dtype=complex)
     g = np.asarray(basis)
     b = np.swapaxes(g, 1, 2).reshape(len(g), -1) @ ops.reshape(len(ops), -1).T
-    bad = np.argwhere(np.abs(b.imag.T) >= 1e-10)  # (mu, nu) in row-major order
+    bad = np.argwhere(np.abs(b.imag.T) >= REAL_TRACE_TOL)  # (mu, nu) in row-major order
     if len(bad):
         mu, nu = bad[0]
         raise NumericalError(f"tr(O_{mu} G_{nu}) has imaginary part {b[nu, mu].imag}")

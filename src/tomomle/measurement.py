@@ -22,7 +22,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import CapacityError, DimensionError, NumericalError, SchemaError
-from .hermitian import check_density_matrix, check_psd_stack, kron_stack
+from .hermitian import REAL_TRACE_TOL, check_density_matrix, check_psd_stack, kron_stack
 
 MAX_TENSOR_DIM = 256
 
@@ -117,7 +117,7 @@ def born_probability(op, rho):
     if m.shape != rho.shape:
         raise DimensionError(f"operator {m.shape} vs state {rho.shape}")
     val = np.trace(m @ rho)
-    if abs(val.imag) >= 1e-10:
+    if abs(val.imag) >= REAL_TRACE_TOL:
         raise NumericalError(f"Born probability has imaginary part {val.imag}")
     return float(val.real)
 

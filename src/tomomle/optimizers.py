@@ -189,7 +189,6 @@ def _lm_chunk(model, t0, cfg, pattern):
     s = SimpleNamespace(  # running rows only; `rows` are their indices in t0
         rows=np.flatnonzero(finite),
         t=t[finite],
-        r=r[finite],
         jac=jac[finite],
         jtj=np.empty((k, n, n)),
         lam=np.full(k, LM_LAMBDA_INIT),
@@ -199,8 +198,9 @@ def _lm_chunk(model, t0, cfg, pattern):
         step=np.full(k, np.inf),
         df=np.full(k, np.inf),
     )
-    s.f = 0.5 * _rowdot(s.r, s.r)
-    s.grad = _jt_r(s.jac, s.r)
+    r = r[finite]
+    s.f = 0.5 * _rowdot(r, r)
+    s.grad = _jt_r(s.jac, r)
     s.gnorm = np.sqrt(_rowdot(s.grad, s.grad))
     for i, row in enumerate(s.rows):
         traces[row].append((float(s.f[i]), float(s.gnorm[i]), 0.0))
@@ -258,9 +258,9 @@ def _lm_chunk(model, t0, cfg, pattern):
         s.step = np.sqrt(_rowdot(moved, moved))
         s.df = s.f - f_new
         r_kept, jac_kept = r_new[better], jac_new[better]
-        s.t[better], s.r[better], s.jac[better] = trial[better], r_kept, jac_kept
+        s.t[better], s.jac[better] = trial[better], jac_kept
         s.f = np.where(better, f_new, s.f)
-        # a rejected row keeps its r and J, so its gradient stands
+        # a rejected row keeps its point and J, so its gradient stands
         s.grad[better] = grad = _jt_r(jac_kept, r_kept)
         s.gnorm[better] = np.sqrt(_rowdot(grad, grad))
         for i in np.flatnonzero(better):
@@ -328,7 +328,7 @@ def gradient_descent(model, t0, cfg=None):
         f, grad = ev.value, ev.gradient
         fevals += 1
         if not (math.isfinite(f) and np.isfinite(grad).all()):
-            return _finish(model, t, f, iters, fevals, StopReason.NumericalFailure, trace)
+            return _finish(model, t, f, iters, fevals, StopReason.NumericalFailure, trace, grad)
         # ||g|| as np.linalg.norm computes it for a real vector, once per gradient
         gnorm = math.sqrt(grad @ grad)
         trace.append((f, gnorm, step if iters else 0.0))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tomomle import cli, hermitian
 from tomomle.cli import _matrix_fields, main
 from tomomle.measurement import (
     MeasurementRecord,
@@ -264,20 +265,49 @@ def test_exit_code_undecodable_record(tmp_path, capsys, data):
     assert len(err) == 1 and err[0].startswith("error: not valid JSON")
 
 
-def test_exit_code_unwritable(tmp_path):
-    assert run(
-        "reconstruct", data_path("example1.rec"),
-        "--out", str(tmp_path / "no" / "such" / "dir" / "o.json"),
-    ) == 3
+def test_exit_code_unwritable(tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "dir" / "o.json"
+    assert run("reconstruct", data_path("example1.rec"), "--out", str(out)) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}: ")
 
 
-def test_exit_code_incomplete_measurements(tmp_path):
+def test_exit_code_incomplete_measurements(tmp_path, capsys):
     rec = MeasurementRecord(polarization_projectors()[:3], [9, 1, 5], 10.0)
     path = tmp_path / "partial.rec"
     write_record(path, rec)
+    out = tmp_path / "o.json"
+    assert run("reconstruct", str(path), "--method", "linear", "--out", str(out)) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: measurement set determines only ")
+    assert not out.exists()
+
+
+def test_exit_code_past_qubit_cap(tmp_path, capsys, monkeypatch):
+    # a size past the capacity caps is unsupported input
+    rec = tmp_path / "pol4x4.rec"
     assert run(
-        "reconstruct", str(path), "--method", "linear", "--out", str(tmp_path / "o.json")
-    ) == 4
+        "simulate", "--state", "bell", "--povm", "pol4x4", "--shots", "100", "--out", str(rec)
+    ) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(hermitian, "MAX_QUBITS", 1)
+    out = tmp_path / "o.json"
+    assert run("reconstruct", str(rec), "--method", "linear", "--out", str(out)) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: n_qubits=2 exceeds the maximum 1"]
+    assert not out.exists()
+
+
+def test_compare_checks_solver_names_before_solving(tmp_path, capsys, monkeypatch):
+    calls = []
+    solve = cli.run_solver
+    monkeypatch.setattr(cli, "run_solver", lambda name, *a: calls.append(name) or solve(name, *a))
+    out = tmp_path / "cmp.json"
+    assert run(
+        "compare", data_path("example1.rec"), "--solver", "lm,bogus", "--out", str(out)
+    ) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: unknown solver 'bogus'"]
+    assert calls == []
+    assert not out.exists()
 
 
 def _projector_pairs(d, k):
@@ -508,12 +538,17 @@ def test_nelder_mead_budget_inside_initial_simplex(tmp_path, capsys, budget):
     assert capsys.readouterr().err == ""
 
 
-def test_exit_code_all_runs_failed(tmp_path):
+def test_exit_code_all_runs_failed(tmp_path, capsys):
+    out = tmp_path / "v.json"
     code = run(
         "verify-minima", data_path("example1.rec"), "--starts", "2",
-        "--max-fevals", "2", "--out", str(tmp_path / "v.json"),
+        "--max-fevals", "2", "--out", str(out),
     )
     assert code == 11
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("error: all 2 runs failed the stationarity screen")
+    assert len(err) == 3 and all(line.startswith("  discarded: ") for line in err[1:])
+    assert not out.exists()
 
 
 def test_simulate_record_is_readable(tmp_path):

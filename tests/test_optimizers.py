@@ -664,3 +664,25 @@ def test_gradient_descent_matches_reference_on_failures():
     assert (res.reason, res.iters, len(res.trace_log)) == (StopReason.NumericalFailure, 1, 1)
     res = assert_same_descent_run(NaNGradientAbove(), np.array([5.0, 0.0]))
     assert (res.reason, res.iters, res.trace_log) == (StopReason.NumericalFailure, 0, [])
+
+
+class CountedNaNGradientAbove(NaNGradientAbove):
+    """NaNGradientAbove, counting its gradient evaluations."""
+
+    gradient_calls = 0
+
+    def value_and_gradient(self, t):
+        self.gradient_calls += 1
+        return super().value_and_gradient(t)
+
+
+@pytest.mark.parametrize(
+    "start, gradient_calls", [([np.nan, 0.0], 1), ([5.0, 0.0], 1), ([5.0, -5.0], 2)]
+)
+def test_gradient_descent_numerical_failure_reuses_its_gradient(start, gradient_calls):
+    # the non-finite gradient that stops the run is the one reported
+    model = CountedNaNGradientAbove()
+    res = gradient_descent(model, np.array(start))
+    assert res.reason is StopReason.NumericalFailure
+    assert model.gradient_calls == gradient_calls
+    assert math.isnan(res.grad_norm)
