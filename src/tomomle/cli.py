@@ -8,8 +8,8 @@ output.  Exit codes are part of the contract:
     0   success (for `reconstruct --method mle`: first-order stationarity)
     1   verify-minima equivalence check failed; also any other internal
         error, such as a numerical failure
-    2   unknown preset / malformed, unsupported or unreadable input, or a
-        size past the capacity caps
+    2   unknown preset / malformed, unsupported or unreadable input, an
+        option value out of its range, or a size past the capacity caps
     3   output path not writable
     4   measurement set not informationally complete (linear inversion)
     10  MLE run ended on a stagnation criterion, not stationarity
@@ -22,6 +22,7 @@ by one `  discarded:` line per discarded run.
 
 import argparse
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -310,11 +311,23 @@ def cmd_compare(args):
     return EXIT_OK
 
 
-def positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _checked(kind, ok, rule):
+    """An argparse type: `kind` of the text, which `ok` must accept."""
+
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value: 'x'" names it
+    return parse
+
+
+positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+nonnegative_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
+positive_float = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+nonnegative_float = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
 
 
 def build_parser():
@@ -328,13 +341,17 @@ def build_parser():
 
     def add_stop_flags(p):
         p.add_argument(
-            "--grad-tol", type=float, default=None,
+            "--grad-tol", type=positive_float, default=None,
             help=f"gradient-norm tolerance (default {StopConfig.grad_tol:g})",
         )
-        p.add_argument("--step-tol", type=float, default=None, help="default: grad-tol^2")
-        p.add_argument("--fun-tol", type=float, default=None, help="default: grad-tol^2")
-        p.add_argument("--max-iters", type=int, default=None)
-        p.add_argument("--max-fevals", type=int, default=None)
+        p.add_argument(
+            "--step-tol", type=nonnegative_float, default=None, help="default: grad-tol^2"
+        )
+        p.add_argument(
+            "--fun-tol", type=nonnegative_float, default=None, help="default: grad-tol^2"
+        )
+        p.add_argument("--max-iters", type=nonnegative_int, default=None)
+        p.add_argument("--max-fevals", type=nonnegative_int, default=None)
 
     p = sub.add_parser("simulate", help="simulate measurement counts")
     p.add_argument("--state", required=True, help="preset (H,V,D,R,mixed,bell) or matrix file")
@@ -367,8 +384,8 @@ def build_parser():
         f"of {CONSTRAINED_STAGNATION_TOL:g} in place of --step-tol and --fun-tol, "
         f"and --grad-tol screens the results",
     )
-    p.add_argument("--rho-tol", type=float, default=1e-3)
-    p.add_argument("--f-tol", type=float, default=1e-6)
+    p.add_argument("--rho-tol", type=nonnegative_float, default=1e-3)
+    p.add_argument("--f-tol", type=nonnegative_float, default=1e-6)
     add_stop_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_verify_minima)

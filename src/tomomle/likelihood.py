@@ -102,22 +102,27 @@ def _probs_and_derivs(t, mats):
     return p, dp
 
 
-def _probs(t, mats):
+def _probs(t, mats, d, slots):
     """T(t) and p_mu(t) at one float vector t: the products of _products,
-    without its block bookkeeping."""
-    T = build_T(t)
-    a = (mats.reshape(-1, T.shape[0]) @ T.conj().T).reshape(mats.shape)
-    return T, np.einsum("mij,ji->m", a, T).real / float(t @ t)
+    without its block bookkeeping.  Each t_k is written into its slot of T's
+    float view, as build_T does, so a single vector does not go through
+    build_T; every 1-D dot is ndarray.dot, bit for bit the BLAS dot of @."""
+    T = np.zeros((d, d), dtype=complex)
+    T.reshape(-1).view(float)[slots] = t
+    a = (mats.reshape(-1, d) @ T.conj().T).reshape(mats.shape)
+    return T, np.einsum("mij,ji->m", a, T).real / t.dot(t)
 
 
 def value(t, model):
     """Objective value only (used by derivative-free search)."""
-    _, p = _probs(np.asarray(t, dtype=float), model.povm)
+    t = np.asarray(t, dtype=float)
+    d, slots, *_ = slot_map(t.size)
+    _, p = _probs(t, model.povm, d, slots)
     pf = np.maximum(p, PROBABILITY_FLOOR)
     if model.kind == "gaussian":
         r = (p - model.freqs) / np.sqrt(pf)
-        return 0.5 * float(r @ r)
-    return -float(model.freqs @ np.log(pf))
+        return 0.5 * r.dot(r)
+    return -model.freqs.dot(np.log(pf))
 
 
 def _residuals(p, model):
@@ -157,21 +162,21 @@ def value_and_gradient(t, model):
     """
     t = np.asarray(t, dtype=float)
     mats = model.povm
-    T, p = _probs(t, mats)
+    d, slots, pos, factor = slot_map(t.size)
+    T, p = _probs(t, mats, d, slots)
     if model.kind == "gaussian":
         r, drdp = _residuals(p, model)
-        f = 0.5 * float(r @ r)
+        f = 0.5 * r.dot(r)
         w = r * drdp
     else:
         pf = np.maximum(p, PROBABILITY_FLOOR)
-        f = -float(model.freqs @ np.log(pf))
+        f = -model.freqs.dot(np.log(pf))
         w = np.where(p > PROBABILITY_FLOOR, -model.freqs / pf, 0.0)
-    *_, pos, factor = slot_map(t.size)
     # R = sum_mu w_mu O_mu as the one gemm np.tensordot(w, mats, 1) makes
     R = np.dot(w[None, :], mats.reshape(len(mats), -1)).reshape(T.shape)
     rt = R @ T.conj().T
-    g = factor * rt.view(float).ravel()[pos] - (2.0 * float(w @ p)) * t
-    return ObjectiveEvaluation(f, g / float(t @ t), bool((p < PROBABILITY_FLOOR).any()))
+    g = factor * rt.view(float).ravel()[pos] - (2.0 * w.dot(p)) * t
+    return ObjectiveEvaluation(f, g / t.dot(t), bool((p < PROBABILITY_FLOOR).any()))
 
 
 def finite_difference_gradient(t, model, h=None):

@@ -14,8 +14,15 @@ ObjectiveEvaluation, and the block-shaped residuals_and_jacobian(t) maps a
 (B, n) block to (r, J, floor_hit) with (B, m) residuals and (B, m, n)
 Jacobians.  Only an ObjectiveModel's results carry the state rho(t_final),
 and only its operator stack bounds the chunks of a block of starts.
+
+`fevals` counts the evaluations the search makes.  Where a result has no
+gradient of its own, _finish makes one more value_and_gradient call, which
+fevals does not count, to report ||g||: at every Nelder-Mead exit, and for
+a Levenberg-Marquardt start whose residuals or Jacobian are not finite.
+Gradient descent and the other LM stops report the gradient they have.
 """
 
+import bisect
 import enum
 import math
 import warnings
@@ -327,10 +334,14 @@ def gradient_descent(model, t0, cfg=None):
         ev = model.value_and_gradient(t)
         f, grad = ev.value, ev.gradient
         fevals += 1
-        if not (math.isfinite(f) and np.isfinite(grad).all()):
+        # g.g, bit for bit (-g).(-g): ||g|| as np.linalg.norm computes it for
+        # a real vector, and the squared length of the descent direction
+        gg = grad.dot(grad)
+        gnorm = math.sqrt(gg)
+        # a non-finite entry makes ||g|| non-finite; an overflowing g.g alone
+        # does not fail the run
+        if not (math.isfinite(f) and (math.isfinite(gnorm) or np.isfinite(grad).all())):
             return _finish(model, t, f, iters, fevals, StopReason.NumericalFailure, trace, grad)
-        # ||g|| as np.linalg.norm computes it for a real vector, once per gradient
-        gnorm = math.sqrt(grad @ grad)
         trace.append((f, gnorm, step if iters else 0.0))
         if step < step_tol:
             reason = StopReason.StepStagnation
@@ -350,14 +361,12 @@ def gradient_descent(model, t0, cfg=None):
             return _finish(model, t, f, iters, fevals, reason, trace, grad)
         iters += 1
 
-        direction = -grad
-        dnorm2 = float(direction @ direction)
         a = alpha
         for _ in range(MAX_BACKTRACKS):
-            trial = t + a * direction
+            trial = t - a * grad  # bit for bit t + a * (-g)
             f_trial = model.value(trial)
             fevals += 1
-            if math.isfinite(f_trial) and f_trial <= f - ARMIJO_C1 * a * dnorm2:
+            if math.isfinite(f_trial) and f_trial <= f - ARMIJO_C1 * a * gg:
                 break
             if fevals >= max_fevals:
                 return _finish(
@@ -368,7 +377,7 @@ def gradient_descent(model, t0, cfg=None):
             return _finish(model, t, f, iters, fevals, StopReason.StepStagnation, trace, grad)
 
         moved = trial - t
-        step = math.sqrt(moved @ moved)
+        step = math.sqrt(moved.dot(moved))
         df = f - f_trial
         t = trial
         alpha = min(a * 2.0, 1e6)
@@ -380,8 +389,8 @@ def nelder_mead(model, t0, cfg=None):
     Termination follows the simplex-stagnation rule: all vertices within
     step_tol of the best point (inf norm) and all function values within
     fun_tol of the best value.  The gradient norm reported in the result is
-    evaluated a posteriori at the final point and plays no role in the
-    search.
+    evaluated a posteriori at the final point, by one value_and_gradient
+    call that fevals does not count, and plays no role in the search.
     """
     cfg = cfg or StopConfig()
     t0 = np.asarray(t0, dtype=float).copy()
@@ -414,8 +423,8 @@ def nelder_mead(model, t0, cfg=None):
         simplex.append(v)
     simplex = np.array(simplex)
 
-    values = np.full(n + 1, np.inf)  # a vertex not evaluated ranks last
-    values[0] = f0
+    # the vertex values, kept in a list: a vertex not evaluated ranks last
+    values = [f0] + [math.inf] * n
     iters = 0
     reason = None
     shrunk = True  # the simplex needs a full sort
@@ -424,19 +433,19 @@ def nelder_mead(model, t0, cfg=None):
             values[i] = f(simplex[i])
         while True:
             if shrunk:
-                order = np.argsort(values, kind="stable")
+                order = sorted(range(n + 1), key=values.__getitem__)  # stable
                 simplex = simplex[order]
-                values = values[order]
+                values = [values[i] for i in order]
                 shrunk = False
             else:
                 # only the last vertex is new: insert it where the stable
                 # sort would put it, after every vertex of equal value
-                k = int(values[:-1].searchsorted(values[-1], side="right"))
+                k = bisect.bisect_right(values, values[-1], 0, n)
                 if k < n:
-                    vertex, fvertex = simplex[-1].copy(), values[-1]
+                    vertex = simplex[-1].copy()
                     simplex[k + 1:] = simplex[k:-1]
-                    values[k + 1:] = values[k:-1]
-                    simplex[k], values[k] = vertex, fvertex
+                    simplex[k] = vertex
+                    values.insert(k, values.pop())
             best, fbest = simplex[0], values[0]
             diameter = float(np.abs(simplex[1:] - best).max())
             fspread = float(values[-1] - fbest)  # values are sorted
@@ -484,9 +493,8 @@ def nelder_mead(model, t0, cfg=None):
     except NumericalError:
         reason = StopReason.NumericalFailure
 
-    order = np.argsort(values, kind="stable")
-    best, fbest = simplex[order[0]], values[order[0]]
-    return _finish(model, best, fbest, iters, fevals, reason, trace)
+    i = min(range(n + 1), key=values.__getitem__)  # the first best vertex
+    return _finish(model, simplex[i], values[i], iters, fevals, reason, trace)
 
 
 def make_sign_projection(pattern):

@@ -231,6 +231,55 @@ def test_exit_code_count_bounds(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+STOP_FLAGS = {  # flag: the subcommand it is given to
+    "--grad-tol": "reconstruct",
+    "--step-tol": "reconstruct",
+    "--fun-tol": "reconstruct",
+    "--max-iters": "reconstruct",
+    "--max-fevals": "reconstruct",
+    "--rho-tol": "verify-minima",
+    "--f-tol": "verify-minima",
+}
+BAD_FLAG_VALUES = [
+    (flag, value) for flag in STOP_FLAGS for value in ("nan", "inf", "-inf", "-1", "-1e-300")
+] + [("--grad-tol", "0"), ("--grad-tol", "1e400"), ("--max-fevals", "2.5")]
+
+
+@pytest.mark.parametrize(
+    "flag, value", BAD_FLAG_VALUES, ids=[f"{f[2:]}={v}" for f, v in BAD_FLAG_VALUES]
+)
+def test_exit_code_stop_flag_out_of_range(tmp_path, capsys, flag, value):
+    # --grad-tol must be finite and > 0, the other tolerances finite and >= 0,
+    # and the budgets integers >= 0
+    out = tmp_path / "o.json"
+    code = run(STOP_FLAGS[flag], data_path("example1.rec"), f"{flag}={value}", "--out", str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: " in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not out.exists()
+
+
+def test_zero_tolerances_and_budgets_are_accepted(tmp_path, capsys):
+    out = tmp_path / "o.json"
+    code = run(
+        "reconstruct", data_path("example1.rec"), "--step-tol", "0", "--fun-tol", "0",
+        "--max-iters", "0", "--out", str(out),
+    )
+    assert code == 10
+    doc = json.loads(out.read_text())
+    assert (doc["stop_reason"], doc["iters"]) == ("max-iterations", 0)
+    assert doc["manifest"]["stop_config"]["step_tol"] == 0.0
+    out = tmp_path / "v.json"
+    code = run(
+        "verify-minima", data_path("example1.rec"), "--starts", "2", "--rho-tol", "0",
+        "--f-tol", "0", "--out", str(out),
+    )
+    assert code == 1  # no two runs agree to the last bit
+    assert json.loads(out.read_text())["equivalence"]
+    assert capsys.readouterr().err == ""
+
+
 def test_exit_code_missing_record(tmp_path):
     assert run("reconstruct", str(tmp_path / "none.rec"), "--out", str(tmp_path / "o")) == 2
 

@@ -236,22 +236,43 @@ def _previous_value_and_gradient(t, m):
     return f, g / float(t @ t), bool(np.any(p < floor))
 
 
+# Nelder-Mead's start on example1, which criterion 03 runs from
+EXAMPLE1_START = np.array([-0.0001, 0.999, 0.001, 0.999])
+
+
+def _floored_points(d):
+    """Points at which some probability falls below the floor: |0><0| and
+    |d-1><d-1|, exactly and up to 1e-12."""
+    ts = np.zeros((4, d * d))
+    ts[0, 0] = ts[1, d - 1] = ts[2, 0] = ts[3, d - 1] = 1.0
+    ts[2, 1] = ts[3, 0] = 1e-12
+    return ts
+
+
 def test_single_vector_path_matches_previous_formulas_bitwise(rng):
+    # the single-vector path writes T itself and takes every 1-D dot with
+    # ndarray.dot; the previous formulas use build_T's old writes and @
     pol = polarization_projectors()
-    for n_qubits in (1, 2, 3):
+    for n_qubits in (1, 2, 3, 4):
         povm = tensor_povm([pol] * n_qubits)
         d = 2**n_qubits
         freqs = np.array([born_probability(op, random_density(rng, d)) for op in povm])
         ts = np.stack([random_param(rng, d) for _ in range(4)])
-        if d == 2:  # p_V, then p_H below the floor
-            ts = np.vstack([ts, [1.0, 1e-12, 0.0, 0.0], [1e-12, 1.0, 0.0, 0.0]])
+        if d == 2:
+            ts = np.vstack([ts, EXAMPLE1_START])
+        # points far out on the ray t -> c t, where Nelder-Mead drifts on
+        # example1 and criterion 03 depends on the last bits of value
+        ts = np.vstack([ts, ts[-2:] * 1e5, ts[-2:] * 1e11])
+        floored = _floored_points(d) if d in (2, 4) else np.empty((0, d * d))
         assert np.array_equal(build_T(ts), _previous_build_T(ts))
         for kind in ("gaussian", "multinomial"):
             m = ObjectiveModel(kind, povm, freqs)
-            for t in ts:
+            for t in np.vstack([ts, floored]):
                 f, g, floor_hit = _previous_value_and_gradient(t, m)
                 ev = value_and_gradient(t, m)
                 assert value(t, m) == f
                 assert ev.value == f
                 assert np.array_equal(ev.gradient, g)
                 assert ev.floor_hit == floor_hit
+            for t in floored:
+                assert value_and_gradient(t, m).floor_hit

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import math
@@ -8,7 +9,7 @@ import pytest
 from tomomle import optimizers
 from tomomle.errors import NumericalError
 from tomomle.likelihood import ObjectiveEvaluation, ObjectiveModel
-from tomomle.measurement import normalize, polarization_projectors
+from tomomle.measurement import normalize, polarization_projectors, povm_preset, simulate_counts
 from tomomle.optimizers import (
     LM_LAMBDA_INIT,
     LM_LAMBDA_MAX,
@@ -27,7 +28,7 @@ from tomomle.optimizers import (
     nelder_mead,
     run_solver,
 )
-from tomomle.parameterize import all_sign_patterns, random_param, rho_of_t
+from tomomle.parameterize import all_sign_patterns, random_density, random_param, rho_of_t
 
 
 class Quadratic:
@@ -503,7 +504,10 @@ EXAMPLE1_START = np.array([-0.0001, 0.999, 0.001, 0.999])
 
 
 def test_nelder_mead_matches_reference(example2):
-    assert_same_simplex_run(example1_model(), EXAMPLE1_START)
+    # the start scaled by 1 + k 1e-15 drifts along the flat ray t -> c t,
+    # where criterion 03 depends on the last bits of each value
+    for k in (-1, 0, 1, 2):
+        assert_same_simplex_run(example1_model(), EXAMPLE1_START * (1 + k * 1e-15))
     ref = assert_same_simplex_run(record_model(example2), default_start(4))
     assert (ref.reason, ref.fevals) == (StopReason.MaxFunctionEvals, 6400)
 
@@ -520,6 +524,21 @@ def test_nelder_mead_matches_reference_through_shrinks():
         for budget in range(model.n_params + 2, 60)
     ]
     assert max(len(list(run)) for _, run in itertools.groupby(iters)) == model.n_params + 2
+
+
+class Flat(Quadratic):
+    """A constant objective: every vertex value ties."""
+
+    def value(self, t):
+        return 1.0
+
+
+def test_nelder_mead_reports_the_first_of_tied_vertices():
+    # every iteration shrinks toward the start, which stays the first vertex
+    # of the stable order and is the one reported
+    res = assert_same_simplex_run(Flat(), np.array([5.0, -5.0]))
+    assert res.reason is StopReason.StepStagnation
+    assert np.array_equal(res.t_final, [5.0, -5.0])
 
 
 class NaNBelow(Quadratic):
@@ -637,6 +656,17 @@ def test_gradient_descent_matches_reference(example1, example2, example3):
     assert assert_same_descent_run(model, [2e3, 1.0, 0.0, 0.0]).reason is StopReason.ParamBoundHit
 
 
+def test_solver_loops_match_references_on_a_two_qubit_record():
+    # a pol4x4 record like the ones the compare benchmark simulates, at the
+    # full default budget: 6400 evaluations for Nelder-Mead
+    rho = random_density(np.random.default_rng(13), 4)
+    model = record_model(simulate_counts(rho, povm_preset("pol4x4"), 10_000, "none", 13))
+    start = default_start(model.dim)
+    assert_same_descent_run(model, start)
+    ref = assert_same_simplex_run(model, start)
+    assert ref.fevals == 6400
+
+
 class NoDescent(Quadratic):
     """The quadratic, with a NaN value at every trial point."""
 
@@ -652,6 +682,16 @@ class NaNGradientAbove(Quadratic):
         return ev if t[1] <= -4.9 else ObjectiveEvaluation(ev.value, np.full(2, np.nan))
 
 
+class HugeGradient(Quadratic):
+    """The quadratic, with its gradient scaled by 1e200: every entry is
+    finite, but g.g overflows to inf."""
+
+    def value_and_gradient(self, t):
+        ev = super().value_and_gradient(t)
+        return ObjectiveEvaluation(ev.value, ev.gradient * 1e200)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_gradient_descent_matches_reference_on_failures():
     start = np.array([5.0, -5.0])
     # MAX_BACKTRACKS rejected trials, then a budget spent inside the search
@@ -664,6 +704,11 @@ def test_gradient_descent_matches_reference_on_failures():
     assert (res.reason, res.iters, len(res.trace_log)) == (StopReason.NumericalFailure, 1, 1)
     res = assert_same_descent_run(NaNGradientAbove(), np.array([5.0, 0.0]))
     assert (res.reason, res.iters, res.trace_log) == (StopReason.NumericalFailure, 0, [])
+    # an overflowing ||g|| with finite entries is not a numerical failure;
+    # every trial point then overflows the value
+    res = assert_same_descent_run(HugeGradient(), start)
+    assert (res.reason, res.fevals) == (StopReason.StepStagnation, 1 + optimizers.MAX_BACKTRACKS)
+    assert res.trace_log[0][1] == math.inf
 
 
 class CountedNaNGradientAbove(NaNGradientAbove):
@@ -686,3 +731,79 @@ def test_gradient_descent_numerical_failure_reuses_its_gradient(start, gradient_
     assert res.reason is StopReason.NumericalFailure
     assert model.gradient_calls == gradient_calls
     assert math.isnan(res.grad_norm)
+
+
+class CountedModel(ObjectiveModel):
+    """An ObjectiveModel that counts the calls of each of its three methods."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "calls", collections.Counter())
+
+    def value(self, t):
+        self.calls["value"] += 1
+        return super().value(t)
+
+    def value_and_gradient(self, t):
+        self.calls["value_and_gradient"] += 1
+        return super().value_and_gradient(t)
+
+    def residuals_and_jacobian(self, t):
+        self.calls["residuals_and_jacobian"] += 1
+        return super().residuals_and_jacobian(t)
+
+
+def counted(record):
+    return CountedModel("gaussian", record.operators, normalize(record))
+
+
+# rho_of_t of the NaN start warns
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_nelder_mead_makes_one_uncounted_gradient_call(example1, example2):
+    # fevals counts every value call; the one value_and_gradient call that
+    # reports ||g|| is not counted, at every exit
+    runs = [
+        (example1, None, StopReason.StepStagnation),
+        (example2, None, StopReason.MaxFunctionEvals),
+        (example2, StopConfig(max_iters=3), StopReason.MaxIterations),
+        (example1, StopConfig(max_fevals=2), StopReason.MaxFunctionEvals),
+    ]
+    for record, cfg, reason in runs:
+        model = counted(record)
+        res = nelder_mead(model, default_start(model.dim), cfg)
+        assert res.reason is reason
+        assert model.calls == {"value": res.fevals, "value_and_gradient": 1}
+    model = counted(example1)
+    res = nelder_mead(model, [np.nan, 1.0, 0.0, 0.0])
+    assert (res.reason, res.fevals) == (StopReason.NumericalFailure, 1)
+    assert model.calls == {"value": 1, "value_and_gradient": 1}
+
+
+def test_gradient_descent_counts_every_call(example1, example2):
+    # one value_and_gradient call per evaluated point, none after the stop:
+    # iters + 1 of them, or iters when the run stops inside a line search
+    extra = set()
+    for record in (example1, example2):
+        for cfg in [None] + [StopConfig(max_fevals=b) for b in range(1, 41)]:
+            model = counted(record)
+            res = gradient_descent(model, default_start(model.dim), cfg)
+            gradients = model.calls["value_and_gradient"]
+            assert model.calls["value"] + gradients == res.fevals
+            assert "residuals_and_jacobian" not in model.calls
+            extra.add(gradients - res.iters)
+    assert extra == {0, 1}
+
+
+# rho_of_t of the NaN start warns
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_lm_uncounted_gradient_only_for_a_non_finite_start(example1):
+    model = counted(example1)
+    res = levenberg_marquardt(model, [np.nan] * 4)
+    assert (res.reason, res.fevals) == (StopReason.NumericalFailure, 1)
+    assert model.calls == {"residuals_and_jacobian": 1, "value_and_gradient": 1}
+    assert math.isnan(res.grad_norm)
+    # a finite start reports the gradient of its last Jacobian
+    model = counted(example1)
+    res = levenberg_marquardt(model, default_start(2))
+    assert res.reason is StopReason.GradientTolerance
+    assert set(model.calls) == {"residuals_and_jacobian"}
