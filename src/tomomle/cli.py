@@ -176,6 +176,12 @@ def cmd_reconstruct(args):
         n_qubits = int(round(np.log2(d)))
         if n_qubits < 1 or 2**n_qubits != d:
             raise SchemaError(f"linear inversion needs d = 2^n with n >= 1, got d = {d}")
+        m = len(record.operators)
+        if m < d * d:  # rank <= m: settle it before building the 16 d^4-byte basis
+            raise IncompleteMeasurementsError(
+                f"measurement set determines only {m} or fewer of {d * d} coefficients, "
+                f"as it has {m} settings"
+            )
         basis = pauli_basis(n_qubits)
         report = linear_invert(normalize(record), record.operators, basis)
         doc = {
@@ -253,14 +259,13 @@ def cmd_verify_minima(args):
             )
     manifest = _manifest(args, "verify-minima", cfg)
     if args.constrain_signs:
-        patterns = all_sign_patterns(record.dim)
-        per_orthant = orthant_multistart(
-            model, patterns, args.starts, args.seed, cfg=cfg, screen_tol=screen
+        reports = orthant_multistart(
+            model, all_sign_patterns(record.dim), args.starts, args.seed, cfg=cfg,
+            screen_tol=screen,
         )
-        reports = list(zip(patterns, per_orthant))
     else:
-        reports = [(None, multistart(model, args.starts, args.seed, solver=args.solver, cfg=cfg))]
-    pooled = [res for _, rep in reports for res in rep.screened_results]
+        reports = [multistart(model, args.starts, args.seed, solver=args.solver, cfg=cfg)]
+    pooled = [res for rep in reports for res in rep.screened_results]
 
     passed, eq = equivalence_check(pooled, args.rho_tol, args.f_tol)
     doc = {
@@ -268,7 +273,7 @@ def cmd_verify_minima(args):
         "constrain_signs": bool(args.constrain_signs),
         "reports": [
             {
-                "sign_pattern": None if pattern is None else [int(s) for s in pattern],
+                "sign_pattern": rep.sign_pattern,
                 "n_starts": args.starts,
                 "distinct_t_count": rep.distinct_t_count,
                 "max_pairwise_rho_distance": rep.max_pairwise_rho_distance,
@@ -276,7 +281,7 @@ def cmd_verify_minima(args):
                 "discarded_count": rep.discarded_count,
                 "solutions": [_solution_fields(s) for s in rep.solutions],
             }
-            for pattern, rep in reports
+            for rep in reports
         ],
         "equivalence": eq,
     }

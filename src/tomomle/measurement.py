@@ -36,8 +36,9 @@ class MeasurementRecord:
     semidefinite; `labels` names them (as read from an explicit record
     file) or is empty.  `normalization` is either a positive finite int or
     float N, not a bool (counts[i]/N are the frequencies), or the policy
-    string "per-basis-group", in which case `basis_groups` partitions the
-    settings and each group is normalized by its own count sum.
+    string "per-basis-group", in which case `basis_groups` must partition
+    the settings (normalize checks it) and each group is normalized by its
+    own count sum.
     """
 
     operators: np.ndarray
@@ -152,19 +153,25 @@ def simulate_counts(rho, povm, n_per_setting, noise="none", seed=0):
 
 
 def normalize(record):
-    """Normalized frequencies n_mu / N under the record's normalization policy."""
+    """Normalized frequencies n_mu / N under the record's normalization policy.
+
+    Under "per-basis-group" every setting must be in exactly one group.
+    """
     counts = record.counts.astype(float)
     if isinstance(record.normalization, str):
         freqs = np.empty_like(counts)
-        seen = np.zeros(len(counts), dtype=bool)
+        memberships = np.zeros(len(counts), dtype=int)
         for group in record.basis_groups:
             total = counts[list(group)].sum()
             if total <= 0:
                 raise SchemaError(f"basis group {group} has zero total counts")
             freqs[list(group)] = counts[list(group)] / total
-            seen[list(group)] = True
-        if not seen.all():
-            raise SchemaError("basis_groups do not cover every setting")
+            np.add.at(memberships, list(group), 1)
+        stray = np.flatnonzero(memberships != 1)
+        if len(stray):
+            raise SchemaError(
+                f"setting {stray[0]} is in {memberships[stray[0]]} basis groups, not exactly one"
+            )
         return freqs
     if counts.sum() <= 0:
         raise SchemaError("record has zero total counts")

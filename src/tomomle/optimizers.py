@@ -25,7 +25,6 @@ Gradient descent and the other LM stops report the gradient they have.
 import bisect
 import enum
 import math
-import warnings
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -72,12 +71,6 @@ class StopConfig:
         fun_tol = self.grad_tol**2 if self.fun_tol is None else self.fun_tol
         max_iters = 2 * 200 * n if self.max_iters is None else self.max_iters
         max_fevals = 2 * 200 * n if self.max_fevals is None else self.max_fevals
-        if step_tol > self.grad_tol or fun_tol > self.grad_tol:
-            warnings.warn(
-                "stagnation tolerances exceed the gradient tolerance; stagnation "
-                "stops may mask non-stationary points",
-                stacklevel=3,
-            )
         return step_tol, fun_tol, max_iters, max_fevals
 
 
@@ -161,7 +154,9 @@ _LM_STOPS = (
 
 
 def _lm_chunk(model, t0, cfg, pattern):
-    """Levenberg-Marquardt on every row of t0 at once.
+    """Levenberg-Marquardt on every row of t0 at once; with a (B, d) block
+    `pattern`, row i's start and trial points are projected onto the sphere
+    orthant of pattern[i].
 
     Each row follows the single-start algorithm step for step.  The start
     counts as an accepted point with step = df = inf.  After each round,
@@ -183,8 +178,7 @@ def _lm_chunk(model, t0, cfg, pattern):
     """
     n = t0.shape[1]
     step_tol, fun_tol, max_iters, max_fevals = cfg.resolved(n)
-    project = None if pattern is None else make_sign_projection(pattern)
-    t = t0.copy() if project is None else project(t0)
+    t = t0.copy() if pattern is None else project_to_orthant(t0, pattern)
     traces = [[] for _ in t]
     results = [None] * len(t)
 
@@ -249,8 +243,8 @@ def _lm_chunk(model, t0, cfg, pattern):
         solved = np.isfinite(delta).all(axis=1)
         delta[~solved] = 0.0  # such a row is evaluated at its own point and rejected
         trial = s.t + delta
-        if project is not None:
-            trial = project(trial, s.rows)
+        if pattern is not None:
+            trial = project_to_orthant(trial, pattern[s.rows])
         r_new, jac_new, _ = model.residuals_and_jacobian(trial)
         s.fevals += solved
         f_new = 0.5 * _rowdot(r_new, r_new)
@@ -288,7 +282,7 @@ def lm_block(model, t0, cfg=None, pattern=None):
     Identity damping with a gain-ratio update: a row's damping halves on a
     strong step and doubles on a rejected one.  `pattern` (one (d,) sign
     pattern, or a (B, d) block of them) maps each row's trial points onto
-    its sphere orthant before evaluation; see make_sign_projection.  Rows
+    its sphere orthant before evaluation; see project_to_orthant.  Rows
     are solved in chunks whose working set stays within LM_BLOCK_BYTES.
     """
     cfg = cfg or StopConfig()
@@ -497,25 +491,20 @@ def nelder_mead(model, t0, cfg=None):
     return _finish(model, simplex[i], values[i], iters, fevals, reason, trace)
 
 
-def make_sign_projection(pattern):
-    """Projection onto {||t||_2 = 1, diagonal signs fixed by `pattern`}.
+def project_to_orthant(t, signs):
+    """Projection of t onto {||t||_2 = 1, diagonal signs fixed by `signs`}.
 
     Diagonal entries with the wrong sign are clamped to a small magnitude of
     the right sign; the vector is then renormalized.  Renormalization does
-    not change the objective (degree-zero homogeneity).  `pattern` is one
-    (d,) sign pattern, or a (B, d) block with one pattern per start; then
-    project(t, rows) maps the rows of t that belong to the starts `rows`.
+    not change the objective (degree-zero homogeneity).  t is one vector or
+    a (B, n) block; `signs` is one (d,) sign pattern or a (B, d) block,
+    one pattern per row of t.
     """
-    pattern = np.asarray(pattern, dtype=float)
-    d = pattern.shape[-1]
-
-    def project(t, rows=Ellipsis):
-        t = np.array(t, dtype=float)
-        sign = pattern[rows]
-        t[..., :d] = sign * np.maximum(sign * t[..., :d], SIGN_MAG_FLOOR)
-        return t / np.sqrt(t[..., None, :] @ t[..., :, None])[..., 0]
-
-    return project
+    t = np.array(t, dtype=float)
+    signs = np.asarray(signs, dtype=float)
+    d = signs.shape[-1]
+    t[..., :d] = signs * np.maximum(signs * t[..., :d], SIGN_MAG_FLOOR)
+    return t / np.sqrt(t[..., None, :] @ t[..., :, None])[..., 0]
 
 
 def constrained_sign_solve(model, pattern, t0, cfg=None):

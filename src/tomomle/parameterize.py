@@ -127,11 +127,10 @@ def in_r_star_star(t, tol=1e-8):
 
 
 def all_sign_patterns(d):
-    """All 2^d diagonal sign patterns, as +/-1 arrays."""
-    patterns = []
-    for bits in range(2**d):
-        patterns.append(np.array([1.0 if bits & (1 << i) == 0 else -1.0 for i in range(d)]))
-    return patterns
+    """All 2^d diagonal sign patterns as one (2^d, d) array of +/-1: entry i
+    of pattern k is -1 where bit i of k is set."""
+    bits = (np.arange(2**d)[:, None] >> np.arange(d)) & 1
+    return 1.0 - 2.0 * bits
 
 
 def random_param(rng, d, diag_floor=1e-3):

@@ -28,13 +28,14 @@ class MultistartReport:
     max_f_spread: float
     discarded_count: int
     discard_diagnostics: list = field(default_factory=list)
+    sign_pattern: list | None = None  # the orthant's diagonal signs, as ints
 
 
 def _worst_pairs(results):
     """(largest rho distance, pair) and (largest f spread, pair) over all
     pairs i < j; ties keep the first pair in (i, j) order, and the pair is
     None when no spread exceeds 0."""
-    rhos = np.stack([r.rho_final for r in results])
+    rhos = np.array([r.rho_final for r in results])
     fs = np.array([r.f_final for r in results])
     worst_rho = (0.0, None)
     worst_f = (0.0, None)
@@ -61,12 +62,14 @@ def _draw_starts(model, n_starts, seed):
     )
 
 
-def _screen(results, screen):
+def _screen(results, screen, sign_pattern=None):
     """The report on one multistart's results: runs with gradient norm at or
-    above `screen` are discarded, the rest deduplicated at DEDUP_TOL."""
+    above `screen` are discarded, the rest deduplicated at DEDUP_TOL.  A
+    sign pattern is named on the report and on each of its discards."""
     screened = []
     solutions = []
     discards = []
+    tag = {} if sign_pattern is None else {"sign_pattern": sign_pattern}
     for i, result in enumerate(results):
         if result.grad_norm < screen:
             screened.append(result)
@@ -78,6 +81,7 @@ def _screen(results, screen):
         else:
             discards.append(
                 {
+                    **tag,
                     "start_index": i,
                     "reason": result.reason.value,
                     "grad_norm": result.grad_norm,
@@ -85,11 +89,6 @@ def _screen(results, screen):
                 }
             )
 
-    if not screened:
-        raise AllRunsFailedError(
-            f"all {len(results)} runs failed the stationarity screen at {screen}",
-            diagnostics=discards,
-        )
     (max_rho, _), (max_f, _) = _worst_pairs(screened)
     return MultistartReport(
         solutions=solutions,
@@ -99,43 +98,48 @@ def _screen(results, screen):
         max_f_spread=max_f,
         discarded_count=len(discards),
         discard_diagnostics=discards,
+        sign_pattern=sign_pattern,
     )
 
 
-def multistart(model, n_starts, seed, solver="lm", cfg=None, screen_tol=None, pattern=None):
+def multistart(model, n_starts, seed, solver="lm", cfg=None, screen_tol=None):
     """Run `solver` from n_starts uniform draws in [-1, 1]^{d^2}.
 
     Draws with a near-zero diagonal parameter are rejected and redrawn.
     Start i is drawn from its own seed (seed + i), so a start does not
     depend on the others or on the schedule.  Every start is drawn first;
     LM then solves them all as one block, the other solvers one start at a
-    time.  With `pattern` the starts are solved on the sphere inside that
-    diagonal-sign orthant (see orthant_multistart).  Runs with final
-    gradient norm at or above `screen_tol` (default: the solver's grad_tol)
-    are discarded; retained parameter vectors are deduplicated at
-    DEDUP_TOL in the 2-norm.
+    time.  Runs with final gradient norm at or above `screen_tol` (default:
+    the solver's grad_tol) are discarded; retained parameter vectors are
+    deduplicated at DEDUP_TOL in the 2-norm.
     """
-    if pattern is not None:
-        return orthant_multistart(model, [pattern], n_starts, seed, cfg, screen_tol)[0]
     cfg = cfg or StopConfig()
     starts = _draw_starts(model, n_starts, seed)
     if solver == "lm":
         results = lm_block(model, starts, cfg)
     else:
         results = [run_solver(solver, model, t0, cfg) for t0 in starts]
-    return _screen(results, cfg.grad_tol if screen_tol is None else screen_tol)
+    screen = cfg.grad_tol if screen_tol is None else screen_tol
+    report = _screen(results, screen)
+    if not report.screened_results:
+        raise AllRunsFailedError(
+            f"all {n_starts} runs failed the stationarity screen at {screen}",
+            diagnostics=report.discard_diagnostics,
+        )
+    return report
 
 
 def orthant_multistart(model, patterns, n_starts, seed, cfg=None, screen_tol=None):
-    """multistart(..., pattern=p) for each sign pattern p in `patterns`, one
-    report per pattern, in order.
+    """The LM multistart of each sign pattern in `patterns` on the unit
+    sphere inside its diagonal-sign orthant: one report per pattern, in
+    order, carrying the pattern as its sign_pattern.
 
-    Every orthant starts from the same n_starts draws, and all (pattern,
-    start) pairs are solved as one block of sign-constrained LM runs, so the
-    slowest runs of different orthants share their rounds instead of each
-    running alone.  If the screen discards every run of some orthant, the
-    AllRunsFailedError lists the discarded runs of every orthant, each
-    under its sign pattern.
+    Every orthant starts from the same n_starts draws as multistart, and
+    all (pattern, start) pairs are solved as one block of sign-constrained
+    LM runs, so the slowest runs of different orthants share their rounds
+    instead of each running alone.  If the screen discards every run of
+    some orthant, the AllRunsFailedError lists the discarded runs of every
+    orthant, each under its sign pattern.
     """
     cfg = cfg or StopConfig()
     patterns = np.asarray(patterns, dtype=float)
@@ -147,22 +151,16 @@ def orthant_multistart(model, patterns, n_starts, seed, cfg=None, screen_tol=Non
         cfg,
     )
     screen = cfg.grad_tol if screen_tol is None else screen_tol
-    reports, discards, failed = [], [], 0
-    for k, pattern in enumerate(patterns):
-        try:
-            report = _screen(results[k * n_starts:(k + 1) * n_starts], screen)
-            diagnostics = report.discard_diagnostics
-        except AllRunsFailedError as exc:
-            report, diagnostics = None, exc.diagnostics
-            failed += 1
-        reports.append(report)
-        sign = [int(s) for s in pattern]
-        discards += [{"sign_pattern": sign, **diag} for diag in diagnostics]
+    reports = [
+        _screen(results[k * n_starts:(k + 1) * n_starts], screen, [int(s) for s in pattern])
+        for k, pattern in enumerate(patterns)
+    ]
+    failed = sum(not report.screened_results for report in reports)
     if failed:
         raise AllRunsFailedError(
             f"all {n_starts} runs of {failed} of {len(patterns)} sign orthants failed "
             f"the stationarity screen at {screen}",
-            diagnostics=discards,
+            diagnostics=[diag for report in reports for diag in report.discard_diagnostics],
         )
     return reports
 

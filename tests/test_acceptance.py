@@ -34,7 +34,7 @@ from tomomle.parameterize import (
     random_param,
     rho_of_t,
 )
-from tomomle.verify import equivalence_check, gradient_check, multistart
+from tomomle.verify import equivalence_check, gradient_check, multistart, orthant_multistart
 
 
 @contextlib.contextmanager
@@ -113,9 +113,9 @@ def test_criterion_05_boundary_state_sign_orthants():
         cfg = StopConfig(grad_tol=1e-9, step_tol=1e-12, fun_tol=1e-12)
         states = []
         for pattern in all_sign_patterns(2):
-            report = multistart(
-                model, 23, seed=0, cfg=cfg, screen_tol=1e-6, pattern=pattern
-            )
+            report = orthant_multistart(
+                model, [pattern], 23, seed=0, cfg=cfg, screen_tol=1e-6
+            )[0]
             assert report.distinct_t_count == 1
             t = report.solutions[0].t_final
             assert abs(abs(t[0]) - 0.7071) < 5e-3

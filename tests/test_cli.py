@@ -332,6 +332,26 @@ def test_exit_code_incomplete_measurements(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("d, m", [(2, 3), (16, 1)])
+def test_incomplete_set_stops_before_the_pauli_basis(tmp_path, capsys, monkeypatch, d, m):
+    ops = np.zeros((m, d, d), dtype=complex)
+    ops[:, 0, 0] = 1.0
+    path = tmp_path / "partial.rec"
+    write_record(path, MeasurementRecord(ops, [5] * m, 10.0))
+
+    def no_basis(n_qubits):
+        raise AssertionError("pauli_basis built for an incomplete set")
+
+    monkeypatch.setattr(cli, "pauli_basis", no_basis)
+    out = tmp_path / "o.json"
+    assert run("reconstruct", str(path), "--method", "linear", "--out", str(out)) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: measurement set determines only {m} or fewer of {d * d} coefficients, "
+        f"as it has {m} settings"
+    ]
+    assert not out.exists()
+
+
 def test_exit_code_past_qubit_cap(tmp_path, capsys, monkeypatch):
     # a size past the capacity caps is unsupported input
     rec = tmp_path / "pol4x4.rec"
@@ -429,6 +449,8 @@ def _grouped_record(basis_groups):
         ({"dim": 2, "operators": 5, "counts": [5], "normalization": 10}, "mle"),
         (_grouped_record(5), "mle"),
         (_grouped_record([[0, 1], [2, 9]]), "mle"),
+        (_grouped_record([[0, 1], [1, 2, 3]]), "mle"),
+        (_grouped_record([[0, 0, 1], [2, 3]]), "mle"),
         (_pol4_record_with(2, 0, 1, [float("nan"), float("inf")]), "mle"),
         (_pol4_record_with(2, 0, 1, [float("nan"), float("inf")]), "linear"),
         (_pol4_record_with(0, 0, 1, [5.0, 0.0]), "mle"),
@@ -475,6 +497,8 @@ def _grouped_record(basis_groups):
         "operators-not-a-list",
         "basis-groups-not-a-list",
         "basis-group-index-out-of-range",
+        "basis-groups-overlap",
+        "basis-group-repeats-a-setting",
         "nan-operator-entry-mle",
         "nan-operator-entry-linear",
         "non-hermitian-operator-mle",
@@ -562,6 +586,14 @@ def test_reconstruct_on_fuzzed_records_keeps_exit_contract(tmp_path_factory, doc
     assert "Traceback" not in err.getvalue()
     if code in {2, 4}:
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("flags, code", [(["--grad-tol", "2"], 0), (["--step-tol", "1e-3"], 10)])
+def test_stagnation_tolerances_above_grad_tol_print_nothing(tmp_path, capsys, flags, code):
+    out = tmp_path / "o.json"
+    assert run("reconstruct", data_path("example1.rec"), *flags, "--out", str(out)) == code
+    assert capsys.readouterr().err == ""
+    assert out.exists()
 
 
 def test_exit_code_stagnation(tmp_path):

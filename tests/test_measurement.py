@@ -175,14 +175,16 @@ def test_normalize_per_basis_group():
 
 
 def test_normalize_incomplete_groups():
-    rec = MeasurementRecord(
-        polarization_projectors(),
-        [30, 10, 25, 75],
-        "per-basis-group",
-        basis_groups=[(0, 1)],
-    )
-    with pytest.raises(SchemaError):
-        normalize(rec)
+    # groups must partition the settings: none left out, none counted twice
+    for groups in ([(0, 1)], [(0, 1), (1, 2, 3)], [(0, 0, 1), (2, 3)]):
+        rec = MeasurementRecord(
+            polarization_projectors(),
+            [30, 10, 25, 75],
+            "per-basis-group",
+            basis_groups=groups,
+        )
+        with pytest.raises(SchemaError, match="not exactly one"):
+            normalize(rec)
 
 
 def test_record_file_roundtrip(tmp_path):

@@ -20,6 +20,7 @@ def test_multistart_basic():
     report = multistart(model, 10, seed=0)
     assert len(report.screened_results) == 10
     assert report.discarded_count == 0
+    assert report.sign_pattern is None
     # distinct parameter vectors all map to one state
     assert report.distinct_t_count >= 2
     assert report.max_pairwise_rho_distance < 1e-4
@@ -42,6 +43,7 @@ def test_multistart_screen_discards():
         multistart(model, 3, seed=0, cfg=cfg)
     assert len(err.value.diagnostics) == 3
     assert all(d["grad_norm"] >= 1e-6 for d in err.value.diagnostics)
+    assert all("sign_pattern" not in d for d in err.value.diagnostics)
 
 
 def test_orthant_multistart_matches_one_orthant_at_a_time():
@@ -51,7 +53,8 @@ def test_orthant_multistart_matches_one_orthant_at_a_time():
     together = orthant_multistart(model, patterns, 6, seed=7, cfg=cfg, screen_tol=1e-6)
     assert len(together) == len(patterns)
     for pattern, report in zip(patterns, together):
-        alone = multistart(model, 6, seed=7, cfg=cfg, screen_tol=1e-6, pattern=pattern)
+        alone = orthant_multistart(model, [pattern], 6, seed=7, cfg=cfg, screen_tol=1e-6)[0]
+        assert report.sign_pattern == alone.sign_pattern == [int(s) for s in pattern]
         assert report.discarded_count == alone.discarded_count
         assert report.distinct_t_count == alone.distinct_t_count
         assert len(report.screened_results) == len(alone.screened_results)
