@@ -232,6 +232,8 @@ def _solution_fields(res):
 
 
 def cmd_verify_minima(args):
+    if args.constrain_signs and args.solver != "lm":
+        raise SchemaError(f"--constrain-signs solves with lm only, not --solver {args.solver}")
     record = read_record(args.record)
     model = _build_model(record)
     cfg = _stop_config(args)
@@ -363,7 +365,7 @@ def build_parser():
     p.add_argument("--povm", default="pol4", help="POVM preset (pol4, pol4x4)")
     p.add_argument("--shots", type=positive_int, required=True)
     p.add_argument("--noise", choices=["none", "gaussian", "poisson"], default="none")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
@@ -379,15 +381,15 @@ def build_parser():
     p = sub.add_parser("verify-minima", help="multistart equivalence verification")
     p.add_argument("record")
     p.add_argument("--starts", type=positive_int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--solver", choices=sorted(SOLVERS), default="lm")
     p.add_argument(
         "--constrain-signs",
         action="store_true",
-        help=f"solve on the unit sphere once per diagonal sign orthant; the solves run "
-        f"with grad-tol x {CONSTRAINED_GRAD_SCALE:g} and step and function tolerances "
-        f"of {CONSTRAINED_STAGNATION_TOL:g} in place of --step-tol and --fun-tol, "
-        f"and --grad-tol screens the results",
+        help=f"solve on the unit sphere once per diagonal sign orthant, with lm only; "
+        f"the solves run with grad-tol x {CONSTRAINED_GRAD_SCALE:g} and step and function "
+        f"tolerances of {CONSTRAINED_STAGNATION_TOL:g} in place of --step-tol and "
+        f"--fun-tol, and --grad-tol screens the results",
     )
     p.add_argument("--rho-tol", type=nonnegative_float, default=1e-3)
     p.add_argument("--f-tol", type=nonnegative_float, default=1e-6)
@@ -398,7 +400,7 @@ def build_parser():
     p = sub.add_parser("compare", help="run several solvers on one record")
     p.add_argument("record")
     p.add_argument("--solver", default="lm,nelder-mead", help="comma-separated solver list")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
     add_stop_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .parameterize import build_T, slot_map
+from .parameterize import build_T, slot_map  # noqa: F401  (perfbench traces likelihood.build_T)
 
 PROBABILITY_FLOOR = 1e-12
 
@@ -73,26 +73,19 @@ class ObjectiveEvaluation:
     floor_hit: bool = False
 
 
-def _products(t, mats):
-    """T(t) and the (..., m, d, d) products A_mu = O_mu T^dag.
-
-    The operator stack enters as its (m d, d) rows, so each parameter
-    vector costs one gemm, not one per operator.
-    """
-    T = build_T(t)
-    d = T.shape[-1]
-    a = mats.reshape(-1, d) @ T.conj().swapaxes(-1, -2)
-    return T, a.reshape(T.shape[:-2] + mats.shape)
-
-
 def _probs_and_derivs(t, mats):
     """p_mu(t) and the m x d^2 matrix of partials dp_mu/dt_k; mats is the
     (m, d, d) operator stack.  A (B, d^2) block of vectors gives (B, m)
-    probabilities and (B, m, d^2) partials, one row per vector."""
+    probabilities and (B, m, d^2) partials, one row per vector.  T(t) is
+    filled in place, as in _probs, and the stack enters A_mu = O_mu T^dag
+    as its (m d, d) rows: one gemm per vector."""
     t = np.asarray(t, dtype=float)
-    *_, pos, factor = slot_map(t.shape[-1])
-    T, a = _products(t, mats)
-    s = (t[..., None, :] @ t[..., :, None])[..., 0]  # ||t||^2, shape (..., 1)
+    d, slots, pos, factor = slot_map(t.shape[-1])
+    batch = t.shape[:-1]
+    T = np.zeros(batch + (d, d), dtype=complex)
+    T.reshape(batch + (d * d,)).view(float)[..., slots] = t
+    a = (mats.reshape(-1, d) @ T.conj().swapaxes(-1, -2)).reshape(batch + mats.shape)
+    s = np.vecdot(t, t)[..., None]  # ||t||^2, shape (..., 1)
     q = np.real(np.einsum("...mij,...ji->...m", a, T))
     p = q / s
     # dp = (dq - 2 p t^T) / s, in place on dq
@@ -103,10 +96,10 @@ def _probs_and_derivs(t, mats):
 
 
 def _probs(t, mats, d, slots):
-    """T(t) and p_mu(t) at one float vector t: the products of _products,
-    without its block bookkeeping.  Each t_k is written into its slot of T's
-    float view, as build_T does, so a single vector does not go through
-    build_T; every 1-D dot is ndarray.dot, bit for bit the BLAS dot of @."""
+    """T(t) and p_mu(t) at one float vector t: the products of
+    _probs_and_derivs, without its block bookkeeping.  Each t_k is written
+    into its slot of T's float view, as build_T does; every 1-D dot is
+    ndarray.dot, bit for bit the BLAS dot of @."""
     T = np.zeros((d, d), dtype=complex)
     T.reshape(-1).view(float)[slots] = t
     a = (mats.reshape(-1, d) @ T.conj().T).reshape(mats.shape)
@@ -149,7 +142,7 @@ def residuals_and_jacobian(t, model):
     p, dp = _probs_and_derivs(t, model.povm)
     r, drdp = _residuals(p, model)
     dp *= drdp[..., None]
-    return r, dp, bool(np.any(p < PROBABILITY_FLOOR))
+    return r, dp, bool((p < PROBABILITY_FLOOR).any())
 
 
 def value_and_gradient(t, model):

@@ -109,18 +109,9 @@ def _finish(model, t, f, iters, fevals, reason, trace, grad=None):
     )
 
 
-def _rowdot(a, b):
-    # one BLAS dot per row, bit for bit the 1-D a @ b
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
 def _jt_r(jac, r):
     # J^T r per row, bit for bit the 1-D jac.T @ r
     return (jac.swapaxes(1, 2) @ r[:, :, None])[:, :, 0]
-
-
-def _finite_rows(r, jac):
-    return np.isfinite(r).all(axis=1) & np.isfinite(jac).all(axis=(1, 2))
 
 
 def _damped_steps(a, lam, grad):
@@ -171,10 +162,12 @@ def _lm_chunk(model, t0, cfg, pattern):
         7. fevals >= max_fevals                    max-function-evals
 
     and stopped rows are dropped from the running state.  The rows left
-    that accepted their point begin an iteration (J^T J is formed, iters
-    counts it); a round is then one batched damped solve for all running
-    rows and one batched evaluation of their trial points, after which
-    each row takes its own accept/reject branch.
+    that accepted their point begin an iteration (iters counts it); a round
+    is then one batched damped solve for all running rows and one batched
+    evaluation of their trial points, after which each row takes its own
+    accept/reject branch.  J^T J is formed where a point is accepted, so
+    the running state keeps no Jacobian.  Each round logs its accepted
+    points as arrays; the chunk turns them into trace_log tuples once.
     """
     n = t0.shape[1]
     step_tol, fun_tol, max_iters, max_fevals = cfg.resolved(n)
@@ -183,90 +176,101 @@ def _lm_chunk(model, t0, cfg, pattern):
     results = [None] * len(t)
 
     r, jac, _ = model.residuals_and_jacobian(t)
-    finite = _finite_rows(r, jac)
+    finite = np.isfinite(r).all(axis=1) & np.isfinite(jac).all(axis=(1, 2))
     for i in np.flatnonzero(~finite):
         results[i] = _finish(model, t[i], np.inf, 0, 1, StopReason.NumericalFailure, traces[i])
     k = int(finite.sum())
+    r, jac = r[finite], jac[finite]
     s = SimpleNamespace(  # running rows only; `rows` are their indices in t0
         rows=np.flatnonzero(finite),
         t=t[finite],
-        jac=jac[finite],
-        jtj=np.empty((k, n, n)),
+        jtj=jac.swapaxes(1, 2) @ jac,
         lam=np.full(k, LM_LAMBDA_INIT),
         iters=np.zeros(k, dtype=int),
         fevals=np.ones(k, dtype=int),
         accepted=np.ones(k, dtype=bool),
         step=np.full(k, np.inf),
         df=np.full(k, np.inf),
+        f=0.5 * np.vecdot(r, r),
+        grad=_jt_r(jac, r),
     )
-    r = r[finite]
-    s.f = 0.5 * _rowdot(r, r)
-    s.grad = _jt_r(s.jac, r)
-    s.gnorm = np.sqrt(_rowdot(s.grad, s.grad))
-    for i, row in enumerate(s.rows):
-        traces[row].append((float(s.f[i]), float(s.gnorm[i]), 0.0))
+    s.gnorm = np.sqrt(np.vecdot(s.grad, s.grad))
+    # the accepted points as (row, f, ||g||, step) arrays, one entry per
+    # round; no logged array is written to later
+    log = [(s.rows, s.f.copy(), s.gnorm.copy(), np.zeros(k))]
 
     while True:
-        accepted, rejected = s.accepted, ~s.accepted
-        checks = np.array(
-            [
-                accepted & (s.gnorm < cfg.grad_tol),
-                accepted & (s.step < step_tol),
-                accepted & (s.df < fun_tol),
-                rejected & (s.lam > LM_LAMBDA_MAX),
-                accepted & (np.max(np.abs(s.t), axis=1) > cfg.param_bound),
-                accepted & (s.iters >= max_iters),
-                s.fevals >= max_fevals,
-            ]
+        checks = (
+            s.gnorm < cfg.grad_tol,
+            s.step < step_tol,
+            s.df < fun_tol,
+            s.lam > LM_LAMBDA_MAX,
+            np.abs(s.t).max(axis=1) > cfg.param_bound,
+            s.iters >= max_iters,
+            s.fevals >= max_fevals,
         )
-        hit = checks.any(axis=0)
+        # checks 1-3, 5 and 6 bind accepted rows, 4 rejected ones, 7 every row
+        acc = s.accepted
+        hit = np.where(acc, checks[0] | checks[1] | checks[2] | checks[4] | checks[5], checks[3])
+        hit |= checks[6]
         if hit.any():
-            for i, c in zip(np.flatnonzero(hit), checks[:, hit].argmax(axis=0)):
-                row = s.rows[i]
-                results[row] = _finish(
-                    model, s.t[i], s.f[i], s.iters[i], s.fevals[i], _LM_STOPS[c], traces[row],
-                    s.grad[i],
-                )
+            i = np.flatnonzero(hit)
+            acc = acc[i]
+            binds = np.array([acc, acc, acc, ~acc, acc, acc, np.ones_like(acc)])
+            first = (np.array(checks)[:, i] & binds).argmax(axis=0)
+            t_stop = s.t[i]
+            rhos = rho_of_t(t_stop) if isinstance(model, ObjectiveModel) else [None] * len(i)
+            for row, *fields, c in zip(
+                s.rows[i].tolist(), t_stop, rhos, s.f[i].tolist(), s.gnorm[i].tolist(),
+                s.iters[i].tolist(), s.fevals[i].tolist(), first.tolist(),
+            ):
+                results[row] = OptimizationResult(*fields, _LM_STOPS[c], traces[row])
+            running = ~hit
             for name, value in vars(s).items():
-                setattr(s, name, value[~hit])
+                setattr(s, name, value[running])
         if len(s.rows) == 0:  # every row stopped, or none started finite
-            return results
-        begin = s.accepted
-        jb = s.jac[begin]
-        s.jtj[begin] = jb.swapaxes(1, 2) @ jb
-        s.iters += begin
+            break
+        s.iters += s.accepted
 
         # identity damping: near-Newton steps survive in stiff directions
         # (12-orders curvature spread near the boundary would freeze them
         # under diag(J^T J) scaling)
         delta = _damped_steps(s.jtj.copy(), s.lam, s.grad)
         solved = np.isfinite(delta).all(axis=1)
-        delta[~solved] = 0.0  # such a row is evaluated at its own point and rejected
+        if not solved.all():
+            delta[~solved] = 0.0  # such a row is evaluated at its own point and rejected
         trial = s.t + delta
         if pattern is not None:
             trial = project_to_orthant(trial, pattern[s.rows])
         r_new, jac_new, _ = model.residuals_and_jacobian(trial)
         s.fevals += solved
-        f_new = 0.5 * _rowdot(r_new, r_new)
-        better = solved & _finite_rows(r_new, jac_new) & (f_new < s.f)
+        f_new = 0.5 * np.vecdot(r_new, r_new)
+        # a non-finite residual makes f_new inf or NaN, which f_new < f rejects
+        better = solved & np.isfinite(jac_new).all(axis=(1, 2)) & (f_new < s.f)
 
-        pred = 0.5 * (s.lam * _rowdot(delta, delta) - _rowdot(s.grad, delta))
-        strong = (s.f - f_new) / np.maximum(pred, 1e-300) > 0.75
+        pred = 0.5 * (s.lam * np.vecdot(delta, delta) - np.vecdot(s.grad, delta))
+        s.df = s.f - f_new
+        strong = s.df / np.maximum(pred, 1e-300) > 0.75
         s.lam = np.where(
             better, np.where(strong, np.maximum(s.lam * 0.5, 1e-15), s.lam), s.lam * 2.0
         )
         moved = trial - s.t
-        s.step = np.sqrt(_rowdot(moved, moved))
-        s.df = s.f - f_new
-        r_kept, jac_kept = r_new[better], jac_new[better]
-        s.t[better], s.jac[better] = trial[better], jac_kept
-        s.f = np.where(better, f_new, s.f)
-        # a rejected row keeps its point and J, so its gradient stands
-        s.grad[better] = grad = _jt_r(jac_kept, r_kept)
-        s.gnorm[better] = np.sqrt(_rowdot(grad, grad))
-        for i in np.flatnonzero(better):
-            traces[s.rows[i]].append((float(s.f[i]), float(s.gnorm[i]), float(s.step[i])))
+        s.step = np.sqrt(np.vecdot(moved, moved))
         s.accepted = better
+        if better.any():
+            # a rejected row keeps its point, J^T J and gradient
+            kept = slice(None) if better.all() else better
+            r_kept, jac_kept, f_kept = r_new[kept], jac_new[kept], f_new[kept]
+            s.t[kept], s.f[kept] = trial[kept], f_kept
+            s.jtj[kept] = jac_kept.swapaxes(1, 2) @ jac_kept
+            s.grad[kept] = grad = _jt_r(jac_kept, r_kept)
+            s.gnorm[kept] = gnorm = np.sqrt(np.vecdot(grad, grad))
+            log.append((s.rows[kept], f_kept, gnorm, s.step[kept]))
+
+    rows, *entries = (np.concatenate(column).tolist() for column in zip(*log))
+    for row, entry in zip(rows, zip(*entries)):
+        traces[row].append(entry)
+    return results
 
 
 def _chunk_size(model, n_starts):
@@ -504,7 +508,7 @@ def project_to_orthant(t, signs):
     signs = np.asarray(signs, dtype=float)
     d = signs.shape[-1]
     t[..., :d] = signs * np.maximum(signs * t[..., :d], SIGN_MAG_FLOOR)
-    return t / np.sqrt(t[..., None, :] @ t[..., :, None])[..., 0]
+    return t / np.sqrt(np.vecdot(t, t))[..., None]
 
 
 def constrained_sign_solve(model, pattern, t0, cfg=None):

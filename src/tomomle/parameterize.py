@@ -76,15 +76,16 @@ def build_T(t):
 
 
 def rho_of_t(t):
-    """Density matrix T(t)^dag T(t) / ||t||^2."""
+    """Density matrix T(t)^dag T(t) / ||t||^2; a (B, d^2) block of vectors
+    gives the (B, d, d) stack of their states, each bit for bit its row's."""
     t = np.asarray(t, dtype=float)
-    norm_sq = float(t @ t)
-    if norm_sq <= NORM_GUARD**2:
-        raise DegenerateParameterError(f"||t|| = {np.sqrt(norm_sq)} is below the guard")
+    norm_sq = np.vecdot(t, t)[..., None]  # shape (..., 1)
+    if (norm_sq <= NORM_GUARD**2).any():
+        raise DegenerateParameterError(f"||t|| = {np.sqrt(norm_sq.min())} is below the guard")
     T = build_T(t)
-    rho = T.conj().T @ T / norm_sq
+    rho = T.conj().swapaxes(-1, -2) @ T / norm_sq[..., None]
     # symmetrize away the last bits of round-off
-    return 0.5 * (rho + rho.conj().T)
+    return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
 
 
 def inverse_param(rho, pattern=None, alpha=1.0):

@@ -68,15 +68,15 @@ def _screen(results, screen, sign_pattern=None):
     sign pattern is named on the report and on each of its discards."""
     screened = []
     solutions = []
+    kept = np.empty((len(results), len(results[0].t_final)))  # row j: solutions[j]'s t
     discards = []
     tag = {} if sign_pattern is None else {"sign_pattern": sign_pattern}
     for i, result in enumerate(results):
         if result.grad_norm < screen:
             screened.append(result)
-            if all(
-                np.linalg.norm(result.t_final - kept.t_final) > DEDUP_TOL
-                for kept in solutions
-            ):
+            diff = result.t_final - kept[:len(solutions)]
+            if (np.sqrt(np.vecdot(diff, diff)) > DEDUP_TOL).all():
+                kept[len(solutions)] = result.t_final
                 solutions.append(result)
         else:
             discards.append(

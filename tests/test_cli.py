@@ -231,6 +231,39 @@ def test_exit_code_count_bounds(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--state", "H", "--shots", "10", "--noise", "poisson", "--seed", "-1"],
+        ["verify-minima", data_path("example1.rec"), "--starts", "3", "--seed", "-5"],
+        ["compare", data_path("example1.rec"), "--seed", "-1"],
+    ],
+    ids=["simulate", "verify-minima", "compare"],
+)
+def test_exit_code_negative_seed(tmp_path, capsys, argv):
+    out = tmp_path / "o.json"
+    assert run(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: must be an integer >= 0" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("solver", ["gd", "nelder-mead"])
+def test_constrained_verify_minima_refuses_other_solvers(tmp_path, capsys, monkeypatch, solver):
+    # refused before any solve, so the manifest never names a solver it did not run
+    monkeypatch.setattr(cli, "orthant_multistart", lambda *a, **k: pytest.fail("solved"))
+    out = tmp_path / "v.json"
+    assert run(
+        "verify-minima", data_path("example1.rec"), "--constrain-signs", "--solver", solver,
+        "--out", str(out),
+    ) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --constrain-signs solves with lm only, not --solver {solver}"
+    ]
+    assert not out.exists()
+
+
 STOP_FLAGS = {  # flag: the subcommand it is given to
     "--grad-tol": "reconstruct",
     "--step-tol": "reconstruct",

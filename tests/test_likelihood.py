@@ -17,7 +17,14 @@ from tomomle.measurement import (
     polarization_projectors,
     tensor_povm,
 )
-from tomomle.parameterize import build_T, param_layout, random_density, random_param, rho_of_t
+from tomomle.parameterize import (
+    build_T,
+    param_layout,
+    random_density,
+    random_param,
+    rho_of_t,
+    slot_map,
+)
 
 
 def make_model(kind="gaussian", freqs=(0.999, 0.0002, 0.4995, 0.4994)):
@@ -199,6 +206,35 @@ def test_block_matches_row_by_row(rng, example1, example2, example3):
             assert np.max(np.abs(r_b - r)) <= 1e-14 * max(1.0, np.max(np.abs(r)))
             assert np.max(np.abs(jac_b - jac)) <= 1e-14 * max(1.0, np.max(np.abs(jac)))
         assert np.array_equal(build_T(ts), np.stack([build_T(t) for t in ts]))
+
+
+def _previous_probs_and_derivs(t, mats):
+    """_probs_and_derivs as written with build_T and the _products helper."""
+    t = np.asarray(t, dtype=float)
+    *_, pos, factor = slot_map(t.shape[-1])
+    T = build_T(t)
+    d = T.shape[-1]
+    a = (mats.reshape(-1, d) @ T.conj().swapaxes(-1, -2)).reshape(T.shape[:-2] + mats.shape)
+    s = (t[..., None, :] @ t[..., :, None])[..., 0]
+    p = np.real(np.einsum("...mij,...ji->...m", a, T)) / s
+    dp = factor * np.take(a.view(float).reshape(a.shape[:-2] + (-1,)), pos, axis=-1)
+    dp -= p[..., None] * (2.0 * t[..., None, :])
+    dp /= s[..., None]
+    return p, dp
+
+
+def test_probs_and_derivs_match_previous_products(rng, example1, example2, example3):
+    # bit for bit, and C-ordered as before: the LM loop's J^T J and J^T r
+    # take their BLAS calls, and so their bits, from the Jacobian's layout
+    for record in (example1, example2, example3):
+        mats = record.operators
+        ts = np.stack([random_param(rng, record.dim) for _ in range(7)])
+        for t in (ts, ts[0]):
+            p, dp = _probs_and_derivs(t, mats)
+            p_prev, dp_prev = _previous_probs_and_derivs(t, mats)
+            assert np.array_equal(p, p_prev)
+            assert np.array_equal(dp, dp_prev)
+            assert dp.flags.c_contiguous
 
 
 def _previous_build_T(t):

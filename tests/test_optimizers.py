@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -237,10 +238,160 @@ def assert_matches_reference(results, model, starts, cfg=None, patterns=None):
                 assert np.max(np.abs(res.rho_final - rho_of_t(t))) < 1e-10
 
 
+# the helpers of the previous batched loop, frozen with it
+def _rowdot(a, b):
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _jt_r(jac, r):
+    return (jac.swapaxes(1, 2) @ r[:, :, None])[:, :, 0]
+
+
+def _finite_rows(r, jac):
+    return np.isfinite(r).all(axis=1) & np.isfinite(jac).all(axis=(1, 2))
+
+
+def reference_lm_chunk(model, t0, cfg, pattern):
+    """The batched LM loop as it was written with the running Jacobian, the
+    stacked stop checks and one trace append per accepted row per round.
+    _lm_chunk must reproduce it bit for bit."""
+    n = t0.shape[1]
+    step_tol, fun_tol, max_iters, max_fevals = cfg.resolved(n)
+    t = t0.copy() if pattern is None else project_to_orthant(t0, pattern)
+    traces = [[] for _ in t]
+    results = [None] * len(t)
+
+    r, jac, _ = model.residuals_and_jacobian(t)
+    finite = _finite_rows(r, jac)
+    for i in np.flatnonzero(~finite):
+        results[i] = _finish(model, t[i], np.inf, 0, 1, StopReason.NumericalFailure, traces[i])
+    k = int(finite.sum())
+    s = types.SimpleNamespace(
+        rows=np.flatnonzero(finite),
+        t=t[finite],
+        jac=jac[finite],
+        jtj=np.empty((k, n, n)),
+        lam=np.full(k, LM_LAMBDA_INIT),
+        iters=np.zeros(k, dtype=int),
+        fevals=np.ones(k, dtype=int),
+        accepted=np.ones(k, dtype=bool),
+        step=np.full(k, np.inf),
+        df=np.full(k, np.inf),
+    )
+    r = r[finite]
+    s.f = 0.5 * _rowdot(r, r)
+    s.grad = _jt_r(s.jac, r)
+    s.gnorm = np.sqrt(_rowdot(s.grad, s.grad))
+    for i, row in enumerate(s.rows):
+        traces[row].append((float(s.f[i]), float(s.gnorm[i]), 0.0))
+
+    while True:
+        accepted, rejected = s.accepted, ~s.accepted
+        checks = np.array(
+            [
+                accepted & (s.gnorm < cfg.grad_tol),
+                accepted & (s.step < step_tol),
+                accepted & (s.df < fun_tol),
+                rejected & (s.lam > LM_LAMBDA_MAX),
+                accepted & (np.max(np.abs(s.t), axis=1) > cfg.param_bound),
+                accepted & (s.iters >= max_iters),
+                s.fevals >= max_fevals,
+            ]
+        )
+        hit = checks.any(axis=0)
+        if hit.any():
+            for i, c in zip(np.flatnonzero(hit), checks[:, hit].argmax(axis=0)):
+                row = s.rows[i]
+                results[row] = _finish(
+                    model, s.t[i], s.f[i], s.iters[i], s.fevals[i], REFERENCE_LM_STOPS[c],
+                    traces[row], s.grad[i],
+                )
+            for name, value in vars(s).items():
+                setattr(s, name, value[~hit])
+        if len(s.rows) == 0:
+            return results
+        begin = s.accepted
+        jb = s.jac[begin]
+        s.jtj[begin] = jb.swapaxes(1, 2) @ jb
+        s.iters += begin
+
+        delta = _damped_steps(s.jtj.copy(), s.lam, s.grad)
+        solved = np.isfinite(delta).all(axis=1)
+        delta[~solved] = 0.0
+        trial = s.t + delta
+        if pattern is not None:
+            trial = project_to_orthant(trial, pattern[s.rows])
+        r_new, jac_new, _ = model.residuals_and_jacobian(trial)
+        s.fevals += solved
+        f_new = 0.5 * _rowdot(r_new, r_new)
+        better = solved & _finite_rows(r_new, jac_new) & (f_new < s.f)
+
+        pred = 0.5 * (s.lam * _rowdot(delta, delta) - _rowdot(s.grad, delta))
+        strong = (s.f - f_new) / np.maximum(pred, 1e-300) > 0.75
+        s.lam = np.where(
+            better, np.where(strong, np.maximum(s.lam * 0.5, 1e-15), s.lam), s.lam * 2.0
+        )
+        moved = trial - s.t
+        s.step = np.sqrt(_rowdot(moved, moved))
+        s.df = s.f - f_new
+        r_kept, jac_kept = r_new[better], jac_new[better]
+        s.t[better], s.jac[better] = trial[better], jac_kept
+        s.f = np.where(better, f_new, s.f)
+        s.grad[better] = grad = _jt_r(jac_kept, r_kept)
+        s.gnorm[better] = np.sqrt(_rowdot(grad, grad))
+        for i in np.flatnonzero(better):
+            traces[s.rows[i]].append((float(s.f[i]), float(s.gnorm[i]), float(s.step[i])))
+        s.accepted = better
+
+
+REFERENCE_LM_STOPS = (
+    StopReason.GradientTolerance,
+    StopReason.StepStagnation,
+    StopReason.FunctionStagnation,
+    StopReason.StepStagnation,
+    StopReason.ParamBoundHit,
+    StopReason.MaxIterations,
+    StopReason.MaxFunctionEvals,
+)
+
+
+def reference_lm_block(model, t0, cfg=None, pattern=None):
+    """lm_block's chunking around reference_lm_chunk."""
+    cfg = cfg or StopConfig()
+    t0 = np.atleast_2d(np.asarray(t0, dtype=float))
+    if pattern is not None:
+        pattern = np.asarray(pattern, dtype=float)
+        pattern = np.broadcast_to(pattern, (len(t0), pattern.shape[-1]))
+    size = optimizers._chunk_size(model, len(t0))
+    results = []
+    for lo in range(0, len(t0), size):
+        rows = slice(lo, lo + size)
+        results += reference_lm_chunk(
+            model, t0[rows], cfg, None if pattern is None else pattern[rows]
+        )
+    return results
+
+
+def assert_same_lm_block(model, starts, cfg=None, pattern=None):
+    """lm_block and reference_lm_block agree bit for bit on every field of
+    every row, every trace tuple included; returns the block."""
+    block = lm_block(model, starts, cfg, pattern)
+    ref = reference_lm_block(model, starts, cfg, pattern)
+    assert len(block) == len(ref)
+    for got, want in zip(block, ref):
+        assert_same_result(got, want)
+        assert got.trace_log == want.trace_log
+        if want.rho_final is None:
+            assert got.rho_final is None
+        else:
+            np.testing.assert_array_equal(got.rho_final, want.rho_final)
+    return block
+
+
 def test_block_matches_reference_and_single_starts(example2):
     model = record_model(example2)
     starts = multistart_block(model.dim, 12)
-    block = lm_block(model, starts)
+    block = assert_same_lm_block(model, starts)
     assert_matches_reference(block, model, starts)
     for res, t0 in zip(block, starts):
         single = levenberg_marquardt(model, t0)
@@ -255,6 +406,7 @@ def test_sign_block_matches_reference(example3):
     patterns = all_sign_patterns(model.dim)
     for pattern in patterns:
         block = constrained_sign_solve(model, pattern, starts, cfg)
+        assert_same_lm_block(model, starts, cfg, pattern)
         assert_matches_reference(block, model, starts, cfg, [pattern] * len(starts))
         for res in block:
             assert res.t_final @ res.t_final == pytest.approx(1.0, abs=1e-12)
@@ -262,7 +414,7 @@ def test_sign_block_matches_reference(example3):
     # one block, one pattern per start
     mixed_starts = np.repeat(starts[:2], len(patterns), axis=0)
     mixed_patterns = np.tile(patterns, (2, 1))
-    mixed = lm_block(model, mixed_starts, cfg, pattern=mixed_patterns)
+    mixed = assert_same_lm_block(model, mixed_starts, cfg, mixed_patterns)
     assert_matches_reference(mixed, model, mixed_starts, cfg, mixed_patterns)
 
 
@@ -279,7 +431,7 @@ def test_block_rows_stop_independently():
         ]
     )
     for cfg in (StopConfig(), StopConfig(max_iters=1)):
-        block = lm_block(model, starts, cfg)
+        block = assert_same_lm_block(model, starts, cfg)
         assert_matches_reference(block, model, starts, cfg)
         assert block[0].reason is StopReason.ParamBoundHit
         assert block[1].reason is StopReason.NumericalFailure
@@ -298,9 +450,9 @@ def test_all_non_finite_starts_end_on_numerical_failure():
     starts = np.array([nan_start, [1.0, np.inf, 0.0, 0.0], [np.nan] * 4])
     runs = [
         [levenberg_marquardt(model, nan_start)],
-        lm_block(model, starts),
-        lm_block(model, starts, StopConfig(max_iters=1)),
-        lm_block(model, starts, pattern=np.ones(2)),
+        assert_same_lm_block(model, starts),
+        assert_same_lm_block(model, starts, StopConfig(max_iters=1)),
+        assert_same_lm_block(model, starts, pattern=np.ones(2)),
     ]
     for results in runs:
         for res in results:
@@ -336,7 +488,7 @@ def test_rejected_trials_stop_per_row():
         (StopConfig(max_fevals=61), StopReason.StepStagnation),
         (StopConfig(max_fevals=60), StopReason.MaxFunctionEvals),
     ):
-        block = lm_block(Walled(), starts, cfg)
+        block = assert_same_lm_block(Walled(), starts, cfg)
         assert_matches_reference(block, Walled(), starts, cfg)
         assert (block[0].reason, block[0].iters) == (reason, 1)
         assert block[0].trace_log == [(1.0, np.sqrt(2.0), 0.0)]
@@ -355,7 +507,7 @@ def test_block_chunks_keep_row_order(example2, monkeypatch):
     budget = 2 * optimizers.LM_START_PRODUCTS * model.povm.nbytes
     monkeypatch.setattr(optimizers, "LM_BLOCK_BYTES", budget)
     assert optimizers._chunk_size(model, len(starts)) == 2
-    assert_matches_reference(lm_block(model, starts), model, starts)
+    assert_matches_reference(assert_same_lm_block(model, starts), model, starts)
 
 
 # every single budget from 1 to 40, then joint budgets, under which the
@@ -370,7 +522,8 @@ def test_block_matches_reference_at_every_budget(example1, example2, example3):
         model = record_model(record)
         starts = np.vstack([default_start(model.dim), multistart_block(model.dim, 1, seed=70)])
         for cfg in BUDGETS:
-            assert_matches_reference(lm_block(model, starts, cfg), model, starts, cfg)
+            block = assert_same_lm_block(model, starts, cfg)
+            assert_matches_reference(block, model, starts, cfg)
     # one sign-constrained block, one orthant per start, at the CLI's
     # constrained tolerances
     model = record_model(example3)
@@ -378,7 +531,7 @@ def test_block_matches_reference_at_every_budget(example1, example2, example3):
     starts = np.repeat(multistart_block(model.dim, 1, seed=90), len(patterns), axis=0)
     for budget in BUDGETS:
         cfg = dataclasses.replace(budget, grad_tol=1e-9, step_tol=1e-12, fun_tol=1e-12)
-        block = lm_block(model, starts, cfg, pattern=patterns)
+        block = assert_same_lm_block(model, starts, cfg, patterns)
         assert_matches_reference(block, model, starts, cfg, patterns)
 
 

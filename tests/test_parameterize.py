@@ -77,6 +77,27 @@ def test_rho_scale_invariance(rng):
 def test_rho_zero_guard():
     with pytest.raises(DegenerateParameterError):
         rho_of_t(np.zeros(4))
+    with pytest.raises(DegenerateParameterError, match="= 0.0 is below"):
+        rho_of_t(np.array([[1.0, 0.0, 0.0, 0.0], np.zeros(4)]))
+
+
+def _previous_rho_of_t(t):
+    # the one-vector formula rho_of_t had before it took blocks
+    norm_sq = float(t @ t)
+    T = build_T(t)
+    rho = T.conj().T @ T / norm_sq
+    return 0.5 * (rho + rho.conj().T)
+
+
+def test_rho_of_t_block(rng):
+    # each row of a block is bit for bit its state alone, and a single vector
+    # keeps the bits of the previous formula
+    for d in (1, 2, 3, 4):
+        ts = rng.normal(size=(7, d * d)) * np.logspace(-3, 3, 7)[:, None]
+        block = rho_of_t(ts)
+        for t, rho in zip(ts, block):
+            assert np.array_equal(rho, rho_of_t(t))
+            assert np.array_equal(rho, _previous_rho_of_t(t))
 
 
 def test_inverse_roundtrip_all_patterns(rng):

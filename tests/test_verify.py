@@ -8,7 +8,14 @@ from tomomle.likelihood import ObjectiveModel
 from tomomle.measurement import polarization_projectors
 from tomomle.optimizers import StopConfig
 from tomomle.parameterize import all_sign_patterns
-from tomomle.verify import equivalence_check, gradient_check, multistart, orthant_multistart
+from tomomle.verify import (
+    DEDUP_TOL,
+    _screen,
+    equivalence_check,
+    gradient_check,
+    multistart,
+    orthant_multistart,
+)
 
 
 def make_model(freqs=(0.75, 0.25, 0.5, 0.5)):
@@ -62,6 +69,23 @@ def test_orthant_multistart_matches_one_orthant_at_a_time():
             assert (a.reason, a.iters, a.fevals) == (b.reason, b.iters, b.fevals)
             assert np.max(np.abs(a.rho_final - b.rho_final)) < 1e-10
             assert np.all(np.sign(a.t_final[:2]) == pattern)
+
+
+def test_screen_deduplicates_as_pairwise_norms():
+    # the kept solutions are those a loop of np.linalg.norm distances keeps
+    rng = np.random.default_rng(5)
+    ts = np.repeat(rng.uniform(-1.0, 1.0, size=(6, 4)), 5, axis=0)
+    ts += rng.normal(scale=4e-3, size=ts.shape)
+    results = [
+        SimpleNamespace(t_final=t, grad_norm=0.0, rho_final=np.eye(2), f_final=0.0) for t in ts
+    ]
+    kept = []
+    for i, t in enumerate(ts):
+        if all(np.linalg.norm(t - ts[j]) > DEDUP_TOL for j in kept):
+            kept.append(i)
+    report = _screen(results, 1e-6)
+    assert 6 <= report.distinct_t_count < len(ts)
+    assert [id(s) for s in report.solutions] == [id(results[i]) for i in kept]
 
 
 def test_multistart_rejects_bad_args():
