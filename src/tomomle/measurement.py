@@ -11,6 +11,7 @@ via the rank of the linear-inversion system.
 
 import gc
 import json
+import math
 import os
 import sys
 import tempfile
@@ -231,15 +232,23 @@ def _operators_from_list(entries):
 
 def _matrices_from_pairs(matrices):
     """One complex (m, d, d) stack from a nonempty list of m matrices, each d
-    rows of d [re, im] pairs of JSON numbers (int or float, not bool); all
-    are checked and converted in one flat pass."""
+    rows of d [re, im] pairs of JSON numbers (int or float, not bool), as
+    JSON decoding gives them; all are checked and converted in one flat
+    pass."""
     d = len(matrices[0]) if type(matrices[0]) is list else 0
     if d == 0:
         raise SchemaError("matrices must be nonempty lists of rows")
     rows = _chained(matrices, d, f"matrix must be a list of {d} rows")
     pairs = _chained(rows, d, f"matrix row must be a list of {d} [re, im] pairs")
-    numbers = _chained(pairs, 2, "matrix entry must be a [re, im] pair")
-    if not set(map(type, numbers)) <= {int, float}:
+    # In decoded JSON, an entry of length 2 that flattens into numbers is a
+    # list: a 2-character string or a 2-key object flattens into strings.
+    # So the per-entry type check runs only to word the error.
+    try:
+        numbers = list(chain.from_iterable(pairs)) if set(map(len, pairs)) == {2} else ()
+    except TypeError:
+        numbers = ()
+    if not numbers or not set(map(type, numbers)) <= {int, float}:
+        _chained(pairs, 2, "matrix entry must be a [re, im] pair")
         raise SchemaError("every matrix entry must be a pair of numbers")
     try:
         flat = np.array(numbers, dtype=float)
@@ -312,13 +321,31 @@ def record_from_dict(doc):
         raise SchemaError(str(exc)) from exc
 
 
+def _nulled(obj):
+    """obj with every non-finite float in it replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _nulled(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_nulled(value) for value in obj]
+    return obj
+
+
 def write_json_atomic(path, doc):
-    """Serialize to JSON via a temp file + rename; no partial output on failure."""
+    """Serialize to JSON via a temp file + rename; no partial output on failure.
+
+    The output is strict JSON: a non-finite float (inf, -inf, nan), which
+    JSON cannot hold, is written as null."""
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:
+        text = json.dumps(_nulled(doc), indent=2, allow_nan=False)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps(doc, indent=2) + "\n")
+            fh.write(text + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -359,7 +386,9 @@ def _read_json(path, decode):
             raise SchemaError(str(exc)) from exc
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaError(f"not valid JSON: {exc}") from exc
-        return decode(doc)
+        value = decode(doc)
+        del doc  # the parse tree goes before the collector resumes
+    return value
 
 
 def read_record(path):

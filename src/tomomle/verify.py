@@ -17,6 +17,7 @@ from .optimizers import StopConfig, constrained_sign_solve, lm_block, run_solver
 from .parameterize import random_param
 
 DEDUP_TOL = 1e-2
+PAIR_BLOCK = 16  # rows of the pairwise spreads formed at once in _worst_pairs
 
 
 @dataclass
@@ -34,20 +35,33 @@ class MultistartReport:
 def _worst_pairs(results):
     """(largest rho distance, pair) and (largest f spread, pair) over all
     pairs i < j; ties keep the first pair in (i, j) order, and the pair is
-    None when no spread exceeds 0."""
+    None when no spread exceeds 0.  Rows i are taken PAIR_BLOCK at a time,
+    each block against every j after its first row."""
     rhos = np.array([r.rho_final for r in results])
     fs = np.array([r.f_final for r in results])
-    worst_rho = (0.0, None)
-    worst_f = (0.0, None)
-    for i in range(len(results) - 1):
-        dist = np.linalg.norm(rhos[i + 1:] - rhos[i], axis=(1, 2))
-        df = np.abs(fs[i + 1:] - fs[i])
-        j, k = int(np.argmax(dist)), int(np.argmax(df))
-        if dist[j] > worst_rho[0]:
-            worst_rho = (float(dist[j]), (i, i + 1 + j))
-        if df[k] > worst_f[0]:
-            worst_f = (float(df[k]), (i, i + 1 + k))
+    n = len(results)
+    worst_rho = worst_f = (0.0, None)
+    for start in range(0, n - 1, PAIR_BLOCK):
+        rows = np.arange(start, min(start + PAIR_BLOCK, n - 1))
+        later = np.arange(start + 1, n) > rows[:, None]
+        dist = np.linalg.norm(rhos[start + 1:] - rhos[rows, None], axis=(2, 3))
+        df = np.abs(fs[start + 1:] - fs[rows, None])
+        worst_rho = _first_larger(np.where(later, dist, 0.0), rows, worst_rho)
+        worst_f = _first_larger(np.where(later, df, 0.0), rows, worst_f)
     return worst_rho, worst_f
+
+
+def _first_larger(spread, rows, worst):
+    """`worst`, or else the block's first (spread, (i, j)) in (i, j) order
+    that exceeds it, where spread[r, c] is pair (rows[r], rows[0] + 1 + c);
+    as in a row-by-row scan, a row whose largest spread is NaN counts for
+    nothing."""
+    cols = np.argmax(spread, axis=1)
+    best = spread[np.arange(len(rows)), cols]
+    k = int(np.argmax(np.where(np.isnan(best), -np.inf, best)))
+    if best[k] > worst[0]:
+        return float(best[k]), (int(rows[k]), int(rows[0] + 1 + cols[k]))
+    return worst
 
 
 def _draw_starts(model, n_starts, seed):

@@ -2,6 +2,7 @@ import contextlib
 import importlib.resources
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -683,3 +684,28 @@ def test_verbose_trace_goes_to_stderr(tmp_path, capsys):
     ) == 0
     err = capsys.readouterr().err
     assert "grad_norm=" in err
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# example1 counts over a normalization of 1e-300 overflow every solver; the
+# numpy overflow warnings on the way are not what this test is about
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, code, rows",
+    [
+        (["compare", "--solver", "lm,gd,nelder-mead"], 0, lambda doc: doc["rows"]),
+        (["reconstruct"], 10, lambda doc: [doc]),
+    ],
+    ids=["compare", "reconstruct"],
+)
+def test_non_finite_results_are_written_as_null(tmp_path, argv, code, rows):
+    rec = tmp_path / "tiny.rec"
+    doc = json.loads(Path(data_path("example1.rec")).read_text())
+    rec.write_text(json.dumps({**doc, "normalization": 1e-300}))
+    out = tmp_path / "out.json"
+    assert run(argv[0], str(rec), *argv[1:], "--out", str(out)) == code
+    doc = json.loads(out.read_text(), parse_constant=_no_constant)
+    assert all(row["f_final"] is None for row in rows(doc))

@@ -437,3 +437,68 @@ def test_read_record_restores_collector_state(tmp_path, monkeypatch, enabled, te
         _set_collector(was_enabled)
     # the collector is paused while the decoded document is alive
     assert seen == ([] if text.startswith("{not") else [False])
+
+
+def test_read_record_starts_no_collection(tmp_path):
+    """The collector resumes only after the decoded document is released, so
+    no collection walks the parse tree of a record of the 4-qubit
+    benchmark's shape: 256 explicit 16 x 16 operators."""
+    ops = tensor_povm([polarization_projectors()] * 4)
+    path = tmp_path / "q4.rec"
+    write_record(path, MeasurementRecord(ops, np.ones(len(ops), dtype=int), 256.0))
+    started = []
+
+    def hook(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    _set_collector(True)
+    gc.collect()
+    gc.callbacks.append(hook)
+    try:
+        read_record(path)
+    finally:
+        gc.callbacks.remove(hook)
+        _set_collector(was_enabled)
+    assert started == []
+
+
+NOT_A_PAIR = "every matrix entry must be a [re, im] pair"
+NOT_NUMBERS = "every matrix entry must be a pair of numbers"
+MALFORMED_PAIRS = [
+    ([], NOT_A_PAIR),
+    ([0.5], NOT_A_PAIR),
+    ([0.5, 0, 0], NOT_A_PAIR),
+    ("ab", NOT_A_PAIR),
+    ({"a": 1, "b": 2}, NOT_A_PAIR),
+    (5, NOT_A_PAIR),
+    (None, NOT_A_PAIR),
+    ([True, 0], NOT_NUMBERS),
+    (["0.5", 0], NOT_NUMBERS),
+    ([[0.5], 0], NOT_NUMBERS),
+]
+PAIR_IDS = ["empty", "one", "three", "string", "object", "number", "null",
+            "bool-entry", "string-entry", "list-entry"]
+
+
+@pytest.mark.parametrize("pair, message", MALFORMED_PAIRS, ids=PAIR_IDS)
+def test_malformed_pair_in_record_file_names_its_rule(tmp_path, pair, message):
+    mats = _pol4_matrices()
+    mats[2][1][0] = pair
+    path = tmp_path / "r.rec"
+    path.write_text(json.dumps(_pol4_doc(operators=[{"matrix": m} for m in mats])))
+    with pytest.raises(SchemaError) as exc:
+        read_record(path)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("pair, message", MALFORMED_PAIRS, ids=PAIR_IDS)
+def test_malformed_pair_in_state_file_names_its_rule(tmp_path, pair, message):
+    matrix = _pol4_matrices()[0]
+    matrix[1][0] = pair
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"matrix": matrix}))
+    with pytest.raises(SchemaError) as exc:
+        read_state(path)
+    assert str(exc.value) == message

@@ -10,7 +10,9 @@ from tomomle.optimizers import StopConfig
 from tomomle.parameterize import all_sign_patterns
 from tomomle.verify import (
     DEDUP_TOL,
+    PAIR_BLOCK,
     _screen,
+    _worst_pairs,
     equivalence_check,
     gradient_check,
     multistart,
@@ -137,6 +139,43 @@ def test_equivalence_check_names_first_worst_pair():
     assert summary["max_f_spread"] == worst_f[0]
     _, same = equivalence_check(results[:1] * 3)
     assert same["worst_rho_pair"] is None and same["worst_f_pair"] is None
+
+
+def reference_worst_pairs(results):
+    """The previous row-by-row scan: one norm call per row i over every j > i."""
+    rhos = np.array([r.rho_final for r in results])
+    fs = np.array([r.f_final for r in results])
+    worst_rho = (0.0, None)
+    worst_f = (0.0, None)
+    for i in range(len(results) - 1):
+        dist = np.linalg.norm(rhos[i + 1:] - rhos[i], axis=(1, 2))
+        df = np.abs(fs[i + 1:] - fs[i])
+        j, k = int(np.argmax(dist)), int(np.argmax(df))
+        if dist[j] > worst_rho[0]:
+            worst_rho = (float(dist[j]), (i, i + 1 + j))
+        if df[k] > worst_f[0]:
+            worst_f = (float(df[k]), (i, i + 1 + k))
+    return worst_rho, worst_f
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, PAIR_BLOCK, PAIR_BLOCK + 1, 3 * PAIR_BLOCK + 5])
+@pytest.mark.parametrize("kind", ["distinct", "ties", "nan"])
+def test_worst_pairs_matches_row_by_row_scan(n, kind):
+    """Row blocks give the row-by-row scan's maxima and pairs bit for bit,
+    ties across block boundaries and rows holding NaN included."""
+    rng = np.random.default_rng([n, len(kind)])
+    for _ in range(20):
+        if kind == "distinct":
+            rhos = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+            fs = rng.normal(size=n)
+        else:
+            rhos = rng.choice([0.0, 0.5, 1.0], size=(n, 2, 2)).astype(complex)
+            fs = rng.choice([0.0, 1.0, 3.0], size=n)
+        if kind == "nan" and n:
+            rhos[rng.integers(n), 0, 1] = np.nan
+            fs[rng.integers(n)] = np.nan
+        results = [SimpleNamespace(rho_final=r, f_final=float(f)) for r, f in zip(rhos, fs)]
+        assert _worst_pairs(results) == reference_worst_pairs(results)
 
 
 def test_gradient_check_passes():
