@@ -76,12 +76,6 @@ EXIT_FOR_ERROR = (
     (TomographyError, EXIT_NOT_EQUIVALENT),
 )
 
-# verify-minima --constrain-signs solves with the gradient tolerance scaled
-# by CONSTRAINED_GRAD_SCALE and with CONSTRAINED_STAGNATION_TOL in place of
-# --step-tol and --fun-tol; --grad-tol itself screens the results
-CONSTRAINED_GRAD_SCALE = 1e-3
-CONSTRAINED_STAGNATION_TOL = 1e-12
-
 
 def _state_preset(name, dim):
     kets = {
@@ -237,33 +231,10 @@ def cmd_verify_minima(args):
     record = read_record(args.record)
     model = _build_model(record)
     cfg = _stop_config(args)
-    screen = cfg.grad_tol
-    if args.constrain_signs:
-        # sphere-constrained protocol: tight stagnation tolerances inside
-        # the solver, stationarity screen applied afterwards
-        cfg = dataclasses.replace(
-            cfg,
-            grad_tol=screen * CONSTRAINED_GRAD_SCALE,
-            step_tol=CONSTRAINED_STAGNATION_TOL,
-            fun_tol=CONSTRAINED_STAGNATION_TOL,
-        )
-        given = [
-            f"--{name.replace('_', '-')} {value:g}"
-            for name in ("grad_tol", "step_tol", "fun_tol")
-            if (value := getattr(args, name)) is not None
-        ]
-        if given:
-            print(
-                f"note: --constrain-signs solves with grad_tol={cfg.grad_tol:g}, "
-                f"step_tol={cfg.step_tol:g} and fun_tol={cfg.fun_tol:g}, and screens "
-                f"at grad_tol={screen:g} (given: {', '.join(given)})",
-                file=sys.stderr,
-            )
     manifest = _manifest(args, "verify-minima", cfg)
     if args.constrain_signs:
         reports = orthant_multistart(
-            model, all_sign_patterns(record.dim), args.starts, args.seed, cfg=cfg,
-            screen_tol=screen,
+            model, all_sign_patterns(record.dim), args.starts, args.seed, cfg=cfg
         )
     else:
         reports = [multistart(model, args.starts, args.seed, solver=args.solver, cfg=cfg)]
@@ -386,10 +357,7 @@ def build_parser():
     p.add_argument(
         "--constrain-signs",
         action="store_true",
-        help=f"solve on the unit sphere once per diagonal sign orthant, with lm only; "
-        f"the solves run with grad-tol x {CONSTRAINED_GRAD_SCALE:g} and step and function "
-        f"tolerances of {CONSTRAINED_STAGNATION_TOL:g} in place of --step-tol and "
-        f"--fun-tol, and --grad-tol screens the results",
+        help="solve on the unit sphere once per diagonal sign orthant, with lm only",
     )
     p.add_argument("--rho-tol", type=nonnegative_float, default=1e-3)
     p.add_argument("--f-tol", type=nonnegative_float, default=1e-6)
@@ -400,7 +368,6 @@ def build_parser():
     p = sub.add_parser("compare", help="run several solvers on one record")
     p.add_argument("record")
     p.add_argument("--solver", default="lm,nelder-mead", help="comma-separated solver list")
-    p.add_argument("--seed", type=nonnegative_int, default=0)
     add_stop_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare)

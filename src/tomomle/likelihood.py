@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .parameterize import build_T, slot_map  # noqa: F401  (perfbench traces likelihood.build_T)
+from .parameterize import build_T, slot_map
 
 PROBABILITY_FLOOR = 1e-12
 
@@ -76,15 +76,13 @@ class ObjectiveEvaluation:
 def _probs_and_derivs(t, mats):
     """p_mu(t) and the m x d^2 matrix of partials dp_mu/dt_k; mats is the
     (m, d, d) operator stack.  A (B, d^2) block of vectors gives (B, m)
-    probabilities and (B, m, d^2) partials, one row per vector.  T(t) is
-    filled in place, as in _probs, and the stack enters A_mu = O_mu T^dag
-    as its (m d, d) rows: one gemm per vector."""
+    probabilities and (B, m, d^2) partials, one row per vector.  T(t)
+    comes from build_T, and the stack enters A_mu = O_mu T^dag as its
+    (m d, d) rows: one gemm per vector."""
     t = np.asarray(t, dtype=float)
-    d, slots, pos, factor = slot_map(t.shape[-1])
-    batch = t.shape[:-1]
-    T = np.zeros(batch + (d, d), dtype=complex)
-    T.reshape(batch + (d * d,)).view(float)[..., slots] = t
-    a = (mats.reshape(-1, d) @ T.conj().swapaxes(-1, -2)).reshape(batch + mats.shape)
+    d, _, pos, factor = slot_map(t.shape[-1])
+    T = build_T(t)
+    a = (mats.reshape(-1, d) @ T.conj().swapaxes(-1, -2)).reshape(t.shape[:-1] + mats.shape)
     s = np.vecdot(t, t)[..., None]  # ||t||^2, shape (..., 1)
     q = np.real(np.einsum("...mij,...ji->...m", a, T))
     p = q / s

@@ -15,11 +15,10 @@ ObjectiveEvaluation, and the block-shaped residuals_and_jacobian(t) maps a
 Jacobians.  Only an ObjectiveModel's results carry the state rho(t_final),
 and only its operator stack bounds the chunks of a block of starts.
 
-`fevals` counts the evaluations the search makes.  Where a result has no
-gradient of its own, _finish makes one more value_and_gradient call, which
-fevals does not count, to report ||g||: at every Nelder-Mead exit, and for
-a Levenberg-Marquardt start whose residuals or Jacobian are not finite.
-Gradient descent and the other LM stops report the gradient they have.
+`fevals` counts the evaluations the search makes.  Nelder-Mead has no
+gradient of its own, so at every exit _finish makes one more
+value_and_gradient call, which fevals does not count, to report ||g||.
+Gradient descent and Levenberg-Marquardt report the gradient they have.
 """
 
 import bisect
@@ -134,6 +133,7 @@ def _damped_steps(a, lam, grad):
 
 # one stop decision per LM round: the first true check of _lm_chunk's list
 _LM_STOPS = (
+    StopReason.NumericalFailure,
     StopReason.GradientTolerance,
     StopReason.StepStagnation,
     StopReason.FunctionStagnation,
@@ -153,6 +153,7 @@ def _lm_chunk(model, t0, cfg, pattern):
     counts as an accepted point with step = df = inf.  After each round,
     every running row makes one stop decision, on the first true check of
 
+        0. accepted and f or a g entry not finite  numerical-failure
         1. accepted and ||g|| < grad_tol           gradient-tolerance
         2. accepted and step < step_tol            step-stagnation
         3. accepted and df < fun_tol               function-stagnation
@@ -167,7 +168,9 @@ def _lm_chunk(model, t0, cfg, pattern):
     evaluation of their trial points, after which each row takes its own
     accept/reject branch.  J^T J is formed where a point is accepted, so
     the running state keeps no Jacobian.  Each round logs its accepted
-    points as arrays; the chunk turns them into trace_log tuples once.
+    points as arrays; the chunk turns them into trace_log tuples once, and
+    drops the point a row fails check 0 at, as gradient descent traces no
+    point it fails at.
     """
     n = t0.shape[1]
     step_tol, fun_tol, max_iters, max_fevals = cfg.resolved(n)
@@ -176,14 +179,10 @@ def _lm_chunk(model, t0, cfg, pattern):
     results = [None] * len(t)
 
     r, jac, _ = model.residuals_and_jacobian(t)
-    finite = np.isfinite(r).all(axis=1) & np.isfinite(jac).all(axis=(1, 2))
-    for i in np.flatnonzero(~finite):
-        results[i] = _finish(model, t[i], np.inf, 0, 1, StopReason.NumericalFailure, traces[i])
-    k = int(finite.sum())
-    r, jac = r[finite], jac[finite]
+    k = len(t)
     s = SimpleNamespace(  # running rows only; `rows` are their indices in t0
-        rows=np.flatnonzero(finite),
-        t=t[finite],
+        rows=np.arange(k),
+        t=t,
         jtj=jac.swapaxes(1, 2) @ jac,
         lam=np.full(k, LM_LAMBDA_INIT),
         iters=np.zeros(k, dtype=int),
@@ -200,7 +199,12 @@ def _lm_chunk(model, t0, cfg, pattern):
     log = [(s.rows, s.f.copy(), s.gnorm.copy(), np.zeros(k))]
 
     while True:
+        # f or an entry of g is not finite; an overflowing ||g|| alone is not
+        failed = ~np.isfinite(s.f + s.gnorm)
+        if failed.any():
+            failed &= ~(np.isfinite(s.f) & np.isfinite(s.grad).all(axis=1))
         checks = (
+            failed,
             s.gnorm < cfg.grad_tol,
             s.step < step_tol,
             s.df < fun_tol,
@@ -209,14 +213,16 @@ def _lm_chunk(model, t0, cfg, pattern):
             s.iters >= max_iters,
             s.fevals >= max_fevals,
         )
-        # checks 1-3, 5 and 6 bind accepted rows, 4 rejected ones, 7 every row
+        # checks 0-3, 5 and 6 bind accepted rows, 4 rejected ones, 7 every row
         acc = s.accepted
-        hit = np.where(acc, checks[0] | checks[1] | checks[2] | checks[4] | checks[5], checks[3])
-        hit |= checks[6]
+        hit = np.where(
+            acc, checks[0] | checks[1] | checks[2] | checks[3] | checks[5] | checks[6], checks[4]
+        )
+        hit |= checks[7]
         if hit.any():
             i = np.flatnonzero(hit)
             acc = acc[i]
-            binds = np.array([acc, acc, acc, ~acc, acc, acc, np.ones_like(acc)])
+            binds = np.array([acc, acc, acc, acc, ~acc, acc, acc, np.ones_like(acc)])
             first = (np.array(checks)[:, i] & binds).argmax(axis=0)
             t_stop = s.t[i]
             rhos = rho_of_t(t_stop) if isinstance(model, ObjectiveModel) else [None] * len(i)
@@ -228,7 +234,7 @@ def _lm_chunk(model, t0, cfg, pattern):
             running = ~hit
             for name, value in vars(s).items():
                 setattr(s, name, value[running])
-        if len(s.rows) == 0:  # every row stopped, or none started finite
+        if len(s.rows) == 0:
             break
         s.iters += s.accepted
 
@@ -270,6 +276,9 @@ def _lm_chunk(model, t0, cfg, pattern):
     rows, *entries = (np.concatenate(column).tolist() for column in zip(*log))
     for row, entry in zip(rows, zip(*entries)):
         traces[row].append(entry)
+    for res in results:
+        if res.reason is StopReason.NumericalFailure:
+            res.trace_log.pop()
     return results
 
 

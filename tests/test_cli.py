@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import importlib.resources
 import io
 import json
@@ -18,6 +19,7 @@ from tomomle.measurement import (
     read_record,
     write_record,
 )
+from tomomle.optimizers import StopConfig
 
 
 def data_path(name):
@@ -87,28 +89,43 @@ def test_verify_minima_constrained(tmp_path):
     assert len(doc["reports"]) == 4
     assert all(rep["distinct_t_count"] == 1 for rep in doc["reports"])
     assert doc["equivalence"]["passed"]
-    # the manifest lists the tolerances the constrained solves ran with
-    cfg = doc["manifest"]["stop_config"]
-    assert cfg["grad_tol"] == pytest.approx(1e-9, rel=1e-12)
-    assert (cfg["step_tol"], cfg["fun_tol"]) == (1e-12, 1e-12)
-    assert (cfg["max_iters"], cfg["max_fevals"]) == (None, None)
+    # the manifest lists the tolerances as given: here the defaults
+    assert doc["manifest"]["stop_config"] == dataclasses.asdict(StopConfig())
 
 
-def test_verify_minima_constrained_names_replaced_tolerances(tmp_path, capsys):
-    args = ["verify-minima", data_path("example3.rec"), "--constrain-signs", "--starts", "2"]
-    assert run(*args, "--out", str(tmp_path / "a.json")) == 0
+def test_verify_minima_constrained_solves_with_the_given_tolerances(tmp_path, capsys):
+    out = tmp_path / "v.json"
+    assert run(
+        "verify-minima", data_path("example3.rec"), "--constrain-signs", "--starts", "2",
+        "--grad-tol", "1e-5", "--fun-tol", "1e-9", "--out", str(out),
+    ) == 0
     assert capsys.readouterr().err == ""
-    out = tmp_path / "b.json"
-    assert run(*args, "--grad-tol", "1e-5", "--fun-tol", "1e-9", "--out", str(out)) == 0
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("note: ")
-    for text in (
-        "grad_tol=1e-08", "step_tol=1e-12", "fun_tol=1e-12", "screens at grad_tol=1e-05",
-        "--grad-tol 1e-05", "--fun-tol 1e-09",
-    ):
-        assert text in err[0]
-    cfg = json.loads(out.read_text())["manifest"]["stop_config"]
-    assert (cfg["step_tol"], cfg["fun_tol"]) == (1e-12, 1e-12)
+    doc = json.loads(out.read_text())
+    given = StopConfig(grad_tol=1e-5, fun_tol=1e-9)
+    assert doc["manifest"]["stop_config"] == dataclasses.asdict(given)
+    # --grad-tol also screens: every listed solution is below it
+    for rep in doc["reports"]:
+        assert all(sol["grad_norm"] < 1e-5 for sol in rep["solutions"])
+
+
+@pytest.mark.parametrize(
+    "record, seed",
+    [("example1.rec", 3), ("example1.rec", 1003), ("example1.rec", 2003),
+     ("example3.rec", 500), ("example3.rec", 1500), ("example3.rec", 2500)],
+)
+def test_verify_minima_constrained_solutions_reach_the_gradient_tolerance(
+    tmp_path, record, seed
+):
+    # at the default stop flags every orthant solve ends stationary
+    out = tmp_path / "v.json"
+    assert run(
+        "verify-minima", data_path(record), "--constrain-signs", "--starts", "50",
+        "--seed", str(seed), "--out", str(out),
+    ) == 0
+    for rep in json.loads(out.read_text())["reports"]:
+        for sol in rep["solutions"]:
+            assert sol["reason"] == "gradient-tolerance"
+            assert sol["grad_norm"] < 1e-6
 
 
 def test_verify_minima_constrained_honours_budget(tmp_path, capsys):
@@ -232,20 +249,30 @@ def test_exit_code_count_bounds(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+NEGATIVE_SEED = "argument --seed: must be an integer >= 0"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["simulate", "--state", "H", "--shots", "10", "--noise", "poisson", "--seed", "-1"],
-        ["verify-minima", data_path("example1.rec"), "--starts", "3", "--seed", "-5"],
-        ["compare", data_path("example1.rec"), "--seed", "-1"],
+        (
+            ["simulate", "--state", "H", "--shots", "10", "--noise", "poisson", "--seed", "-1"],
+            NEGATIVE_SEED,
+        ),
+        (
+            ["verify-minima", data_path("example1.rec"), "--starts", "3", "--seed", "-5"],
+            NEGATIVE_SEED,
+        ),
+        # compare always starts from default_start: it takes no seed
+        (["compare", data_path("example1.rec"), "--seed", "0"], "unrecognized arguments"),
     ],
-    ids=["simulate", "verify-minima", "compare"],
+    ids=["simulate", "verify-minima", "compare-takes-no-seed"],
 )
-def test_exit_code_negative_seed(tmp_path, capsys, argv):
+def test_exit_code_negative_seed(tmp_path, capsys, argv, message):
     out = tmp_path / "o.json"
     assert run(*argv, "--out", str(out)) == 2
     err = capsys.readouterr().err
-    assert "argument --seed: must be an integer >= 0" in err
+    assert message in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -709,3 +736,6 @@ def test_non_finite_results_are_written_as_null(tmp_path, argv, code, rows):
     assert run(argv[0], str(rec), *argv[1:], "--out", str(out)) == code
     doc = json.loads(out.read_text(), parse_constant=_no_constant)
     assert all(row["f_final"] is None for row in rows(doc))
+    assert all(row["grad_norm"] is None for row in rows(doc))
+    reasons = [row.get("reason", row.get("stop_reason")) for row in rows(doc)]
+    assert reasons == ["numerical-failure"] * len(rows(doc))

@@ -175,9 +175,9 @@ def reference_lm(model, t0, cfg, pattern=None):
     step_tol, fun_tol, max_iters, max_fevals = cfg.resolved(t.size)
     r, jac = res_jac(t)
     fevals, iters, lam = 1, 0, LM_LAMBDA_INIT
-    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(jac))):
-        return StopReason.NumericalFailure, iters, fevals, t, []
     f, grad = 0.5 * (r @ r), jac.T @ r
+    if not (np.isfinite(f) and np.all(np.isfinite(grad))):
+        return StopReason.NumericalFailure, iters, fevals, t, []
     fs = [f]
 
     def done(reason):
@@ -262,9 +262,14 @@ def reference_lm_chunk(model, t0, cfg, pattern):
     results = [None] * len(t)
 
     r, jac, _ = model.residuals_and_jacobian(t)
-    finite = _finite_rows(r, jac)
+    # a start whose value or a gradient entry is not finite fails, with
+    # its own f and ||J^T r|| and an empty trace
+    f0, g0 = 0.5 * _rowdot(r, r), _jt_r(jac, r)
+    finite = np.isfinite(f0) & np.isfinite(g0).all(axis=1)
     for i in np.flatnonzero(~finite):
-        results[i] = _finish(model, t[i], np.inf, 0, 1, StopReason.NumericalFailure, traces[i])
+        results[i] = _finish(
+            model, t[i], f0[i], 0, 1, StopReason.NumericalFailure, traces[i], g0[i]
+        )
     k = int(finite.sum())
     s = types.SimpleNamespace(
         rows=np.flatnonzero(finite),
@@ -425,7 +430,7 @@ def test_block_rows_stop_independently():
     starts = np.array(
         [
             [2e3, 1.0, 0.0, 0.0],  # beyond the parameter bound
-            [np.nan, 1.0, 0.0, 0.0],  # non-finite initial residuals
+            [np.nan, 1.0, 0.0, 0.0],  # non-finite initial value and gradient
             default_start(2),
             [0.5, 0.5, 0.1, -0.1],
         ]
@@ -436,6 +441,7 @@ def test_block_rows_stop_independently():
         assert block[0].reason is StopReason.ParamBoundHit
         assert block[1].reason is StopReason.NumericalFailure
         assert (block[1].iters, block[1].fevals, block[1].trace_log) == (0, 1, [])
+        assert math.isnan(block[1].f_final) and math.isnan(block[1].grad_norm)
     assert [r.reason for r in lm_block(model, starts[2:])] == [StopReason.GradientTolerance] * 2
     assert {r.reason for r in lm_block(model, starts[2:], StopConfig(max_iters=1))} == {
         StopReason.MaxIterations
@@ -443,22 +449,29 @@ def test_block_rows_stop_independently():
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_all_non_finite_starts_end_on_numerical_failure():
-    # no row of the chunk starts running: the solver reports, it does not raise
+    # every row fails check 0 at its start: the solver reports, it does not
+    # raise, and each row reports its own f and ||J^T r||
     model = example1_model()
     nan_start = np.array([np.nan, 1.0, 0.0, 0.0])
     starts = np.array([nan_start, [1.0, np.inf, 0.0, 0.0], [np.nan] * 4])
+    # frequencies near 1e302 leave the residuals finite and overflow f
+    overflowing = ObjectiveModel("gaussian", model.povm, model.freqs * 1e302)
     runs = [
         [levenberg_marquardt(model, nan_start)],
         assert_same_lm_block(model, starts),
         assert_same_lm_block(model, starts, StopConfig(max_iters=1)),
         assert_same_lm_block(model, starts, pattern=np.ones(2)),
+        assert_same_lm_block(overflowing, [default_start(2)]),
     ]
     for results in runs:
         for res in results:
             assert res.reason is StopReason.NumericalFailure
             assert (res.iters, res.fevals, res.trace_log) == (0, 1, [])
+            assert not (math.isfinite(res.f_final) or math.isfinite(res.grad_norm))
     assert_matches_reference(runs[1], model, starts, StopConfig())
+    assert runs[-1][0].f_final == math.inf
 
 
 class Walled(Quadratic):
@@ -476,6 +489,30 @@ class Walled(Quadratic):
         r[t[..., 0] < 0] = np.nan
         jac[t[..., 1] > 100] = 1e200
         return r, jac, floor_hit
+
+
+class OverflowingGradient:
+    """Residuals (1, 1) and Jacobian I at t = 0; every other point has the
+    smaller residuals (0.95, 0.95) and a finite Jacobian of 1e308 entries,
+    whose J^T r overflows."""
+
+    def residuals_and_jacobian(self, t):
+        at_start = (t == 0).all(axis=-1)[..., None]
+        r = np.where(at_start, 1.0, 0.95) * np.ones(t.shape)
+        jac = np.where(at_start[..., None], np.eye(2), 1e308)
+        return r, jac, False
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_accepted_point_with_a_non_finite_gradient_fails():
+    # check 0 binds every accepted point, not only the start: the run ends
+    # there, reports that point's f and ||J^T r||, and leaves the point out
+    # of its trace, as gradient descent does
+    res = levenberg_marquardt(OverflowingGradient(), np.zeros(2))
+    assert (res.reason, res.iters, res.fevals) == (StopReason.NumericalFailure, 1, 2)
+    assert res.f_final == 0.5 * (2 * 0.95**2)
+    assert res.grad_norm == math.inf
+    assert res.trace_log == [(1.0, math.sqrt(2.0), 0.0)]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -524,8 +561,8 @@ def test_block_matches_reference_at_every_budget(example1, example2, example3):
         for cfg in BUDGETS:
             block = assert_same_lm_block(model, starts, cfg)
             assert_matches_reference(block, model, starts, cfg)
-    # one sign-constrained block, one orthant per start, at the CLI's
-    # constrained tolerances
+    # one sign-constrained block, one orthant per start, at tight
+    # tolerances
     model = record_model(example3)
     patterns = np.array(all_sign_patterns(model.dim))
     starts = np.repeat(multistart_block(model.dim, 1, seed=90), len(patterns), axis=0)
@@ -944,11 +981,13 @@ def test_gradient_descent_counts_every_call(example1, example2):
 
 # rho_of_t of the NaN start warns
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-def test_lm_uncounted_gradient_only_for_a_non_finite_start(example1):
+def test_lm_makes_no_uncounted_gradient_call(example1):
+    # a non-finite start reports the gradient of its one Jacobian, with no
+    # value_and_gradient call
     model = counted(example1)
     res = levenberg_marquardt(model, [np.nan] * 4)
     assert (res.reason, res.fevals) == (StopReason.NumericalFailure, 1)
-    assert model.calls == {"residuals_and_jacobian": 1, "value_and_gradient": 1}
+    assert model.calls == {"residuals_and_jacobian": 1}
     assert math.isnan(res.grad_norm)
     # a finite start reports the gradient of its last Jacobian
     model = counted(example1)
