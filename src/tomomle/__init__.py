@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .hermitian import (
     eig_hermitian,
-    fidelity,
     pauli_basis,
     purity,
     stokes_decompose,
@@ -32,7 +31,7 @@ from .optimizers import (
     lm_block,
     nelder_mead,
 )
-from .parameterize import build_T, in_r_star_star, inverse_param, rho_of_t
+from .parameterize import build_T, inverse_param, rho_of_t
 from .verify import (
     MultistartReport,
     equivalence_check,

@@ -7,12 +7,14 @@ output.  Exit codes are part of the contract:
 
     0   success (for `reconstruct --method mle`: first-order stationarity)
     1   verify-minima equivalence check failed; also any other internal
-        error, such as a numerical failure
+        error, such as a raised numerical error
     2   unknown preset / malformed, unsupported or unreadable input, an
         option value out of its range, or a size past the capacity caps
     3   output path not writable
     4   measurement set not informationally complete (linear inversion)
-    10  MLE run ended on a stagnation criterion, not stationarity
+    10  MLE run stopped before `--grad-tol`: stagnation, the parameter
+        bound, an iteration or evaluation budget, or a `numerical-failure`
+        stop
     11  every multistart run was discarded by the stationarity screen
 
 A command returns 0, 1 or 10 or raises; `main` maps the error to its code

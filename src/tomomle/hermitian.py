@@ -136,21 +136,3 @@ def eig_hermitian(h):
         return np.linalg.eigvalsh(np.asarray(h, dtype=complex))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
-
-
-def _sqrt_psd(h):
-    w, v = np.linalg.eigh(np.asarray(h, dtype=complex))
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
-def fidelity(rho, sigma):
-    """(tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, clamped to [0, 1]."""
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape != sigma.shape:
-        raise DimensionError(f"shape mismatch {rho.shape} vs {sigma.shape}")
-    sr = _sqrt_psd(rho)
-    inner = _sqrt_psd(sr @ sigma @ sr)
-    val = float(np.real(np.trace(inner))) ** 2
-    return min(max(val, 0.0), 1.0)

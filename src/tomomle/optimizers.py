@@ -40,7 +40,9 @@ LM_LAMBDA_MAX = 1e15
 # memory budget of one block of LM starts, solved together; a larger start
 # block is solved chunk by chunk.  A start's working set is counted as
 # LM_START_PRODUCTS of its (m, d, d) complex operator products (measured:
-# 4.3 at d = 16)
+# 4.3 at d = 16).  The count stays an upper bound at d <= 4, where the
+# Jacobian comes from the quadratic forms and a start's largest arrays are
+# real (m, d^2), half the bytes of one product
 LM_BLOCK_BYTES = 64 * 2**20
 LM_START_PRODUCTS = 5
 SIGN_MAG_FLOOR = 1e-10

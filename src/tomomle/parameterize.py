@@ -120,13 +120,6 @@ def inverse_param(rho, pattern=None, alpha=1.0):
     return np.ravel(T).view(float)[slots]
 
 
-def in_r_star_star(t, tol=1e-8):
-    """True iff every diagonal parameter has magnitude above tol."""
-    t = np.asarray(t, dtype=float)
-    d = param_dim(t.size)
-    return bool(np.all(np.abs(t[:d]) > tol))
-
-
 def all_sign_patterns(d):
     """All 2^d diagonal sign patterns as one (2^d, d) array of +/-1: entry i
     of pattern k is -1 where bit i of k is set."""

@@ -8,7 +8,6 @@ from tomomle.errors import CapacityError, DimensionError, InvalidBasisError, Num
 from tomomle.hermitian import (
     check_density_matrix,
     eig_hermitian,
-    fidelity,
     pauli_basis,
     purity,
     stokes_decompose,
@@ -117,14 +116,3 @@ def test_eig_hermitian_sorted(rng):
     w = eig_hermitian(rho)
     assert np.all(np.diff(w) >= 0)
     assert w.sum() == pytest.approx(1.0)
-
-
-def test_fidelity_properties(rng):
-    rho = random_density(rng, 2)
-    sigma = random_density(rng, 2)
-    assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
-    f = fidelity(rho, sigma)
-    assert 0.0 <= f <= 1.0
-    assert f == pytest.approx(fidelity(sigma, rho), abs=1e-10)
-    with pytest.raises(DimensionError):
-        fidelity(np.eye(2) / 2, np.eye(4) / 4)

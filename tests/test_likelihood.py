@@ -4,8 +4,10 @@ import pytest
 from tomomle.errors import DimensionError
 from tomomle.likelihood import (
     PROBABILITY_FLOOR,
+    QUADRATIC_FORM_MAX_DIM,
     ObjectiveModel,
     _probs_and_derivs,
+    _residuals,
     finite_difference_gradient,
     residuals_and_jacobian,
     value,
@@ -172,7 +174,13 @@ def _restacked_probs_and_derivs(t, model):
     return p, (dq - np.outer(p, 2.0 * t)) / s
 
 
+def _assert_close(got, want, rel=1e-14):
+    assert np.max(np.abs(got - want)) <= rel * max(1.0, np.max(np.abs(want)))
+
+
 def test_cached_stack_matches_restacked_reference(rng, example2):
+    # d = 8 takes the operator products, bit for bit the reference's; d = 4
+    # (example2) takes the quadratic forms, equal up to summation order
     pol = polarization_projectors()
     povm3 = tensor_povm([pol, pol, pol])
     rho3 = random_density(rng, 8)
@@ -189,8 +197,82 @@ def test_cached_stack_matches_restacked_reference(rng, example2):
             drdp = np.where(p > floor, (p + m.freqs) / (2.0 * pf**1.5), 1.0 / np.sqrt(floor))
             assert value(t, m) == 0.5 * float(r @ r)
             r_got, jac_got, _ = residuals_and_jacobian(t, m)
-            assert np.array_equal(r_got, r)
-            assert np.array_equal(jac_got, drdp[:, None] * dp)
+            if m.dim > QUADRATIC_FORM_MAX_DIM:
+                assert np.array_equal(r_got, r)
+                assert np.array_equal(jac_got, drdp[:, None] * dp)
+            else:
+                _assert_close(r_got, r)
+                _assert_close(jac_got, drdp[:, None] * dp)
+
+
+def _product_residuals_and_jacobian(t, m):
+    """r, J and the floor flag through _probs_and_derivs, the operator
+    products that residuals_and_jacobian takes above QUADRATIC_FORM_MAX_DIM."""
+    p, dp = _probs_and_derivs(t, m.povm)
+    r, drdp = _residuals(p, m)
+    return r, dp * drdp[..., None], bool((p < PROBABILITY_FLOOR).any())
+
+
+def _basis_and_random_model(rng, d):
+    """The d projectors |i><i| and four random states as operators, with the
+    frequencies of a random state: the point e_0 gives |0><0|, at which
+    every |i><i| with i > 0 falls below the floor."""
+    projectors = np.eye(d)[:, :, None] * np.eye(d)[:, None, :]
+    povm = np.concatenate([projectors, [random_density(rng, d) for _ in range(4)]])
+    rho = random_density(rng, d)
+    return ObjectiveModel("gaussian", povm, [born_probability(op, rho) for op in povm])
+
+
+def test_quadratic_forms_match_operator_products(rng):
+    for d in (1, 2, 3, 4):
+        m = _basis_and_random_model(rng, d)
+        ts = np.stack([random_param(rng, d) for _ in range(5)])
+        floored = np.zeros((2, d * d))
+        floored[:, 0] = 1.0
+        floored[1, d:] = 1e-12  # |0><0| up to 1e-12 in the upper triangle
+        for block in (ts, floored):
+            for t in (block, *block):
+                r, jac, floor_hit = residuals_and_jacobian(t, m)
+                r_ref, jac_ref, floor_ref = _product_residuals_and_jacobian(t, m)
+                _assert_close(r, r_ref)
+                _assert_close(jac, jac_ref)
+                assert floor_hit == floor_ref
+                assert jac.flags.c_contiguous
+        assert residuals_and_jacobian(floored, m)[2] == (d > 1)
+        assert "quadratic_form" in vars(m)  # built on the first call, and kept
+
+
+def test_quadratic_form_is_the_polarization_of_the_products(rng):
+    # Q_mu[k, l] = (q(e_k + e_l) - q(e_k) - q(e_l)) / 2 with q(t) the
+    # product path's p(t) ||t||^2
+    for d in (1, 2, 3, 4):
+        m = _basis_and_random_model(rng, d)
+        n = d * d
+
+        def q(ts):
+            return _probs_and_derivs(ts, m.povm)[0] * np.vecdot(ts, ts)[:, None]
+
+        eye = np.eye(n)
+        q_single = q(eye)  # (n, m)
+        q_pair = q((eye[:, None, :] + eye[None, :, :]).reshape(-1, n)).reshape(n, n, -1)
+        polar = 0.5 * (q_pair - q_single[:, None, :] - q_single[None, :, :])
+        Q = m.quadratic_form.reshape(n, len(m.povm), n).transpose(1, 0, 2)
+        assert np.max(np.abs(Q - polar.transpose(2, 0, 1))) <= 1e-15
+
+
+def test_dimension_eight_keeps_the_operator_products_bitwise(rng):
+    pol = polarization_projectors()
+    povm = tensor_povm([pol] * 3)
+    rho = random_density(rng, 8)
+    m = ObjectiveModel("gaussian", povm, [born_probability(op, rho) for op in povm])
+    ts = np.stack([random_param(rng, 8) for _ in range(3)])
+    for t in (ts, ts[0], _floored_points(8)):
+        got = residuals_and_jacobian(t, m)
+        want = _product_residuals_and_jacobian(t, m)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
+    assert "quadratic_form" not in vars(m)
 
 
 def test_block_matches_row_by_row(rng, example1, example2, example3):

@@ -13,7 +13,6 @@ from tomomle.hermitian import eig_hermitian
 from tomomle.parameterize import (
     all_sign_patterns,
     build_T,
-    in_r_star_star,
     inverse_param,
     param_dim,
     param_layout,
@@ -126,11 +125,6 @@ def test_inverse_rejects_bad_pattern(rng):
     rho = random_density(rng, 2)
     with pytest.raises(DimensionError):
         inverse_param(rho, [1.0, 0.5])
-
-
-def test_in_r_star_star():
-    assert in_r_star_star([0.5, -0.5, 0.0, 0.0])
-    assert not in_r_star_star([0.5, 1e-12, 0.0, 0.0])
 
 
 def test_all_sign_patterns_complete():
