@@ -6,7 +6,6 @@ from .hermitian import (
     eig_hermitian,
     pauli_basis,
     purity,
-    stokes_decompose,
     stokes_reconstruct,
 )
 from .inversion import InversionReport, build_b_matrix, linear_invert

@@ -9,7 +9,7 @@ output.  Exit codes are part of the contract:
     1   verify-minima equivalence check failed; also any other internal
         error, such as a raised numerical error
     2   unknown preset / malformed, unsupported or unreadable input, an
-        option value out of its range, or a size past the capacity caps
+        option value out of its range, or a size past the capacity cap
     3   output path not writable
     4   measurement set not informationally complete (linear inversion)
     10  MLE run stopped before `--grad-tol`: stagnation, the parameter
@@ -45,9 +45,9 @@ from .measurement import (
     povm_preset,
     read_record,
     read_state,
-    record_to_dict,
     simulate_counts,
     write_json_atomic,
+    write_record,
 )
 from .optimizers import (
     SOLVERS,
@@ -155,7 +155,7 @@ def cmd_simulate(args):
     povm = povm_preset(args.povm)
     rho = _load_state(args.state, povm.shape[1])
     record = simulate_counts(rho, povm, args.shots, args.noise, args.seed)
-    write_json_atomic(args.out, record_to_dict(record, preset=args.povm))
+    write_record(args.out, record, preset=args.povm)
     return EXIT_OK
 
 

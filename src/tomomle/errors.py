@@ -13,10 +13,6 @@ class DimensionError(TomographyError):
     """Mismatched or invalid matrix/vector dimensions."""
 
 
-class InvalidBasisError(TomographyError):
-    """Operator basis fails the orthonormality check."""
-
-
 class DegenerateParameterError(TomographyError):
     """Parameter vector too close to zero to define a state."""
 

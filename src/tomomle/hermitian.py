@@ -1,23 +1,26 @@
-"""Complex Hermitian matrix helpers: Pauli bases, Stokes coefficients, state metrics.
+"""Complex Hermitian matrix helpers: Kronecker stacks, Pauli bases, Stokes
+reconstruction, state metrics.
 
 All functions operate on plain numpy arrays.  A "density matrix" here is a
 d x d complex array that is Hermitian, has unit trace, and is positive
 semidefinite up to small numerical slack; `check_density_matrix` enforces
-exactly that contract.
+exactly that contract.  Both tensor-product builders, `tensor_povm` for
+measurement settings and `pauli_basis`, refuse a dimension past the one cap
+MAX_TENSOR_DIM.
 """
 
 from functools import reduce
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError, InvalidBasisError, NumericalError
+from .errors import CapacityError, DimensionError, NumericalError
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-8
 EIGENVALUE_TOL = 1e-10
 REAL_TRACE_TOL = 1e-10  # tr(A B) of Hermitian A and B is real within this
 
-MAX_QUBITS = 8
+MAX_TENSOR_DIM = 256
 
 _SIGMA = np.array(
     [
@@ -72,6 +75,19 @@ def kron_stack(a, b):
     return prod.reshape(p * q, m * n, m * n)
 
 
+def tensor_povm(sets):
+    """All Kronecker products across the given operator stacks, as one stack in
+    lexicographic order (first factor most significant)."""
+    if any(len(s) == 0 for s in sets):
+        raise DimensionError("every factor set must be nonempty")
+    dim = 1
+    for s in sets:
+        dim *= s.shape[1]
+    if dim > MAX_TENSOR_DIM:
+        raise CapacityError(f"tensor dimension {dim} exceeds the cap {MAX_TENSOR_DIM}")
+    return reduce(kron_stack, sets, np.ones((1, 1, 1), dtype=complex))
+
+
 def pauli_basis(n_qubits):
     """Orthonormal Hermitian basis from normalized Pauli tensor products.
 
@@ -81,38 +97,10 @@ def pauli_basis(n_qubits):
     """
     if n_qubits < 1:
         raise ValueError("n_qubits must be >= 1")
-    if n_qubits > MAX_QUBITS:
-        raise CapacityError(f"n_qubits={n_qubits} exceeds the maximum {MAX_QUBITS}")
+    if 2**n_qubits > MAX_TENSOR_DIM:
+        raise CapacityError(f"tensor dimension {2**n_qubits} exceeds the cap {MAX_TENSOR_DIM}")
     scale = 1.0 / np.sqrt(2.0**n_qubits)
     return scale * reduce(kron_stack, [_SIGMA] * n_qubits)
-
-
-def _check_orthonormal(basis, tol=1e-10):
-    n = len(basis)
-    # tr(G_i G_j) = sum_kl G_i[k, l] G_j[l, k]
-    gram = basis.reshape(n, -1) @ basis.swapaxes(1, 2).reshape(n, -1).T
-    bad = np.argwhere(np.abs(gram - np.eye(n)) > tol)  # (i, j) in row-major order
-    if len(bad):
-        i, j = bad[0]
-        raise InvalidBasisError(
-            f"tr(G_{i} G_{j}) = {gram[i, j]}, expected {1.0 if i == j else 0.0}"
-        )
-
-
-def stokes_decompose(rho, basis, validate_basis=False):
-    """Coefficients s[i] = tr(G_i rho) of rho in an orthonormal Hermitian basis."""
-    rho = np.asarray(rho, dtype=complex)
-    basis = np.asarray(basis)
-    d = rho.shape[0]
-    if len(basis) != d * d:
-        raise DimensionError(f"basis has {len(basis)} elements, expected {d * d}")
-    if validate_basis:
-        _check_orthonormal(basis)
-    coeffs = np.einsum("nij,ji->n", basis, rho)
-    bad = np.flatnonzero(np.abs(coeffs.imag) >= REAL_TRACE_TOL)
-    if len(bad):
-        raise NumericalError(f"tr(G_{bad[0]} rho) has imaginary part {coeffs[bad[0]].imag}")
-    return coeffs.real
 
 
 def stokes_reconstruct(coeffs, basis):

@@ -3,10 +3,11 @@
 An operator set is one complex (m, d, d) array, O_mu = ops[mu], from the
 record file to the likelihood kernels.  The four polarization projectors
 |H>, |V>, |D>, |R> are the single-qubit workhorse set; multi-qubit setups
-are built with `tensor_povm`.  The four projectors do not form a single POVM
-(they do not sum to the identity): each is treated as an independent
-measurement setting, and informational completeness is checked downstream
-via the rank of the linear-inversion system.
+are built with `tensor_povm`, which lives in `hermitian` beside the one
+tensor-size cap and is re-exported here.  The four projectors do not form a
+single POVM (they do not sum to the identity): each is treated as an
+independent measurement setting, and informational completeness is checked
+downstream via the rank of the linear-inversion system.
 """
 
 import gc
@@ -17,15 +18,12 @@ import sys
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import chain
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError, NumericalError, SchemaError
-from .hermitian import REAL_TRACE_TOL, check_density_matrix, check_psd_stack, kron_stack
-
-MAX_TENSOR_DIM = 256
+from .errors import DimensionError, NumericalError, SchemaError
+from .hermitian import REAL_TRACE_TOL, check_density_matrix, check_psd_stack, tensor_povm
 
 
 @dataclass
@@ -97,19 +95,6 @@ def polarization_projectors():
             _ket_projector([1 / np.sqrt(2), -1j / np.sqrt(2)]),
         ]
     )
-
-
-def tensor_povm(sets):
-    """All Kronecker products across the given operator stacks, as one stack in
-    lexicographic order (first factor most significant)."""
-    if any(len(s) == 0 for s in sets):
-        raise DimensionError("every factor set must be nonempty")
-    dim = 1
-    for s in sets:
-        dim *= s.shape[1]
-    if dim > MAX_TENSOR_DIM:
-        raise CapacityError(f"tensor dimension {dim} exceeds the cap {MAX_TENSOR_DIM}")
-    return reduce(kron_stack, sets, np.ones((1, 1, 1), dtype=complex))
 
 
 def born_probability(op, rho):
@@ -344,7 +329,7 @@ def write_json_atomic(path, doc):
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
         os.replace(tmp, path)
     except BaseException:
@@ -380,7 +365,7 @@ def _read_json(path, decode):
     holds no valid JSON, raises SchemaError, as `decode` must on a bad doc."""
     with _collector_paused():
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
         except OSError as exc:
             raise SchemaError(str(exc)) from exc

@@ -3,6 +3,9 @@ import dataclasses
 import importlib.resources
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +20,7 @@ from tomomle.measurement import (
     polarization_projectors,
     povm_preset,
     read_record,
+    record_to_dict,
     write_record,
 )
 from tomomle.optimizers import StopConfig
@@ -31,6 +35,20 @@ def run(*argv):
         return main(list(argv))
     except SystemExit as exc:
         return exc.code
+
+
+def run_python(*argv, **env):
+    """`python *argv` in a subprocess that imports tomomle from this tree,
+    with `env` added to the environment."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, *argv],
+        env={**os.environ, **env, "PYTHONPATH": src},
+        capture_output=True,
+        encoding="utf-8",
+        errors="replace",
+        timeout=300,
+    )
 
 
 def test_simulate_then_reconstruct(tmp_path):
@@ -375,6 +393,51 @@ def test_exit_code_undecodable_record(tmp_path, capsys, data):
     assert len(err) == 1 and err[0].startswith("error: not valid JSON")
 
 
+def test_record_files_are_utf8_under_an_ascii_locale(tmp_path):
+    # JSON text is UTF-8 (RFC 8259, section 8.1), whatever the locale says
+    labels = ("|H\u27e9", "|V\u27e9", "|D\u27e9", "|R\u27e9")
+    example = read_record(data_path("example1.rec"))
+    rec = MeasurementRecord(example.operators, example.counts, example.normalization, labels=labels)
+    path = tmp_path / "labels.rec"
+    path.write_text(json.dumps(record_to_dict(rec), ensure_ascii=False), encoding="utf-8")
+    assert "\u27e9".encode() in path.read_bytes()
+    ascii_locale = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    out = tmp_path / "o.json"
+    proc = run_python(
+        "-m", "tomomle.cli", "reconstruct", str(path), "--out", str(out), **ascii_locale
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    copy = tmp_path / "copy.rec"
+    proc = run_python(
+        "-c",
+        "import sys; from tomomle.measurement import read_record, write_record; "
+        "write_record(sys.argv[2], read_record(sys.argv[1]))",
+        str(path),
+        str(copy),
+        **ascii_locale,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert read_record(copy).labels == labels
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--state", "D", "--shots", "100"],
+        ["reconstruct", data_path("example1.rec")],
+    ],
+    ids=["simulate", "reconstruct"],
+)
+def test_text_files_open_with_an_explicit_encoding(tmp_path, argv):
+    out = tmp_path / "o.json"
+    proc = run_python(
+        "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+        "-m", "tomomle.cli", *argv, "--out", str(out),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert out.exists()
+
+
 def test_exit_code_unwritable(tmp_path, capsys):
     out = tmp_path / "no" / "such" / "dir" / "o.json"
     assert run("reconstruct", data_path("example1.rec"), "--out", str(out)) == 3
@@ -414,16 +477,15 @@ def test_incomplete_set_stops_before_the_pauli_basis(tmp_path, capsys, monkeypat
 
 
 def test_exit_code_past_qubit_cap(tmp_path, capsys, monkeypatch):
-    # a size past the capacity caps is unsupported input
+    # a size past the capacity cap is unsupported input; the record lists its
+    # operators, so the read builds no tensor product and the cap trips in
+    # pauli_basis
     rec = tmp_path / "pol4x4.rec"
-    assert run(
-        "simulate", "--state", "bell", "--povm", "pol4x4", "--shots", "100", "--out", str(rec)
-    ) == 0
-    capsys.readouterr()
-    monkeypatch.setattr(hermitian, "MAX_QUBITS", 1)
+    write_record(rec, MeasurementRecord(povm_preset("pol4x4"), [5] * 16, 10.0))
+    monkeypatch.setattr(hermitian, "MAX_TENSOR_DIM", 2)
     out = tmp_path / "o.json"
     assert run("reconstruct", str(rec), "--method", "linear", "--out", str(out)) == 2
-    assert capsys.readouterr().err.splitlines() == ["error: n_qubits=2 exceeds the maximum 1"]
+    assert capsys.readouterr().err.splitlines() == ["error: tensor dimension 4 exceeds the cap 2"]
     assert not out.exists()
 
 

@@ -4,15 +4,16 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from tomomle.errors import CapacityError, DimensionError, InvalidBasisError, NumericalError
+from tomomle import hermitian
+from tomomle.errors import CapacityError, DimensionError, NumericalError
 from tomomle.hermitian import (
     check_density_matrix,
     eig_hermitian,
     pauli_basis,
     purity,
-    stokes_decompose,
     stokes_reconstruct,
 )
+from tomomle.measurement import polarization_projectors, tensor_povm
 from tomomle.parameterize import random_density
 
 
@@ -61,29 +62,29 @@ def test_pauli_basis_qubit_cap():
         pauli_basis(0)
 
 
+def test_one_cap_binds_both_tensor_builders(monkeypatch):
+    monkeypatch.setattr(hermitian, "MAX_TENSOR_DIM", 2)
+    pol = polarization_projectors()
+    with pytest.raises(CapacityError, match=r"^tensor dimension 4 exceeds the cap 2$"):
+        pauli_basis(2)
+    with pytest.raises(CapacityError, match=r"^tensor dimension 4 exceeds the cap 2$"):
+        tensor_povm([pol, pol])
+    assert pauli_basis(1).shape == (4, 2, 2)
+
+
 def test_stokes_roundtrip(rng):
     for d in (2, 4):
         basis = pauli_basis(int(np.log2(d)))
         rho = random_density(rng, d)
-        coeffs = stokes_decompose(rho, basis, validate_basis=True)
-        back = stokes_reconstruct(coeffs, basis)
+        coeffs = np.einsum("nij,ji->n", basis, rho)  # tr(G_n rho)
+        assert np.abs(coeffs.imag).max() < 1e-12
+        back = stokes_reconstruct(coeffs.real, basis)
         assert np.max(np.abs(back - rho)) < 1e-12
 
 
-def test_stokes_rejects_non_orthonormal_basis():
-    basis = pauli_basis(1)
-    basis[3] = basis[3] + basis[1]
-    # bad pairs (1, 3), (3, 1) and (3, 3): the first in row-major order is named
-    with pytest.raises(InvalidBasisError, match=r"^tr\(G_1 G_3\) = .*, expected 0\.0$"):
-        stokes_decompose(np.eye(2) / 2, basis, validate_basis=True)
-
-
-def test_stokes_dimension_mismatch(rng):
-    basis = pauli_basis(1)
+def test_stokes_dimension_mismatch():
     with pytest.raises(DimensionError):
-        stokes_decompose(np.eye(4) / 4, basis)
-    with pytest.raises(DimensionError):
-        stokes_reconstruct(np.ones(3), basis)
+        stokes_reconstruct(np.ones(3), pauli_basis(1))
 
 
 def test_check_density_matrix_rejections():
