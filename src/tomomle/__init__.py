@@ -2,12 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .hermitian import (
-    eig_hermitian,
-    pauli_basis,
-    purity,
-    stokes_reconstruct,
-)
+from .hermitian import eig_hermitian, pauli_basis, purity
 from .inversion import InversionReport, build_b_matrix, linear_invert
 from .likelihood import ObjectiveEvaluation, ObjectiveModel, value_and_gradient
 from .measurement import (

@@ -9,7 +9,8 @@ output.  Exit codes are part of the contract:
     1   verify-minima equivalence check failed; also any other internal
         error, such as a raised numerical error
     2   unknown preset / malformed, unsupported or unreadable input, an
-        option value out of its range, or a size past the capacity cap
+        option value out of its range, or a size past a capacity cap (an
+        operator stack's dimension, or the number of sign orthants)
     3   output path not writable
     4   measurement set not informationally complete (linear inversion)
     10  MLE run stopped before `--grad-tol`: stagnation, the parameter
@@ -112,30 +113,6 @@ def _load_state(spec, dim):
     return rho
 
 
-def _manifest(args, command, cfg):
-    """The run manifest; `cfg` is the StopConfig the run used."""
-    return {
-        "command": command,
-        "input_path": getattr(args, "record", None),
-        "seed": getattr(args, "seed", None),
-        "solver": getattr(args, "solver", None),
-        "stop_config": dataclasses.asdict(cfg),
-        "output_path": getattr(args, "out", None),
-        "tool_version": __version__,
-    }
-
-
-def _stop_config(args):
-    grad_tol = getattr(args, "grad_tol", None)
-    return StopConfig(
-        grad_tol=StopConfig.grad_tol if grad_tol is None else grad_tol,
-        step_tol=getattr(args, "step_tol", None),
-        fun_tol=getattr(args, "fun_tol", None),
-        max_iters=getattr(args, "max_iters", None),
-        max_fevals=getattr(args, "max_fevals", None),
-    )
-
-
 def _matrix_fields(m):
     m = np.asarray(m, dtype=complex)
     return {
@@ -144,11 +121,6 @@ def _matrix_fields(m):
         "rounded_re": np.round(m.real, 4).tolist(),
         "rounded_im": np.round(m.imag, 4).tolist(),
     }
-
-
-def _emit_trace(result):
-    for i, (f, gnorm, step) in enumerate(result.trace_log):
-        print(f"iter={i} f={f:.6e} grad_norm={gnorm:.3e} step={step:.3e}", file=sys.stderr)
 
 
 def cmd_simulate(args):
@@ -163,10 +135,24 @@ def _build_model(record):
     return ObjectiveModel("gaussian", record.operators, normalize(record))
 
 
-def cmd_reconstruct(args):
+def _inputs(args, command):
+    """(record, StopConfig, run manifest) of an MLE command, from its flags."""
     record = read_record(args.record)
-    cfg = _stop_config(args)
-    manifest = _manifest(args, "reconstruct", cfg)
+    cfg = StopConfig(args.grad_tol, args.step_tol, args.fun_tol, args.max_iters, args.max_fevals)
+    manifest = {
+        "command": command,
+        "input_path": args.record,
+        "seed": getattr(args, "seed", None),  # reconstruct and compare have no --seed
+        "solver": args.solver,
+        "stop_config": dataclasses.asdict(cfg),
+        "output_path": args.out,
+        "tool_version": __version__,
+    }
+    return record, cfg, manifest
+
+
+def cmd_reconstruct(args):
+    record, cfg, manifest = _inputs(args, "reconstruct")
     d = record.dim
     if args.method == "linear":
         n_qubits = int(round(np.log2(d)))
@@ -197,7 +183,8 @@ def cmd_reconstruct(args):
     model = _build_model(record)
     result = run_solver(args.solver, model, default_start(d), cfg)
     if args.verbose:
-        _emit_trace(result)
+        for i, (f, gnorm, step) in enumerate(result.trace_log):
+            print(f"iter={i} f={f:.6e} grad_norm={gnorm:.3e} step={step:.3e}", file=sys.stderr)
     doc = {
         "manifest": manifest,
         "method": "mle",
@@ -230,10 +217,8 @@ def _solution_fields(res):
 def cmd_verify_minima(args):
     if args.constrain_signs and args.solver != "lm":
         raise SchemaError(f"--constrain-signs solves with lm only, not --solver {args.solver}")
-    record = read_record(args.record)
+    record, cfg, manifest = _inputs(args, "verify-minima")
     model = _build_model(record)
-    cfg = _stop_config(args)
-    manifest = _manifest(args, "verify-minima", cfg)
     if args.constrain_signs:
         reports = orthant_multistart(
             model, all_sign_patterns(record.dim), args.starts, args.seed, cfg=cfg
@@ -265,10 +250,8 @@ def cmd_verify_minima(args):
 
 
 def cmd_compare(args):
-    record = read_record(args.record)
+    record, cfg, manifest = _inputs(args, "compare")
     model = _build_model(record)
-    cfg = _stop_config(args)
-    manifest = _manifest(args, "compare", cfg)
     names = [name.strip() for name in args.solver.split(",")]
     for name in names:
         if name not in SOLVERS:
@@ -321,8 +304,8 @@ def build_parser():
 
     def add_stop_flags(p):
         p.add_argument(
-            "--grad-tol", type=positive_float, default=None,
-            help=f"gradient-norm tolerance (default {StopConfig.grad_tol:g})",
+            "--grad-tol", type=positive_float, default=StopConfig.grad_tol,
+            help="gradient-norm tolerance (default %(default)g)",
         )
         p.add_argument(
             "--step-tol", type=nonnegative_float, default=None, help="default: grad-tol^2"

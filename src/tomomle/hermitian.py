@@ -1,12 +1,14 @@
-"""Complex Hermitian matrix helpers: Kronecker stacks, Pauli bases, Stokes
-reconstruction, state metrics.
+"""Complex Hermitian matrix helpers: Kronecker stacks, Pauli bases, state
+metrics.
 
 All functions operate on plain numpy arrays.  A "density matrix" here is a
 d x d complex array that is Hermitian, has unit trace, and is positive
 semidefinite up to small numerical slack; `check_density_matrix` enforces
-exactly that contract.  Both tensor-product builders, `tensor_povm` for
-measurement settings and `pauli_basis`, refuse a dimension past the one cap
-MAX_TENSOR_DIM.
+exactly that contract.  Every operator stack refuses a dimension past the one
+cap MAX_TENSOR_DIM: the two tensor-product builders, `tensor_povm` for
+measurement settings and `pauli_basis`, before they build it, and
+`check_psd_stack`, for record operators and state files, before its
+eigenvalues.
 """
 
 from functools import reduce
@@ -33,6 +35,11 @@ _SIGMA = np.array(
 )
 
 
+def _check_tensor_dim(dim):
+    if dim > MAX_TENSOR_DIM:
+        raise CapacityError(f"tensor dimension {dim} exceeds the cap {MAX_TENSOR_DIM}")
+
+
 def check_psd_stack(ops):
     """The matrices as one complex (m, d, d) stack, each finite, Hermitian
     within HERMITICITY_TOL and positive semidefinite within EIGENVALUE_TOL."""
@@ -44,6 +51,7 @@ def check_psd_stack(ops):
         raise DimensionError(
             f"operators form a stack of shape {ops.shape}, not (m, d, d) with d >= 1"
         )
+    _check_tensor_dim(ops.shape[1])
     bad = np.flatnonzero(~np.isfinite(ops).all(axis=(1, 2)))
     if len(bad):
         raise NumericalError(f"operator {bad[0]} has a non-finite entry")
@@ -83,8 +91,7 @@ def tensor_povm(sets):
     dim = 1
     for s in sets:
         dim *= s.shape[1]
-    if dim > MAX_TENSOR_DIM:
-        raise CapacityError(f"tensor dimension {dim} exceeds the cap {MAX_TENSOR_DIM}")
+    _check_tensor_dim(dim)
     return reduce(kron_stack, sets, np.ones((1, 1, 1), dtype=complex))
 
 
@@ -97,18 +104,9 @@ def pauli_basis(n_qubits):
     """
     if n_qubits < 1:
         raise ValueError("n_qubits must be >= 1")
-    if 2**n_qubits > MAX_TENSOR_DIM:
-        raise CapacityError(f"tensor dimension {2**n_qubits} exceeds the cap {MAX_TENSOR_DIM}")
+    _check_tensor_dim(2**n_qubits)
     scale = 1.0 / np.sqrt(2.0**n_qubits)
     return scale * reduce(kron_stack, [_SIGMA] * n_qubits)
-
-
-def stokes_reconstruct(coeffs, basis):
-    """Sum_i coeffs[i] * G_i.  Hermitian by construction; trace/positivity not enforced."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if len(coeffs) != len(basis):
-        raise DimensionError(f"{len(coeffs)} coefficients for {len(basis)} basis matrices")
-    return np.tensordot(coeffs, np.asarray(basis), axes=1)
 
 
 def purity(rho):

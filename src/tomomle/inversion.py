@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IncompleteMeasurementsError, NumericalError
-from .hermitian import EIGENVALUE_TOL, REAL_TRACE_TOL, TRACE_TOL, eig_hermitian, stokes_reconstruct
+from .hermitian import EIGENVALUE_TOL, REAL_TRACE_TOL, TRACE_TOL, eig_hermitian
 
 RANK_RTOL = 1e-10
 
@@ -58,7 +58,7 @@ def linear_invert(freqs, povm, basis):
         raise IncompleteMeasurementsError(
             f"measurement set determines only {rank} of {n} coefficients"
         )
-    matrix = stokes_reconstruct(stokes, basis)
+    matrix = np.tensordot(stokes, np.asarray(basis), axes=1)  # sum_nu s_nu G_nu
     eigs = eig_hermitian(matrix)
     trace = float(np.real(matrix.trace()))
     is_physical = bool(eigs[0] >= -EIGENVALUE_TOL and abs(trace - 1.0) <= TRACE_TOL)

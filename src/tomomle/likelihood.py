@@ -214,11 +214,11 @@ def value_and_gradient(t, model):
     return ObjectiveEvaluation(f, g / t.dot(t), bool((p < PROBABILITY_FLOOR).any()))
 
 
-def finite_difference_gradient(t, model, h=None):
-    """Central-difference gradient; the independent check on the analytic one."""
+def finite_difference_gradient(t, model):
+    """Central-difference gradient, step 1e-6 max(1, ||t||); the independent
+    check on the analytic one."""
     t = np.asarray(t, dtype=float)
-    if h is None:
-        h = 1e-6 * max(1.0, float(np.linalg.norm(t)))
+    h = 1e-6 * max(1.0, float(np.linalg.norm(t)))
     g = np.empty(t.size)
     for k in range(t.size):
         tp = t.copy()

@@ -5,15 +5,20 @@ the remaining entries fill the strict upper triangle row-major, two at a time
 as (real, imaginary) pairs.  rho(t) = T(t)^dag T(t) / tr(T(t)^dag T(t)) is
 Hermitian, unit-trace and positive semidefinite for every nonzero t, and is
 invariant under rescaling of t.
+
+Random draws keep every diagonal parameter at least DIAG_FLOOR from 0, and
+the sign patterns of all_sign_patterns number at most MAX_SIGN_PATTERNS.
 """
+
+from functools import cache
 
 import numpy as np
 
-from .errors import BoundaryStateError, DegenerateParameterError, DimensionError
+from .errors import BoundaryStateError, CapacityError, DegenerateParameterError, DimensionError
 
 NORM_GUARD = 1e-150
-
-_SLOT_CACHE = {}
+DIAG_FLOOR = 1e-3
+MAX_SIGN_PATTERNS = 256  # 2^d for every d <= 8
 
 
 def param_dim(n_params):
@@ -39,6 +44,7 @@ def param_layout(d):
     return rows, cols, coeffs
 
 
+@cache
 def slot_map(n_params):
     """(d, slots, transposed, factor) for a length-n_params parameter vector.
 
@@ -48,18 +54,10 @@ def slot_map(n_params):
     slot transposed[k] of the transposed entry, times factor[k] = +2 or -2.
     Cached per n_params, so d and the layout are computed once.
     """
-    layout = _SLOT_CACHE.get(n_params)
-    if layout is None:
-        d = param_dim(n_params)
-        rows, cols, coeffs = param_layout(d)
-        imag = coeffs.imag != 0
-        layout = _SLOT_CACHE[n_params] = (
-            d,
-            2 * (rows * d + cols) + imag,
-            2 * (cols * d + rows) + imag,
-            np.where(imag, -2.0, 2.0),
-        )
-    return layout
+    d = param_dim(n_params)
+    rows, cols, coeffs = param_layout(d)
+    imag = coeffs.imag != 0
+    return d, 2 * (rows * d + cols) + imag, 2 * (cols * d + rows) + imag, np.where(imag, -2.0, 2.0)
 
 
 def build_T(t):
@@ -122,23 +120,27 @@ def inverse_param(rho, pattern=None, alpha=1.0):
 
 def all_sign_patterns(d):
     """All 2^d diagonal sign patterns as one (2^d, d) array of +/-1: entry i
-    of pattern k is -1 where bit i of k is set."""
+    of pattern k is -1 where bit i of k is set.  More than MAX_SIGN_PATTERNS
+    raises CapacityError before anything is built."""
+    if 2**d > MAX_SIGN_PATTERNS:
+        raise CapacityError(f"{2**d} sign patterns at d = {d} exceed the cap {MAX_SIGN_PATTERNS}")
     bits = (np.arange(2**d)[:, None] >> np.arange(d)) & 1
     return 1.0 - 2.0 * bits
 
 
-def random_param(rng, d, diag_floor=1e-3):
-    """Uniform draw from [-1, 1]^{d^2}, rejecting near-zero diagonal entries.
+def random_param(rng, d):
+    """Uniform draw from [-1, 1]^{d^2}, redrawn while a diagonal entry is
+    below DIAG_FLOOR in magnitude.
 
     Keeps samples (and the states they map to) away from the boundary where
     the signed-Cholesky correspondence breaks down.
     """
     while True:
         t = rng.uniform(-1.0, 1.0, size=d * d)
-        if np.all(np.abs(t[:d]) >= diag_floor):
+        if np.all(np.abs(t[:d]) >= DIAG_FLOOR):
             return t
 
 
-def random_density(rng, d, diag_floor=1e-3):
+def random_density(rng, d):
     """Random interior density matrix via rho_of_t of a rejected-uniform draw."""
-    return rho_of_t(random_param(rng, d, diag_floor))
+    return rho_of_t(random_param(rng, d))

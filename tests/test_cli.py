@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tomomle import cli, hermitian
+from tomomle import cli, hermitian, parameterize
 from tomomle.cli import _matrix_fields, main
 from tomomle.measurement import (
     MeasurementRecord,
@@ -476,17 +476,77 @@ def test_incomplete_set_stops_before_the_pauli_basis(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
-def test_exit_code_past_qubit_cap(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reconstruct", "--method", "mle"],
+        ["reconstruct", "--method", "linear"],
+        ["compare"],
+        ["verify-minima"],
+    ],
+    ids=["mle", "linear", "compare", "verify-minima"],
+)
+def test_exit_code_past_qubit_cap(tmp_path, capsys, monkeypatch, argv):
     # a size past the capacity cap is unsupported input; the record lists its
-    # operators, so the read builds no tensor product and the cap trips in
-    # pauli_basis
+    # operators, so the read builds no tensor product and the cap trips in the
+    # read's operator check, before any model or basis
     rec = tmp_path / "pol4x4.rec"
     write_record(rec, MeasurementRecord(povm_preset("pol4x4"), [5] * 16, 10.0))
     monkeypatch.setattr(hermitian, "MAX_TENSOR_DIM", 2)
     out = tmp_path / "o.json"
-    assert run("reconstruct", str(rec), "--method", "linear", "--out", str(out)) == 2
+    assert run(argv[0], str(rec), *argv[1:], "--out", str(out)) == 2
     assert capsys.readouterr().err.splitlines() == ["error: tensor dimension 4 exceeds the cap 2"]
     assert not out.exists()
+
+
+def test_exit_code_past_sign_pattern_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(parameterize, "MAX_SIGN_PATTERNS", 2)
+    out = tmp_path / "v.json"
+    assert run(
+        "verify-minima", data_path("example3.rec"), "--constrain-signs", "--out", str(out)
+    ) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: 4 sign patterns at d = 2 exceed the cap 2"
+    ]
+    assert not out.exists()
+    assert parameterize.all_sign_patterns(1).tolist() == [[1.0], [-1.0]]
+
+
+_GIVEN_STOP_FLAGS = (
+    "--grad-tol", "1e-5", "--step-tol", "1e-12", "--fun-tol", "1e-13",
+    "--max-iters", "300", "--max-fevals", "700",
+)
+
+
+@pytest.mark.parametrize(
+    "stop_flags, cfg",
+    [((), StopConfig()), (_GIVEN_STOP_FLAGS, StopConfig(1e-5, 1e-12, 1e-13, 300, 700))],
+    ids=["defaults", "given"],
+)
+@pytest.mark.parametrize(
+    "command, flags, solver, seed",
+    [
+        ("reconstruct", (), "lm", None),
+        ("compare", (), "lm,nelder-mead", None),
+        ("verify-minima", ("--starts", "3", "--seed", "5"), "lm", 5),
+    ],
+    ids=["reconstruct", "compare", "verify-minima"],
+)
+def test_manifest_of_each_mle_command(tmp_path, command, flags, solver, seed, stop_flags, cfg):
+    # one manifest for the three MLE commands: same keys in the same order, a
+    # null seed where the command has no --seed, the stop flags as given
+    rec = data_path("example1.rec")
+    out = tmp_path / "o.json"
+    assert run(command, rec, *flags, *stop_flags, "--out", str(out)) == 0
+    assert list(json.loads(out.read_text())["manifest"].items()) == [
+        ("command", command),
+        ("input_path", rec),
+        ("seed", seed),
+        ("solver", solver),
+        ("stop_config", dataclasses.asdict(cfg)),
+        ("output_path", str(out)),
+        ("tool_version", cli.__version__),
+    ]
 
 
 def test_compare_checks_solver_names_before_solving(tmp_path, capsys, monkeypatch):

@@ -11,7 +11,6 @@ from tomomle.hermitian import (
     eig_hermitian,
     pauli_basis,
     purity,
-    stokes_reconstruct,
 )
 from tomomle.measurement import polarization_projectors, tensor_povm
 from tomomle.parameterize import random_density
@@ -78,13 +77,8 @@ def test_stokes_roundtrip(rng):
         rho = random_density(rng, d)
         coeffs = np.einsum("nij,ji->n", basis, rho)  # tr(G_n rho)
         assert np.abs(coeffs.imag).max() < 1e-12
-        back = stokes_reconstruct(coeffs.real, basis)
+        back = np.tensordot(coeffs.real, basis, axes=1)  # sum_n tr(G_n rho) G_n
         assert np.max(np.abs(back - rho)) < 1e-12
-
-
-def test_stokes_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        stokes_reconstruct(np.ones(3), pauli_basis(1))
 
 
 def test_check_density_matrix_rejections():

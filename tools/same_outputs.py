@@ -1,0 +1,94 @@
+"""Run one fixed list of CLI cases on two source trees and report every case
+whose exit code, stdout, stderr or output document differs between them.
+
+    python tools/same_outputs.py PARENT_TREE CHANGE_TREE
+
+Each tree is a checkout root holding `src/tomomle`.  A case runs as
+`python -m tomomle.cli ARGS` with the tree's `src` first on PYTHONPATH, in a
+fresh directory that holds a copy of the tree's bundled records, so inputs
+and outputs have the same relative names on both sides.  The manifest's
+`output_path` is blanked before two documents are compared.  Prints one line
+per case and exits 1 if any case differs.
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+OUT = "out.json"
+FIELDS = ("exit", "stdout", "stderr", "document")
+
+
+def _cases():
+    examples = [f"example{i}.rec" for i in (1, 2, 3)]
+    for rec in examples:
+        yield ["reconstruct", rec, "--method", "linear"]
+        yield ["reconstruct", rec, "--method", "mle"]
+        yield ["reconstruct", rec, "--verbose", "--max-iters", "3"]
+    for rec in examples:
+        yield ["compare", rec, "--solver", "lm,gd,nelder-mead"]
+    yield ["verify-minima", "example2.rec", "--seed", "0"]
+    yield ["verify-minima", "example2.rec", "--seed", "13000"]
+    yield ["verify-minima", "example3.rec", "--constrain-signs", "--seed", "500"]
+    yield ["verify-minima", "example1.rec", "--starts", "2", "--max-fevals", "2"]
+    yield [
+        "verify-minima", "example3.rec", "--constrain-signs", "--starts", "2",
+        "--max-fevals", "5",
+    ]
+    yield ["verify-minima", "example1.rec", "--solver", "gd", "--starts", "5", "--grad-tol", "1e-5"]
+    for state in ("H", "D", "R", "mixed"):
+        yield [
+            "simulate", "--state", state, "--povm", "pol4", "--noise", "poisson",
+            "--shots", "1001",
+        ]
+    for command in ("simulate", "reconstruct", "verify-minima", "compare"):
+        yield [command, "--help"]
+
+
+def _run(tree, argv):
+    """(exit code, stdout, stderr, document or None) of one case on one tree."""
+    src = Path(tree).resolve() / "src"
+    with tempfile.TemporaryDirectory() as work:
+        for rec in (src / "tomomle" / "data").glob("*.rec"):
+            shutil.copy(rec, work)
+        if "--help" not in argv:
+            argv = [*argv, "--out", OUT]
+        proc = subprocess.run(
+            [sys.executable, "-m", "tomomle.cli", *argv],
+            cwd=work,
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
+            capture_output=True,
+            encoding="utf-8",
+            errors="replace",
+        )
+        out = Path(work) / OUT
+        doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else None
+    if isinstance(doc, dict) and isinstance(doc.get("manifest"), dict):
+        doc["manifest"]["output_path"] = None
+    return proc.returncode, proc.stdout, proc.stderr, doc
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    parent, change = argv
+    cases = list(_cases())
+    differing = 0
+    for case in cases:
+        before, after = _run(parent, case), _run(change, case)
+        fields = [name for name, a, b in zip(FIELDS, before, after) if a != b]
+        differing += bool(fields)
+        verdict = f"DIFF ({', '.join(fields)})" if fields else "same"
+        print(f"{verdict:<8} exit {before[0]}->{after[0]}  {' '.join(case)}", flush=True)
+    print(f"{differing} of {len(cases)} cases differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
