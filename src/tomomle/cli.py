@@ -20,7 +20,13 @@ output.  Exit codes are part of the contract:
 
 A command returns 0, 1 or 10 or raises; `main` maps the error to its code
 through EXIT_FOR_ERROR and prints one `error:` line, followed for exit 11
-by one `  discarded:` line per discarded run.
+by one `  discarded:` line per discarded run.  `main` runs the command with
+numpy's floating-point warnings off: a run that overflows shows it in its
+document, as a `numerical-failure` stop and `null` values.  No solver
+catches an error: Nelder-Mead stops on a spent budget or a non-finite
+value through its own private signal, and an error the objective raises,
+also in the one value_and_gradient call (not counted in `fevals`) that
+reports ||g|| at Nelder-Mead's best vertex, propagates out of the command.
 """
 
 import argparse
@@ -288,6 +294,8 @@ def _checked(kind, ok, rule):
 
 
 positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+# float64, in which the counts are drawn, holds every integer up to 2^53 exactly
+shots_int = _checked(int, lambda v: 1 <= v <= 2**53, "a positive integer <= 2^53")
 nonnegative_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
 positive_float = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
 nonnegative_float = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
@@ -319,7 +327,7 @@ def build_parser():
     p = sub.add_parser("simulate", help="simulate measurement counts")
     p.add_argument("--state", required=True, help="preset (H,V,D,R,mixed,bell) or matrix file")
     p.add_argument("--povm", default="pol4", help="POVM preset (pol4, pol4x4)")
-    p.add_argument("--shots", type=positive_int, required=True)
+    p.add_argument("--shots", type=shots_int, required=True)
     p.add_argument("--noise", choices=["none", "gaussian", "poisson"], default="none")
     p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--out", required=True)
@@ -363,7 +371,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow shows in the documents as numerical-failure and null
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (OSError, TomographyError) as exc:
         code = next(code for kind, code in EXIT_FOR_ERROR if isinstance(exc, kind))
         message = f"cannot write {args.out}: {exc}" if code == EXIT_UNWRITABLE else exc

@@ -1,7 +1,7 @@
 """Unconstrained minimizers over parameter vectors, with explicit stopping
 diagnostics.
 
-Every run terminates with exactly one StopReason.  Gradient tolerance is the
+Every run ends in one place, with one StopReason.  Gradient tolerance is the
 preferred criterion; stagnation criteria (small step / small function change)
 use tolerances that default to grad_tol**2, and a terminated run always
 reports the final gradient norm so that a stagnation stop can be told apart
@@ -16,8 +16,8 @@ Jacobians.  Only an ObjectiveModel's results carry the state rho(t_final),
 and only its operator stack bounds the chunks of a block of starts.
 
 `fevals` counts the evaluations the search makes.  Nelder-Mead has no
-gradient of its own, so at every exit _finish makes one more
-value_and_gradient call, which fevals does not count, to report ||g||.
+gradient of its own, so its one _finish call makes one more
+value_and_gradient call at the best vertex, uncounted, to report ||g||.
 Gradient descent and Levenberg-Marquardt report the gradient they have.
 """
 
@@ -29,7 +29,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import NumericalError
 from .likelihood import ObjectiveModel
 from .parameterize import rho_of_t
 
@@ -87,16 +86,13 @@ class OptimizationResult:
     trace_log: list = field(default_factory=list)
 
 
-class _Budget(Exception):
-    pass
+class _Stop(Exception):
+    """Nelder-Mead's one stop signal from inside its search: args = (StopReason,)."""
 
 
 def _finish(model, t, f, iters, fevals, reason, trace, grad=None):
     if grad is None:
-        try:
-            grad = model.value_and_gradient(t).gradient
-        except Exception:
-            grad = np.full(len(t), np.nan)
+        grad = model.value_and_gradient(t).gradient
     rho = rho_of_t(t) if isinstance(model, ObjectiveModel) else None
     return OptimizationResult(
         t_final=np.array(t, dtype=float),
@@ -338,8 +334,9 @@ def gradient_descent(model, t0, cfg=None):
     iters = fevals = 0
     alpha = 1.0
     step = df = math.inf
+    reason = None
 
-    while True:
+    while reason is None:
         ev = model.value_and_gradient(t)
         f, grad = ev.value, ev.gradient
         fevals += 1
@@ -350,7 +347,8 @@ def gradient_descent(model, t0, cfg=None):
         # a non-finite entry makes ||g|| non-finite; an overflowing g.g alone
         # does not fail the run
         if not (math.isfinite(f) and (math.isfinite(gnorm) or np.isfinite(grad).all())):
-            return _finish(model, t, f, iters, fevals, StopReason.NumericalFailure, trace, grad)
+            reason = StopReason.NumericalFailure
+            break
         trace.append((f, gnorm, step if iters else 0.0))
         if step < step_tol:
             reason = StopReason.StepStagnation
@@ -364,10 +362,8 @@ def gradient_descent(model, t0, cfg=None):
             reason = StopReason.MaxIterations
         elif fevals >= max_fevals:
             reason = StopReason.MaxFunctionEvals
-        else:
-            reason = None
         if reason is not None:
-            return _finish(model, t, f, iters, fevals, reason, trace, grad)
+            break
         iters += 1
 
         a = alpha
@@ -376,20 +372,20 @@ def gradient_descent(model, t0, cfg=None):
             f_trial = model.value(trial)
             fevals += 1
             if math.isfinite(f_trial) and f_trial <= f - ARMIJO_C1 * a * gg:
+                moved = trial - t
+                step = math.sqrt(moved.dot(moved))
+                df = f - f_trial
+                t = trial
+                alpha = min(a * 2.0, 1e6)
                 break
             if fevals >= max_fevals:
-                return _finish(
-                    model, t, f, iters, fevals, StopReason.MaxFunctionEvals, trace, grad
-                )
+                reason = StopReason.MaxFunctionEvals
+                break
             a *= 0.5
         else:
-            return _finish(model, t, f, iters, fevals, StopReason.StepStagnation, trace, grad)
+            reason = StopReason.StepStagnation
 
-        moved = trial - t
-        step = math.sqrt(moved.dot(moved))
-        df = f - f_trial
-        t = trial
-        alpha = min(a * 2.0, 1e6)
+    return _finish(model, t, f, iters, fevals, reason, trace, grad)
 
 
 def nelder_mead(model, t0, cfg=None):
@@ -397,30 +393,27 @@ def nelder_mead(model, t0, cfg=None):
 
     Termination follows the simplex-stagnation rule: all vertices within
     step_tol of the best point (inf norm) and all function values within
-    fun_tol of the best value.  The gradient norm reported in the result is
-    evaluated a posteriori at the final point, by one value_and_gradient
-    call that fevals does not count, and plays no role in the search.
+    fun_tol of the best value.  A spent budget or a non-finite value
+    raises _Stop(reason), the search's one stop signal.  The reported ||g||
+    is evaluated a posteriori at the first best vertex, by one uncounted
+    value_and_gradient call, and plays no role in the search.
     """
     cfg = cfg or StopConfig()
     t0 = np.asarray(t0, dtype=float).copy()
     n = t0.size
     step_tol, fun_tol, max_iters, max_fevals = cfg.resolved(n)
     trace = []
-
-    # the start is always evaluated, as in LM and gradient descent
-    fevals = 1
-    f0 = model.value(t0)
-    if not math.isfinite(f0):
-        return _finish(model, t0, f0, 0, fevals, StopReason.NumericalFailure, trace)
+    fevals = 0
+    budget = max(max_fevals, 1)  # the start is always evaluated, as in LM and gradient descent
 
     def f(x):
         nonlocal fevals
-        if fevals >= max_fevals:
-            raise _Budget
+        if fevals >= budget:
+            raise _Stop(StopReason.MaxFunctionEvals)
         fevals += 1
         val = model.value(x)
         if not math.isfinite(val):
-            raise NumericalError("non-finite objective value in simplex search")
+            raise _Stop(StopReason.NumericalFailure)
         return val
 
     # fminsearch-style initial simplex: 5% relative perturbation per
@@ -433,12 +426,11 @@ def nelder_mead(model, t0, cfg=None):
     simplex = np.array(simplex)
 
     # the vertex values, kept in a list: a vertex not evaluated ranks last
-    values = [f0] + [math.inf] * n
+    values = [math.inf] * (n + 1)
     iters = 0
-    reason = None
     shrunk = True  # the simplex needs a full sort
     try:
-        for i in range(1, n + 1):
+        for i in range(n + 1):
             values[i] = f(simplex[i])
         while True:
             if shrunk:
@@ -497,10 +489,8 @@ def nelder_mead(model, t0, cfg=None):
                     for i in range(1, n + 1):
                         simplex[i] = best + 0.5 * (simplex[i] - best)
                         values[i] = f(simplex[i])
-    except _Budget:
-        reason = StopReason.MaxFunctionEvals
-    except NumericalError:
-        reason = StopReason.NumericalFailure
+    except _Stop as stop:
+        (reason,) = stop.args
 
     i = min(range(n + 1), key=values.__getitem__)  # the first best vertex
     return _finish(model, simplex[i], values[i], iters, fevals, reason, trace)

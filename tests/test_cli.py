@@ -249,14 +249,31 @@ def test_exit_code_invalid_state_file(tmp_path, capsys, doc):
     assert not rec.exists()
 
 
+NOISE_MODELS = ("none", "gaussian", "poisson")
+
+
+@pytest.mark.parametrize("noise", NOISE_MODELS)
+def test_simulate_at_the_shots_cap(tmp_path, noise):
+    # 2^53 shots: every count a float64 holds exactly
+    rec = tmp_path / "s.rec"
+    assert run(
+        "simulate", "--state", "H", "--shots", str(2**53), "--noise", noise, "--out", str(rec)
+    ) == 0
+    assert read_record(rec).normalization == 2**53
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["simulate", "--state", "H", "--shots", "0"],
         ["simulate", "--state", "H", "--shots", "-3"],
+        *(
+            ["simulate", "--state", "H", "--shots", str(2**53 + 1), "--noise", noise]
+            for noise in NOISE_MODELS
+        ),
         ["verify-minima", data_path("example1.rec"), "--starts", "0"],
     ],
-    ids=["shots-0", "shots-negative", "starts-0"],
+    ids=["shots-0", "shots-negative", *(f"shots-2^53+1-{n}" for n in NOISE_MODELS), "starts-0"],
 )
 def test_exit_code_count_bounds(tmp_path, capsys, argv):
     out = tmp_path / "o.json"
@@ -443,6 +460,18 @@ def test_exit_code_unwritable(tmp_path, capsys):
     assert run("reconstruct", data_path("example1.rec"), "--out", str(out)) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}: ")
+
+
+def test_exit_code_output_is_a_directory(tmp_path, capsys):
+    # the temporary file is written, the rename onto the directory fails,
+    # and the temporary file is removed
+    out = tmp_path / "taken"
+    out.mkdir()
+    assert run("reconstruct", data_path("example1.rec"), "--out", str(out)) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert list(out.iterdir()) == []
 
 
 def test_exit_code_incomplete_measurements(tmp_path, capsys):
@@ -634,6 +663,7 @@ def _grouped_record(basis_groups):
         (_grouped_record([[0, 1], [2, 9]]), "mle"),
         (_grouped_record([[0, 1], [1, 2, 3]]), "mle"),
         (_grouped_record([[0, 0, 1], [2, 3]]), "mle"),
+        (_grouped_record([[], [0, 1, 2, 3]]), "mle"),
         (_pol4_record_with(2, 0, 1, [float("nan"), float("inf")]), "mle"),
         (_pol4_record_with(2, 0, 1, [float("nan"), float("inf")]), "linear"),
         (_pol4_record_with(0, 0, 1, [5.0, 0.0]), "mle"),
@@ -682,6 +712,7 @@ def _grouped_record(basis_groups):
         "basis-group-index-out-of-range",
         "basis-groups-overlap",
         "basis-group-repeats-a-setting",
+        "basis-group-empty",
         "nan-operator-entry-mle",
         "nan-operator-entry-linear",
         "non-hermitian-operator-mle",
@@ -839,9 +870,8 @@ def _no_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-# example1 counts over a normalization of 1e-300 overflow every solver; the
-# numpy overflow warnings on the way are not what this test is about
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# example1 counts over a normalization of 1e-300 overflow every solver, with
+# no numpy warning on stderr
 @pytest.mark.parametrize(
     "argv, code, rows",
     [
@@ -850,12 +880,13 @@ def _no_constant(name):
     ],
     ids=["compare", "reconstruct"],
 )
-def test_non_finite_results_are_written_as_null(tmp_path, argv, code, rows):
+def test_non_finite_results_are_written_as_null(tmp_path, capsys, argv, code, rows):
     rec = tmp_path / "tiny.rec"
     doc = json.loads(Path(data_path("example1.rec")).read_text())
     rec.write_text(json.dumps({**doc, "normalization": 1e-300}))
     out = tmp_path / "out.json"
     assert run(argv[0], str(rec), *argv[1:], "--out", str(out)) == code
+    assert capsys.readouterr().err == ""
     doc = json.loads(out.read_text(), parse_constant=_no_constant)
     assert all(row["f_final"] is None for row in rows(doc))
     assert all(row["grad_norm"] is None for row in rows(doc))

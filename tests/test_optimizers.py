@@ -17,7 +17,6 @@ from tomomle.optimizers import (
     SOLVERS,
     StopConfig,
     StopReason,
-    _Budget,
     _damped_steps,
     _finish,
     constrained_sign_solve,
@@ -579,6 +578,10 @@ def test_singular_damped_system_rejects_only_its_row():
     assert delta[1] == pytest.approx([-1.0, 2.0])
 
 
+class _Budget(Exception):
+    pass
+
+
 def reference_nelder_mead(model, t0, cfg=None):
     """The simplex search as it was written before the insertion-ordered
     bookkeeping: a full stable argsort of the simplex every iteration,
@@ -896,6 +899,19 @@ def test_gradient_descent_matches_reference_on_failures():
     assert res.trace_log[0][1] == math.inf
 
 
+def test_gradient_descent_stops_at_the_loop_top():
+    q = Quadratic()
+    # at the minimizer, before any step
+    res = gradient_descent(q, q.t_star)
+    assert (res.reason, res.iters, res.fevals, len(res.trace_log)) == (
+        StopReason.GradientTolerance, 0, 1, 1
+    )
+    # after the first accepted step, which is shorter than step_tol
+    res = gradient_descent(q, np.array([5.0, -5.0]), StopConfig(step_tol=1e3))
+    assert (res.reason, res.iters, len(res.trace_log)) == (StopReason.StepStagnation, 1, 2)
+    assert 0 < res.trace_log[1][2] < 1e3
+
+
 class CountedNaNGradientAbove(NaNGradientAbove):
     """NaNGradientAbove, counting its gradient evaluations."""
 
@@ -962,6 +978,19 @@ def test_nelder_mead_makes_one_uncounted_gradient_call(example1, example2):
     res = nelder_mead(model, [np.nan, 1.0, 0.0, 0.0])
     assert (res.reason, res.fevals) == (StopReason.NumericalFailure, 1)
     assert model.calls == {"value": 1, "value_and_gradient": 1}
+
+
+class RaisingGradient(Quadratic):
+    """The quadratic, whose value_and_gradient raises."""
+
+    def value_and_gradient(self, t):
+        raise RuntimeError("gradient failed")
+
+
+def test_nelder_mead_does_not_swallow_a_gradient_error():
+    # the one value_and_gradient call that reports ||g|| raises to the caller
+    with pytest.raises(RuntimeError, match="gradient failed"):
+        nelder_mead(RaisingGradient(), np.array([5.0, -5.0]))
 
 
 def test_gradient_descent_counts_every_call(example1, example2):

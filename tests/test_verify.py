@@ -6,8 +6,8 @@ import pytest
 from tomomle.errors import AllRunsFailedError
 from tomomle.likelihood import ObjectiveModel
 from tomomle.measurement import polarization_projectors
-from tomomle.optimizers import StopConfig
-from tomomle.parameterize import all_sign_patterns
+from tomomle.optimizers import StopConfig, run_solver
+from tomomle.parameterize import all_sign_patterns, random_param
 from tomomle.verify import (
     DEDUP_TOL,
     PAIR_BLOCK,
@@ -53,6 +53,19 @@ def test_multistart_screen_discards():
     assert len(err.value.diagnostics) == 3
     assert all(d["grad_norm"] >= 1e-6 for d in err.value.diagnostics)
     assert all("sign_pattern" not in d for d in err.value.diagnostics)
+
+
+@pytest.mark.parametrize("solver", ["gd", "nelder-mead"])
+def test_multistart_runs_other_solvers_start_by_start(solver):
+    # every run is the solver's own run from start i, drawn from seed + i
+    model = make_model()
+    report = multistart(model, 3, seed=5, solver=solver)
+    assert report.discarded_count == 0
+    for i, got in enumerate(report.screened_results):
+        ref = run_solver(solver, model, random_param(np.random.default_rng(5 + i), 2), StopConfig())
+        assert (got.reason, got.iters, got.fevals) == (ref.reason, ref.iters, ref.fevals)
+        for name in ("t_final", "rho_final", "f_final", "grad_norm", "trace_log"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
 
 
 def test_orthant_multistart_matches_one_orthant_at_a_time():
