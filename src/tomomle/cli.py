@@ -20,13 +20,17 @@ output.  Exit codes are part of the contract:
 
 A command returns 0, 1 or 10 or raises; `main` maps the error to its code
 through EXIT_FOR_ERROR and prints one `error:` line, followed for exit 11
-by one `  discarded:` line per discarded run.  `main` runs the command with
-numpy's floating-point warnings off: a run that overflows shows it in its
-document, as a `numerical-failure` stop and `null` values.  No solver
-catches an error: Nelder-Mead stops on a spent budget or a non-finite
-value through its own private signal, and an error the objective raises,
-also in the one value_and_gradient call (not counted in `fevals`) that
-reports ||g|| at Nelder-Mead's best vertex, propagates out of the command.
+by one `  discarded: {...}` line per discarded run, whose JSON object
+follows the documents' rule: a non-finite value is `null`.  `main` runs
+the command with numpy's floating-point warnings off: a run that
+overflows shows it in its document, as a `numerical-failure` stop and
+`null` values.  Every solver run ends in one `optimizers._finish` call,
+which builds its result, rho included.  No solver catches an error: Nelder-Mead
+stops on a spent budget or a non-finite value through its own private
+signal, and an error the objective raises, also in the one
+value_and_gradient call (not counted in `fevals`) that Nelder-Mead makes
+at its best vertex just before `_finish`, to report ||g||, propagates out
+of the command.
 """
 
 import argparse
@@ -53,6 +57,7 @@ from .measurement import (
     read_record,
     read_state,
     simulate_counts,
+    strict_json,
     write_json_atomic,
     write_record,
 )
@@ -380,7 +385,7 @@ def main(argv=None):
         print(f"error: {message}", file=sys.stderr)
         if isinstance(exc, AllRunsFailedError):
             for diag in exc.diagnostics:
-                print(f"  discarded: {diag}", file=sys.stderr)
+                print(f"  discarded: {strict_json(diag)}", file=sys.stderr)
         return code
 
 

@@ -317,15 +317,19 @@ def _nulled(obj):
     return obj
 
 
-def write_json_atomic(path, doc):
-    """Serialize to JSON via a temp file + rename; no partial output on failure.
-
-    The output is strict JSON: a non-finite float (inf, -inf, nan), which
+def strict_json(obj, indent=None):
+    """obj as strict JSON text: a non-finite float (inf, -inf, nan), which
     JSON cannot hold, is written as null."""
     try:
-        text = json.dumps(doc, indent=2, allow_nan=False)
+        return json.dumps(obj, indent=indent, allow_nan=False)
     except ValueError:
-        text = json.dumps(_nulled(doc), indent=2, allow_nan=False)
+        return json.dumps(_nulled(obj), indent=indent, allow_nan=False)
+
+
+def write_json_atomic(path, doc):
+    """Serialize to strict JSON (see strict_json) via a temp file + rename;
+    no partial output on failure."""
+    text = strict_json(doc, indent=2)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:

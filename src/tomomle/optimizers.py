@@ -1,7 +1,8 @@
 """Unconstrained minimizers over parameter vectors, with explicit stopping
 diagnostics.
 
-Every run ends in one place, with one StopReason.  Gradient tolerance is the
+Every run ends in one _finish call, with one StopReason: _finish builds the
+result of each row of a block of end points.  Gradient tolerance is the
 preferred criterion; stagnation criteria (small step / small function change)
 use tolerances that default to grad_tol**2, and a terminated run always
 reports the final gradient norm so that a stagnation stop can be told apart
@@ -16,9 +17,9 @@ Jacobians.  Only an ObjectiveModel's results carry the state rho(t_final),
 and only its operator stack bounds the chunks of a block of starts.
 
 `fevals` counts the evaluations the search makes.  Nelder-Mead has no
-gradient of its own, so its one _finish call makes one more
-value_and_gradient call at the best vertex, uncounted, to report ||g||.
-Gradient descent and Levenberg-Marquardt report the gradient they have.
+gradient of its own, so just before its _finish call it makes one more
+value_and_gradient call at the first best vertex, uncounted, to report
+||g||.  Gradient descent and Levenberg-Marquardt report the ||g|| they have.
 """
 
 import bisect
@@ -60,15 +61,19 @@ class StopReason(enum.Enum):
 @dataclass
 class StopConfig:
     grad_tol: float = 1e-6
-    step_tol: float | None = None  # default grad_tol**2
-    fun_tol: float | None = None  # default grad_tol**2
+    step_tol: float | None = None  # default grad_tol**2, inf where that overflows
+    fun_tol: float | None = None  # default grad_tol**2, inf where that overflows
     max_iters: int | None = None  # default 2 * 200 * n
     max_fevals: int | None = None  # default 2 * 200 * n
     param_bound: float = 1e3
 
     def resolved(self, n):
-        step_tol = self.grad_tol**2 if self.step_tol is None else self.step_tol
-        fun_tol = self.grad_tol**2 if self.fun_tol is None else self.fun_tol
+        try:
+            tol = self.grad_tol**2
+        except OverflowError:  # a float grad_tol above about 1.34e154
+            tol = math.inf
+        step_tol = tol if self.step_tol is None else self.step_tol
+        fun_tol = tol if self.fun_tol is None else self.fun_tol
         max_iters = 2 * 200 * n if self.max_iters is None else self.max_iters
         max_fevals = 2 * 200 * n if self.max_fevals is None else self.max_fevals
         return step_tol, fun_tol, max_iters, max_fevals
@@ -90,20 +95,11 @@ class _Stop(Exception):
     """Nelder-Mead's one stop signal from inside its search: args = (StopReason,)."""
 
 
-def _finish(model, t, f, iters, fevals, reason, trace, grad=None):
-    if grad is None:
-        grad = model.value_and_gradient(t).gradient
-    rho = rho_of_t(t) if isinstance(model, ObjectiveModel) else None
-    return OptimizationResult(
-        t_final=np.array(t, dtype=float),
-        rho_final=rho,
-        f_final=float(f),
-        grad_norm=float(np.linalg.norm(grad)),
-        iters=int(iters),
-        fevals=int(fevals),
-        reason=reason,
-        trace_log=trace,
-    )
+def _finish(model, t, f, gnorm, iters, fevals, reasons, traces):
+    """One OptimizationResult per row of the (k, n) block t of end points."""
+    rhos = rho_of_t(t) if isinstance(model, ObjectiveModel) else [None] * len(t)
+    columns = (np.asarray(column).tolist() for column in (f, gnorm, iters, fevals))
+    return [OptimizationResult(*row) for row in zip(t, rhos, *columns, reasons, traces)]
 
 
 def _jt_r(jac, r):
@@ -166,15 +162,15 @@ def _lm_chunk(model, t0, cfg, pattern):
     evaluation of their trial points, after which each row takes its own
     accept/reject branch.  J^T J is formed where a point is accepted, so
     the running state keeps no Jacobian.  Each round logs its accepted
-    points as arrays; the chunk turns them into trace_log tuples once, and
+    points as arrays, and each stopped row's end point is written to its
+    row.  After the loop the chunk turns the log into trace_log tuples once,
     drops the point a row fails check 0 at, as gradient descent traces no
-    point it fails at.
+    point it fails at, and ends every row in one _finish call.
     """
     n = t0.shape[1]
     step_tol, fun_tol, max_iters, max_fevals = cfg.resolved(n)
     t = t0.copy() if pattern is None else project_to_orthant(t0, pattern)
     traces = [[] for _ in t]
-    results = [None] * len(t)
 
     r, jac, _ = model.residuals_and_jacobian(t)
     k = len(t)
@@ -195,6 +191,8 @@ def _lm_chunk(model, t0, cfg, pattern):
     # the accepted points as (row, f, ||g||, step) arrays, one entry per
     # round; no logged array is written to later
     log = [(s.rows, s.f.copy(), s.gnorm.copy(), np.zeros(k))]
+    # each row's (t, f, ||g||, iters, fevals, first true check) where it stops
+    ends = (np.empty_like(t), *np.empty((2, k)), *np.empty((3, k), dtype=int))
 
     while True:
         # f or an entry of g is not finite; an overflowing ||g|| alone is not
@@ -222,13 +220,9 @@ def _lm_chunk(model, t0, cfg, pattern):
             acc = acc[i]
             binds = np.array([acc, acc, acc, acc, ~acc, acc, acc, np.ones_like(acc)])
             first = (np.array(checks)[:, i] & binds).argmax(axis=0)
-            t_stop = s.t[i]
-            rhos = rho_of_t(t_stop) if isinstance(model, ObjectiveModel) else [None] * len(i)
-            for row, *fields, c in zip(
-                s.rows[i].tolist(), t_stop, rhos, s.f[i].tolist(), s.gnorm[i].tolist(),
-                s.iters[i].tolist(), s.fevals[i].tolist(), first.tolist(),
-            ):
-                results[row] = OptimizationResult(*fields, _LM_STOPS[c], traces[row])
+            stopped = s.t[i], s.f[i], s.gnorm[i], s.iters[i], s.fevals[i], first
+            for end, value in zip(ends, stopped):
+                end[s.rows[i]] = value
             running = ~hit
             for name, value in vars(s).items():
                 setattr(s, name, value[running])
@@ -274,10 +268,10 @@ def _lm_chunk(model, t0, cfg, pattern):
     rows, *entries = (np.concatenate(column).tolist() for column in zip(*log))
     for row, entry in zip(rows, zip(*entries)):
         traces[row].append(entry)
-    for res in results:
-        if res.reason is StopReason.NumericalFailure:
-            res.trace_log.pop()
-    return results
+    t, f, gnorm, iters, fevals, first = ends
+    for row in np.flatnonzero(first == 0):
+        traces[row].pop()
+    return _finish(model, t, f, gnorm, iters, fevals, [_LM_STOPS[c] for c in first], traces)
 
 
 def _chunk_size(model, n_starts):
@@ -385,7 +379,7 @@ def gradient_descent(model, t0, cfg=None):
         else:
             reason = StopReason.StepStagnation
 
-    return _finish(model, t, f, iters, fevals, reason, trace, grad)
+    return _finish(model, t[None], [f], [gnorm], [iters], [fevals], [reason], [trace])[0]
 
 
 def nelder_mead(model, t0, cfg=None):
@@ -493,7 +487,9 @@ def nelder_mead(model, t0, cfg=None):
         (reason,) = stop.args
 
     i = min(range(n + 1), key=values.__getitem__)  # the first best vertex
-    return _finish(model, simplex[i], values[i], iters, fevals, reason, trace)
+    gnorm = np.linalg.norm(model.value_and_gradient(simplex[i]).gradient)  # not counted
+    end = [values[i]], [gnorm], [iters], [fevals], [reason], [trace]
+    return _finish(model, simplex[i:i + 1], *end)[0]
 
 
 def project_to_orthant(t, signs):

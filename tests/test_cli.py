@@ -154,12 +154,21 @@ def test_verify_minima_constrained_honours_budget(tmp_path, capsys):
     ) == 11
     # every orthant fails the screen; all 4 x 2 runs are listed, each under
     # its sign pattern
-    discarded = [line for line in capsys.readouterr().err.splitlines() if "discarded:" in line]
+    discarded = _discarded(capsys.readouterr().err.splitlines()[1:])
     assert len(discarded) == 8
-    assert all("'max-function-evals'" in line for line in discarded)
-    for pattern in ("[1, 1]", "[-1, 1]", "[1, -1]", "[-1, -1]"):
-        assert sum(f"'sign_pattern': {pattern}," in line for line in discarded) == 2
+    assert all(diag["reason"] == "max-function-evals" for diag in discarded)
+    for pattern in ([1, 1], [-1, 1], [1, -1], [-1, -1]):
+        assert sum(diag["sign_pattern"] == pattern for diag in discarded) == 2
     assert not out.exists()
+
+
+def _discarded(lines):
+    """The JSON object of each `  discarded: ` line, parsed as strict JSON."""
+    assert all(line.startswith("  discarded: ") for line in lines)
+    return [
+        json.loads(line.removeprefix("  discarded: "), parse_constant=_no_constant)
+        for line in lines
+    ]
 
 
 def _matrix_fields_per_entry(m):
@@ -802,7 +811,10 @@ def test_reconstruct_on_fuzzed_records_keeps_exit_contract(tmp_path_factory, doc
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
-@pytest.mark.parametrize("flags, code", [(["--grad-tol", "2"], 0), (["--step-tol", "1e-3"], 10)])
+@pytest.mark.parametrize(
+    "flags, code",
+    [(["--grad-tol", "2"], 0), (["--step-tol", "1e-3"], 10), (["--grad-tol", "1e200"], 0)],
+)
 def test_stagnation_tolerances_above_grad_tol_print_nothing(tmp_path, capsys, flags, code):
     out = tmp_path / "o.json"
     assert run("reconstruct", data_path("example1.rec"), *flags, "--out", str(out)) == code
@@ -842,7 +854,11 @@ def test_exit_code_all_runs_failed(tmp_path, capsys):
     assert code == 11
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith("error: all 2 runs failed the stationarity screen")
-    assert len(err) == 3 and all(line.startswith("  discarded: ") for line in err[1:])
+    assert len(err) == 3
+    discarded = _discarded(err[1:])
+    assert [(diag["start_index"], diag["reason"]) for diag in discarded] == [
+        (0, "max-function-evals"), (1, "max-function-evals")
+    ]
     assert not out.exists()
 
 
@@ -870,8 +886,16 @@ def _no_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-# example1 counts over a normalization of 1e-300 overflow every solver, with
-# no numpy warning on stderr
+def _overflow_record(tmp_path):
+    """example1's counts over a normalization of 1e-300, which overflow
+    every solver."""
+    rec = tmp_path / "tiny.rec"
+    doc = json.loads(Path(data_path("example1.rec")).read_text())
+    rec.write_text(json.dumps({**doc, "normalization": 1e-300}))
+    return rec
+
+
+# the overflow record ends every solver run, with no numpy warning on stderr
 @pytest.mark.parametrize(
     "argv, code, rows",
     [
@@ -881,9 +905,7 @@ def _no_constant(name):
     ids=["compare", "reconstruct"],
 )
 def test_non_finite_results_are_written_as_null(tmp_path, capsys, argv, code, rows):
-    rec = tmp_path / "tiny.rec"
-    doc = json.loads(Path(data_path("example1.rec")).read_text())
-    rec.write_text(json.dumps({**doc, "normalization": 1e-300}))
+    rec = _overflow_record(tmp_path)
     out = tmp_path / "out.json"
     assert run(argv[0], str(rec), *argv[1:], "--out", str(out)) == code
     assert capsys.readouterr().err == ""
@@ -892,3 +914,15 @@ def test_non_finite_results_are_written_as_null(tmp_path, capsys, argv, code, ro
     assert all(row["grad_norm"] is None for row in rows(doc))
     reasons = [row.get("reason", row.get("stop_reason")) for row in rows(doc)]
     assert reasons == ["numerical-failure"] * len(rows(doc))
+
+
+def test_non_finite_discards_are_printed_as_null(tmp_path, capsys):
+    out = tmp_path / "v.json"
+    argv = ["--solver", "nelder-mead", "--starts", "2", "--out", str(out)]
+    assert run("verify-minima", str(_overflow_record(tmp_path)), *argv) == 11
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3
+    for line in err[1:]:
+        assert '"grad_norm": null' in line and '"f_final": null' in line
+    assert [diag["reason"] for diag in _discarded(err[1:])] == ["numerical-failure"] * 2
+    assert not out.exists()

@@ -15,10 +15,10 @@ from tomomle.optimizers import (
     LM_LAMBDA_INIT,
     LM_LAMBDA_MAX,
     SOLVERS,
+    OptimizationResult,
     StopConfig,
     StopReason,
     _damped_steps,
-    _finish,
     constrained_sign_solve,
     default_start,
     gradient_descent,
@@ -28,7 +28,13 @@ from tomomle.optimizers import (
     project_to_orthant,
     run_solver,
 )
-from tomomle.parameterize import all_sign_patterns, random_density, random_param, rho_of_t
+from tomomle.parameterize import (
+    all_sign_patterns,
+    param_layout,
+    random_density,
+    random_param,
+    rho_of_t,
+)
 
 
 class Quadratic:
@@ -87,12 +93,10 @@ def test_nm_quadratic():
 
 
 def test_stop_config_defaults():
-    cfg = StopConfig(grad_tol=1e-6)
-    step_tol, fun_tol, max_iters, max_fevals = cfg.resolved(4)
-    assert step_tol == 1e-12
-    assert fun_tol == 1e-12
-    assert max_iters == 1600
-    assert max_fevals == 1600
+    # grad_tol**2 overflows a float above about 1.34e154: the stagnation
+    # tolerances are then inf
+    for grad_tol, tol in ((1e-6, 1e-12), (1e200, math.inf)):
+        assert StopConfig(grad_tol=grad_tol).resolved(4) == (tol, tol, 1600, 1600)
 
 
 def test_max_iteration_budget():
@@ -235,6 +239,24 @@ def assert_matches_reference(results, model, starts, cfg=None, patterns=None):
             assert np.max(np.abs(res.t_final - t)) < 1e-8 * max(1.0, np.max(np.abs(t)))
             if res.rho_final is not None:
                 assert np.max(np.abs(res.rho_final - rho_of_t(t))) < 1e-10
+
+
+def _finish(model, t, f, iters, fevals, reason, trace, grad=None):
+    """The one-run result builder the references were written with, frozen
+    with them."""
+    if grad is None:
+        grad = model.value_and_gradient(t).gradient
+    rho = rho_of_t(t) if isinstance(model, ObjectiveModel) else None
+    return OptimizationResult(
+        t_final=np.array(t, dtype=float),
+        rho_final=rho,
+        f_final=float(f),
+        grad_norm=float(np.linalg.norm(grad)),
+        iters=int(iters),
+        fevals=int(fevals),
+        reason=reason,
+        trace_log=trace,
+    )
 
 
 # the helpers of the previous batched loop, frozen with it
@@ -1023,3 +1045,44 @@ def test_lm_makes_no_uncounted_gradient_call(example1):
     res = levenberg_marquardt(model, default_start(2))
     assert res.reason is StopReason.GradientTolerance
     assert set(model.calls) == {"residuals_and_jacobian"}
+
+
+def hessian_min_eigenvalue(model, t, h=1e-5):
+    """Smallest eigenvalue of the symmetrized central-difference Hessian of
+    value_and_gradient's gradient at t."""
+    steps = h * np.eye(len(t))
+    hess = np.array(
+        [
+            model.value_and_gradient(t + e).gradient - model.value_and_gradient(t - e).gradient
+            for e in steps
+        ]
+    ) / (2 * h)
+    return np.linalg.eigvalsh(0.5 * (hess + hess.T))[0]
+
+
+# The paper's theorem: every local minimizer gives the MLE, so a stationary
+# point above f* is a saddle.  A row of T that is exactly 0 has zero gradient
+# and Jacobian columns, so LM keeps it at 0 and ends at the best state of
+# rank <= r.  Where the MLE has a larger rank, that end point is a saddle that
+# still meets grad_tol; where it does not, it is the MLE.
+@pytest.mark.parametrize(
+    "name, r, excess",
+    [("example1", 1, 1e-5), ("example2", 1, 1e-3), ("example2", 3, None), ("example3", 1, None)],
+    ids=["example1-r1-saddle", "example2-r1-saddle", "example2-r3-mle", "example3-r1-mle"],
+)
+def test_zero_rows_of_T_end_at_a_saddle_or_the_mle(request, name, r, excess):
+    model = record_model(request.getfixturevalue(name))
+    d = model.dim
+    f_star = levenberg_marquardt(model, default_start(d)).f_final
+    zero = param_layout(d)[0] >= r  # the parameters of rows r..d-1 of T
+    for seed in range(3):
+        t0 = random_param(np.random.default_rng(seed), d)
+        t0[zero] = 0.0
+        res = levenberg_marquardt(model, t0)
+        assert np.all(res.t_final[zero] == 0.0)
+        if excess is None:
+            assert abs(res.f_final - f_star) < 1e-7
+        else:
+            assert res.reason is StopReason.GradientTolerance
+            assert res.f_final - f_star > excess
+            assert hessian_min_eigenvalue(model, res.t_final) < -0.01

@@ -25,11 +25,23 @@ FIELDS = ("exit", "stdout", "stderr", "document")
 # example1's counts over a normalization of 1e-300: every solver overflows
 OVERFLOW_REC = "overflow1.rec"
 # the fields in which a case may differ from a tree that predates a bugfix:
-# numpy warnings no longer reach stderr, and shots past 2^53 exit 2, where
-# 2^53 + 1 wrote a record and 10^20 failed with a traceback
+# numpy warnings no longer reach stderr; shots past 2^53 exit 2, where
+# 2^53 + 1 wrote a record and 10^20 failed with a traceback; a grad_tol whose
+# square overflows runs, where it failed with a traceback; and exit 11 prints
+# each discarded run as a JSON object, where it printed a Python dict
 EXPECTED = {
     ("reconstruct", OVERFLOW_REC): {"stderr"},
     ("compare", OVERFLOW_REC, "--solver", "lm,gd,nelder-mead"): {"stderr"},
+    ("reconstruct", "example1.rec", "--grad-tol", "1e200"): {"exit", "stderr", "document"},
+    ("compare", "example2.rec", "--solver", "lm,gd,nelder-mead", "--grad-tol", "1e200"): {
+        "exit", "stderr", "document"
+    },
+    ("verify-minima", "example1.rec", "--starts", "2", "--max-fevals", "2"): {"stderr"},
+    (
+        "verify-minima", "example3.rec", "--constrain-signs", "--starts", "2",
+        "--max-fevals", "5",
+    ): {"stderr"},
+    ("verify-minima", OVERFLOW_REC, "--solver", "nelder-mead", "--starts", "2"): {"stderr"},
     ("simulate", "--state", "H", "--shots", str(2**53 + 1), "--noise", "poisson"): {
         "exit", "stderr", "document"
     },
@@ -50,11 +62,6 @@ def _cases():
     yield ["verify-minima", "example2.rec", "--seed", "0"]
     yield ["verify-minima", "example2.rec", "--seed", "13000"]
     yield ["verify-minima", "example3.rec", "--constrain-signs", "--seed", "500"]
-    yield ["verify-minima", "example1.rec", "--starts", "2", "--max-fevals", "2"]
-    yield [
-        "verify-minima", "example3.rec", "--constrain-signs", "--starts", "2",
-        "--max-fevals", "5",
-    ]
     yield ["verify-minima", "example1.rec", "--solver", "gd", "--starts", "5", "--grad-tol", "1e-5"]
     yield ["verify-minima", "example3.rec", "--solver", "nelder-mead", "--starts", "3"]
     for state in ("H", "D", "R", "mixed"):
