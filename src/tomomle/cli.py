@@ -24,17 +24,13 @@ by one `  discarded: {...}` line per discarded run, whose JSON object
 follows the documents' rule: a non-finite value is `null`.  `main` runs
 the command with numpy's floating-point warnings off: a run that
 overflows shows it in its document, as a `numerical-failure` stop and
-`null` values.  Every solver run ends in one `optimizers._finish` call,
-which builds its result, rho included.  No solver catches an error: Nelder-Mead
-stops on a spent budget or a non-finite value through its own private
-signal, and an error the objective raises, also in the one
-value_and_gradient call (not counted in `fevals`) that Nelder-Mead makes
-at its best vertex just before `_finish`, to report ||g||, propagates out
-of the command.
+`null` values.  An error the objective raises is not caught: it
+propagates out of the command, and the process exits 1.
 """
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 
@@ -291,7 +287,7 @@ def _checked(kind, ok, rule):
     def parse(text):
         value = kind(text)
         if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value!r}")
         return value
 
     parse.__name__ = kind.__name__  # argparse's "invalid int value: 'x'" names it
@@ -304,8 +300,13 @@ shots_int = _checked(int, lambda v: 1 <= v <= 2**53, "a positive integer <= 2^53
 nonnegative_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
 positive_float = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
 nonnegative_float = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
+# "" would name the directory above the working one as the output's folder
+out_path = _checked(str, bool, "a non-empty path")
 
 
+# built once per process and shared: parse_args leaves it as it was, so a
+# caller must not change it either
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="tomomle",
@@ -335,7 +336,7 @@ def build_parser():
     p.add_argument("--shots", type=shots_int, required=True)
     p.add_argument("--noise", choices=["none", "gaussian", "poisson"], default="none")
     p.add_argument("--seed", type=nonnegative_int, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=out_path, required=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("reconstruct", help="reconstruct a state from a record")
@@ -344,7 +345,7 @@ def build_parser():
     p.add_argument("--solver", choices=sorted(SOLVERS), default="lm")
     add_stop_flags(p)
     p.add_argument("--verbose", action="store_true")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=out_path, required=True)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("verify-minima", help="multistart equivalence verification")
@@ -360,14 +361,14 @@ def build_parser():
     p.add_argument("--rho-tol", type=nonnegative_float, default=1e-3)
     p.add_argument("--f-tol", type=nonnegative_float, default=1e-6)
     add_stop_flags(p)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=out_path, required=True)
     p.set_defaults(func=cmd_verify_minima)
 
     p = sub.add_parser("compare", help="run several solvers on one record")
     p.add_argument("record")
     p.add_argument("--solver", default="lm,nelder-mead", help="comma-separated solver list")
     add_stop_flags(p)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=out_path, required=True)
     p.set_defaults(func=cmd_compare)
 
     return parser

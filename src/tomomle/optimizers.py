@@ -125,17 +125,20 @@ def _damped_steps(a, lam, grad):
         return delta
 
 
-# one stop decision per LM round: the first true check of _lm_chunk's list
+# LM's stop rule: one (reason, binds an accepted row, binds a rejected row)
+# per check of _lm_chunk's `checks` tuple, in its order.  A round stops each
+# running row on the first check that is true and binds it
 _LM_STOPS = (
-    StopReason.NumericalFailure,
-    StopReason.GradientTolerance,
-    StopReason.StepStagnation,
-    StopReason.FunctionStagnation,
-    StopReason.StepStagnation,
-    StopReason.ParamBoundHit,
-    StopReason.MaxIterations,
-    StopReason.MaxFunctionEvals,
+    (StopReason.NumericalFailure, True, False),
+    (StopReason.GradientTolerance, True, False),
+    (StopReason.StepStagnation, True, False),
+    (StopReason.FunctionStagnation, True, False),
+    (StopReason.StepStagnation, False, True),
+    (StopReason.ParamBoundHit, True, False),
+    (StopReason.MaxIterations, True, False),
+    (StopReason.MaxFunctionEvals, True, True),
 )
+_BINDS = np.array([binds for _, *binds in _LM_STOPS])
 
 
 def _lm_chunk(model, t0, cfg, pattern):
@@ -145,27 +148,19 @@ def _lm_chunk(model, t0, cfg, pattern):
 
     Each row follows the single-start algorithm step for step.  The start
     counts as an accepted point with step = df = inf.  After each round,
-    every running row makes one stop decision, on the first true check of
-
-        0. accepted and f or a g entry not finite  numerical-failure
-        1. accepted and ||g|| < grad_tol           gradient-tolerance
-        2. accepted and step < step_tol            step-stagnation
-        3. accepted and df < fun_tol               function-stagnation
-        4. rejected and lambda > LM_LAMBDA_MAX     step-stagnation
-        5. accepted and ||t||_inf > param_bound    param-bound-hit
-        6. accepted and iters >= max_iters         max-iterations
-        7. fevals >= max_fevals                    max-function-evals
-
-    and stopped rows are dropped from the running state.  The rows left
-    that accepted their point begin an iteration (iters counts it); a round
-    is then one batched damped solve for all running rows and one batched
-    evaluation of their trial points, after which each row takes its own
-    accept/reject branch.  J^T J is formed where a point is accepted, so
-    the running state keeps no Jacobian.  Each round logs its accepted
-    points as arrays, and each stopped row's end point is written to its
-    row.  After the loop the chunk turns the log into trace_log tuples once,
-    drops the point a row fails check 0 at, as gradient descent traces no
-    point it fails at, and ends every row in one _finish call.
+    every running row makes one stop decision: _LM_STOPS gives each check's
+    reason and the rows it binds, and the `checks` tuple, in the same order,
+    its predicate.  Stopped rows are dropped from the running state.  The
+    rows left that accepted their point begin an iteration (iters counts
+    it); a round is then one batched damped solve for all running rows and
+    one batched evaluation of their trial points, after which each row
+    takes its own accept/reject branch.  J^T J is formed where a point is
+    accepted, so the running state keeps no Jacobian.  Each round logs its
+    accepted points as arrays, and each stopped row's end point is written
+    to its row.  After the loop the chunk turns the log into trace_log
+    tuples once, drops the point a row fails check 0 at, as gradient
+    descent traces no point it fails at, and ends every row in one _finish
+    call.
     """
     n = t0.shape[1]
     step_tol, fun_tol, max_iters, max_fevals = cfg.resolved(n)
@@ -191,7 +186,7 @@ def _lm_chunk(model, t0, cfg, pattern):
     # the accepted points as (row, f, ||g||, step) arrays, one entry per
     # round; no logged array is written to later
     log = [(s.rows, s.f.copy(), s.gnorm.copy(), np.zeros(k))]
-    # each row's (t, f, ||g||, iters, fevals, first true check) where it stops
+    # each row's (t, f, ||g||, iters, fevals, first binding check) where it stops
     ends = (np.empty_like(t), *np.empty((2, k)), *np.empty((3, k), dtype=int))
 
     while True:
@@ -209,17 +204,11 @@ def _lm_chunk(model, t0, cfg, pattern):
             s.iters >= max_iters,
             s.fevals >= max_fevals,
         )
-        # checks 0-3, 5 and 6 bind accepted rows, 4 rejected ones, 7 every row
-        acc = s.accepted
-        hit = np.where(
-            acc, checks[0] | checks[1] | checks[2] | checks[3] | checks[5] | checks[6], checks[4]
-        )
-        hit |= checks[7]
+        binding = np.array(checks) & np.where(s.accepted, _BINDS[:, :1], _BINDS[:, 1:])
+        hit = binding.any(axis=0)
         if hit.any():
             i = np.flatnonzero(hit)
-            acc = acc[i]
-            binds = np.array([acc, acc, acc, acc, ~acc, acc, acc, np.ones_like(acc)])
-            first = (np.array(checks)[:, i] & binds).argmax(axis=0)
+            first = binding[:, i].argmax(axis=0)
             stopped = s.t[i], s.f[i], s.gnorm[i], s.iters[i], s.fevals[i], first
             for end, value in zip(ends, stopped):
                 end[s.rows[i]] = value
@@ -271,7 +260,7 @@ def _lm_chunk(model, t0, cfg, pattern):
     t, f, gnorm, iters, fevals, first = ends
     for row in np.flatnonzero(first == 0):
         traces[row].pop()
-    return _finish(model, t, f, gnorm, iters, fevals, [_LM_STOPS[c] for c in first], traces)
+    return _finish(model, t, f, gnorm, iters, fevals, [_LM_STOPS[c][0] for c in first], traces)
 
 
 def _chunk_size(model, n_starts):

@@ -483,6 +483,37 @@ def test_exit_code_output_is_a_directory(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+EMPTY_OUT_ARGS = {
+    "simulate": ["--state", "H", "--shots", "10"],
+    "reconstruct": [data_path("example1.rec")],
+    "verify-minima": [data_path("example1.rec"), "--starts", "2"],
+    "compare": [data_path("example1.rec")],
+}
+
+
+@pytest.mark.parametrize("command", EMPTY_OUT_ARGS)
+def test_exit_code_empty_out(tmp_path, capsys, monkeypatch, command):
+    # "" is refused as it is parsed; it would name the folder above the
+    # working directory as the one to write the temporary file in
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert run(command, *EMPTY_OUT_ARGS[command], "--out", "") == 2
+    err = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(err) == 1 and err[0].endswith("argument --out: must be a non-empty path, got ''")
+    assert list(tmp_path.iterdir()) == [work] and list(work.iterdir()) == []
+
+
+def test_second_main_call_keeps_no_state_from_the_first(tmp_path):
+    # the parser is built once per process; each call parses into a new namespace
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    args = ("verify-minima", data_path("example1.rec"), "--starts", "3")
+    assert run(*args, "--seed", "7", "--out", str(first)) == 0
+    assert run(*args, "--out", str(second)) == 0
+    assert json.loads(first.read_text())["manifest"]["seed"] == 7
+    assert json.loads(second.read_text())["manifest"]["seed"] == 0
+
+
 def test_exit_code_incomplete_measurements(tmp_path, capsys):
     rec = MeasurementRecord(polarization_projectors()[:3], [9, 1, 5], 10.0)
     path = tmp_path / "partial.rec"

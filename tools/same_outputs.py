@@ -57,6 +57,14 @@ def _cases():
         yield ["reconstruct", rec, "--method", "linear"]
         yield ["reconstruct", rec, "--method", "mle"]
         yield ["reconstruct", rec, "--verbose", "--max-iters", "3"]
+    # Levenberg-Marquardt's other stop checks that a flag reaches: lambda
+    # past LM_LAMBDA_MAX on a rejected trial, step, df and the evaluation budget
+    for rec in examples[:2]:
+        for flag, value in (
+            ("--grad-tol", "1e-15"), ("--step-tol", "1e-2"), ("--fun-tol", "1e-2"),
+            ("--max-fevals", "4"),
+        ):
+            yield ["reconstruct", rec, "--verbose", flag, value]
     for rec in examples:
         yield ["compare", rec, "--solver", "lm,gd,nelder-mead"]
     yield ["verify-minima", "example2.rec", "--seed", "0"]
