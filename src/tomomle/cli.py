@@ -57,13 +57,7 @@ from .measurement import (
     write_json_atomic,
     write_record,
 )
-from .optimizers import (
-    SOLVERS,
-    StopConfig,
-    StopReason,
-    default_start,
-    run_solver,
-)
+from .optimizers import SOLVERS, StopConfig, StopReason, default_start
 from .parameterize import all_sign_patterns
 from .verify import equivalence_check, multistart, orthant_multistart
 
@@ -149,7 +143,7 @@ def _inputs(args, command):
     manifest = {
         "command": command,
         "input_path": args.record,
-        "seed": getattr(args, "seed", None),  # reconstruct and compare have no --seed
+        "seed": args.seed,
         "solver": args.solver,
         "stop_config": dataclasses.asdict(cfg),
         "output_path": args.out,
@@ -188,7 +182,7 @@ def cmd_reconstruct(args):
         return EXIT_OK
 
     model = _build_model(record)
-    result = run_solver(args.solver, model, default_start(d), cfg)
+    result = SOLVERS[args.solver](model, default_start(d), cfg)
     if args.verbose:
         for i, (f, gnorm, step) in enumerate(result.trace_log):
             print(f"iter={i} f={f:.6e} grad_norm={gnorm:.3e} step={step:.3e}", file=sys.stderr)
@@ -265,7 +259,7 @@ def cmd_compare(args):
             raise SchemaError(f"unknown solver {name!r}")
     rows = []
     for name in names:
-        res = run_solver(name, model, default_start(record.dim), cfg)
+        res = SOLVERS[name](model, default_start(record.dim), cfg)
         rows.append(
             {
                 "solver": name,
@@ -346,7 +340,7 @@ def build_parser():
     add_stop_flags(p)
     p.add_argument("--verbose", action="store_true")
     p.add_argument("--out", type=out_path, required=True)
-    p.set_defaults(func=cmd_reconstruct)
+    p.set_defaults(func=cmd_reconstruct, seed=None)  # no --seed: the manifest's is null
 
     p = sub.add_parser("verify-minima", help="multistart equivalence verification")
     p.add_argument("record")
@@ -369,7 +363,7 @@ def build_parser():
     p.add_argument("--solver", default="lm,nelder-mead", help="comma-separated solver list")
     add_stop_flags(p)
     p.add_argument("--out", type=out_path, required=True)
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_compare, seed=None)
 
     return parser
 

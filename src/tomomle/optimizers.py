@@ -524,11 +524,3 @@ SOLVERS = {
     "gd": gradient_descent,
     "nelder-mead": nelder_mead,
 }
-
-
-def run_solver(name, model, t0, cfg=None):
-    try:
-        solver = SOLVERS[name]
-    except KeyError:
-        raise ValueError(f"unknown solver {name!r}; choose from {sorted(SOLVERS)}") from None
-    return solver(model, t0, cfg)

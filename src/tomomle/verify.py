@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import likelihood, optimizers
+from . import likelihood
 from .errors import AllRunsFailedError
-from .optimizers import StopConfig, constrained_sign_solve, lm_block, run_solver
+from .optimizers import SOLVERS, StopConfig, constrained_sign_solve, lm_block
 from .parameterize import random_param
 
 DEDUP_TOL = 1e-2
@@ -54,13 +54,11 @@ def _worst_pairs(results):
 def _first_larger(spread, rows, worst):
     """`worst`, or else the block's first (spread, (i, j)) in (i, j) order
     that exceeds it, where spread[r, c] is pair (rows[r], rows[0] + 1 + c);
-    as in a row-by-row scan, a row whose largest spread is NaN counts for
-    nothing."""
-    cols = np.argmax(spread, axis=1)
-    best = spread[np.arange(len(rows)), cols]
-    k = int(np.argmax(np.where(np.isnan(best), -np.inf, best)))
-    if best[k] > worst[0]:
-        return float(best[k]), (int(rows[k]), int(rows[0] + 1 + cols[k]))
+    as in a row-by-row scan, a row that holds a NaN counts for nothing."""
+    spread = np.where(np.isnan(spread).any(axis=1, keepdims=True), -np.inf, spread)
+    r, c = np.unravel_index(np.argmax(spread), spread.shape)
+    if spread[r, c] > worst[0]:
+        return float(spread[r, c]), (int(rows[r]), int(rows[0] + 1 + c))
     return worst
 
 
@@ -132,7 +130,7 @@ def multistart(model, n_starts, seed, solver="lm", cfg=None, screen_tol=None):
     if solver == "lm":
         results = lm_block(model, starts, cfg)
     else:
-        results = [run_solver(solver, model, t0, cfg) for t0 in starts]
+        results = [SOLVERS[solver](model, t0, cfg) for t0 in starts]
     screen = cfg.grad_tol if screen_tol is None else screen_tol
     report = _screen(results, screen)
     if not report.screened_results:
@@ -179,8 +177,9 @@ def orthant_multistart(model, patterns, n_starts, seed, cfg=None, screen_tol=Non
     return reports
 
 
-def equivalence_check(results, rho_tol=1e-4, f_tol=1e-8):
-    """All results agree pairwise in state and objective value.
+def equivalence_check(results, rho_tol, f_tol):
+    """All results agree pairwise: state distances at most rho_tol and
+    objective spreads at most f_tol.
 
     Returns (passed, report); the report names the worst pair.
     """

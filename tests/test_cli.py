@@ -620,8 +620,10 @@ def test_manifest_of_each_mle_command(tmp_path, command, flags, solver, seed, st
 
 def test_compare_checks_solver_names_before_solving(tmp_path, capsys, monkeypatch):
     calls = []
-    solve = cli.run_solver
-    monkeypatch.setattr(cli, "run_solver", lambda name, *a: calls.append(name) or solve(name, *a))
+    for name, solve in dict(cli.SOLVERS).items():
+        monkeypatch.setitem(
+            cli.SOLVERS, name, lambda *a, name=name, solve=solve: calls.append(name) or solve(*a)
+        )
     out = tmp_path / "cmp.json"
     assert run(
         "compare", data_path("example1.rec"), "--solver", "lm,bogus", "--out", str(out)

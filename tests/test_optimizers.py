@@ -26,7 +26,6 @@ from tomomle.optimizers import (
     lm_block,
     nelder_mead,
     project_to_orthant,
-    run_solver,
 )
 from tomomle.parameterize import (
     all_sign_patterns,
@@ -145,13 +144,10 @@ def test_constrained_solves_agree_in_state():
     assert np.max(np.abs(states[0] - states[1])) < 1e-6
 
 
-def test_run_solver_dispatch():
+def test_solver_table_dispatch():
     assert set(SOLVERS) == {"lm", "gd", "nelder-mead"}
-    model = example1_model()
-    res = run_solver("lm", model, default_start(2))
+    res = SOLVERS["lm"](example1_model(), default_start(2))
     assert res.reason is StopReason.GradientTolerance
-    with pytest.raises(ValueError):
-        run_solver("newton", model, default_start(2))
 
 
 def test_default_start_is_maximally_mixed():

@@ -6,7 +6,7 @@ import pytest
 from tomomle.errors import AllRunsFailedError
 from tomomle.likelihood import ObjectiveModel
 from tomomle.measurement import polarization_projectors
-from tomomle.optimizers import StopConfig, run_solver
+from tomomle.optimizers import SOLVERS, StopConfig
 from tomomle.parameterize import all_sign_patterns, random_param
 from tomomle.verify import (
     DEDUP_TOL,
@@ -62,7 +62,7 @@ def test_multistart_runs_other_solvers_start_by_start(solver):
     report = multistart(model, 3, seed=5, solver=solver)
     assert report.discarded_count == 0
     for i, got in enumerate(report.screened_results):
-        ref = run_solver(solver, model, random_param(np.random.default_rng(5 + i), 2), StopConfig())
+        ref = SOLVERS[solver](model, random_param(np.random.default_rng(5 + i), 2), StopConfig())
         assert (got.reason, got.iters, got.fevals) == (ref.reason, ref.iters, ref.fevals)
         for name in ("t_final", "rho_final", "f_final", "grad_norm", "trace_log"):
             np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
@@ -110,7 +110,7 @@ def test_multistart_rejects_bad_args():
 
 def test_equivalence_check_passes_on_multistart():
     report = multistart(make_model(), 8, seed=1)
-    passed, summary = equivalence_check(report.screened_results)
+    passed, summary = equivalence_check(report.screened_results, rho_tol=1e-4, f_tol=1e-8)
     assert passed
     assert summary["n_results"] == 8
     assert summary["max_rho_distance"] <= 1e-4
@@ -119,12 +119,12 @@ def test_equivalence_check_passes_on_multistart():
 def test_equivalence_check_detects_disagreement():
     a = multistart(make_model((0.75, 0.25, 0.5, 0.5)), 2, seed=0).screened_results
     b = multistart(make_model((0.25, 0.75, 0.5, 0.5)), 2, seed=0).screened_results
-    passed, summary = equivalence_check(a + b)
+    passed, summary = equivalence_check(a + b, rho_tol=1e-4, f_tol=1e-8)
     assert not passed
     assert summary["max_rho_distance"] > 1e-4
     assert summary["worst_rho_pair"] is not None
     with pytest.raises(ValueError):
-        equivalence_check([])
+        equivalence_check([], rho_tol=1e-4, f_tol=1e-8)
 
 
 def test_equivalence_check_names_first_worst_pair():
@@ -145,12 +145,12 @@ def test_equivalence_check_names_first_worst_pair():
                 worst_rho = (dist, (i, j))
             if df > worst_f[0]:
                 worst_f = (df, (i, j))
-    _, summary = equivalence_check(results)
+    _, summary = equivalence_check(results, rho_tol=1e-4, f_tol=1e-8)
     assert summary["worst_rho_pair"] == worst_rho[1] == (1, 2)
     assert summary["worst_f_pair"] == worst_f[1] == (0, 1)
     assert summary["max_rho_distance"] == pytest.approx(worst_rho[0], rel=1e-15)
     assert summary["max_f_spread"] == worst_f[0]
-    _, same = equivalence_check(results[:1] * 3)
+    _, same = equivalence_check(results[:1] * 3, rho_tol=1e-4, f_tol=1e-8)
     assert same["worst_rho_pair"] is None and same["worst_f_pair"] is None
 
 

@@ -5,11 +5,13 @@ whose exit code, stdout, stderr or output document differs between them.
 
 Each tree is a checkout root holding `src/tomomle`.  A case runs as
 `python -m tomomle.cli ARGS` with the tree's `src` first on PYTHONPATH, in a
-fresh directory that holds a copy of the tree's bundled records and
-OVERFLOW_REC, so inputs and outputs have the same relative names on both
-sides.  The manifest's `output_path` is blanked before two documents are
-compared.  Prints one line per case, and exits 1 if any case differs other
-than as EXPECTED names.
+fresh directory that holds a copy of the tree's bundled records and the
+inputs this tool writes (`_inputs`), so inputs and outputs have the same
+relative names on both sides.  The manifest's `output_path` is blanked
+before two documents are compared.  Prints one line per case, and exits 1
+if any case differs other than as EXPECTED names.  EXPECTED lists only the
+differences that the change under test makes on purpose, so it is empty
+for a change that keeps every output.
 """
 
 import json
@@ -20,35 +22,56 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 OUT = "out.json"
 FIELDS = ("exit", "stdout", "stderr", "document")
 # example1's counts over a normalization of 1e-300: every solver overflows
 OVERFLOW_REC = "overflow1.rec"
-# the fields in which a case may differ from a tree that predates a bugfix:
-# numpy warnings no longer reach stderr; shots past 2^53 exit 2, where
-# 2^53 + 1 wrote a record and 10^20 failed with a traceback; a grad_tol whose
-# square overflows runs, where it failed with a traceback; and exit 11 prints
-# each discarded run as a JSON object, where it printed a Python dict
-EXPECTED = {
-    ("reconstruct", OVERFLOW_REC): {"stderr"},
-    ("compare", OVERFLOW_REC, "--solver", "lm,gd,nelder-mead"): {"stderr"},
-    ("reconstruct", "example1.rec", "--grad-tol", "1e200"): {"exit", "stderr", "document"},
-    ("compare", "example2.rec", "--solver", "lm,gd,nelder-mead", "--grad-tol", "1e200"): {
-        "exit", "stderr", "document"
-    },
-    ("verify-minima", "example1.rec", "--starts", "2", "--max-fevals", "2"): {"stderr"},
-    (
-        "verify-minima", "example3.rec", "--constrain-signs", "--starts", "2",
-        "--max-fevals", "5",
-    ): {"stderr"},
-    ("verify-minima", OVERFLOW_REC, "--solver", "nelder-mead", "--starts", "2"): {"stderr"},
-    ("simulate", "--state", "H", "--shots", str(2**53 + 1), "--noise", "poisson"): {
-        "exit", "stderr", "document"
-    },
-    ("simulate", "--state", "H", "--shots", str(10**20), "--noise", "poisson"): {
-        "exit", "stderr"
-    },
-}
+# 64 listed 3-qubit operators (d = 8): the d > 4 Jacobian and a 3-qubit Pauli basis
+QUBIT3_REC = "q3.rec"
+# a 2-qubit record that names the pol4x4 preset
+POL4X4_REC = "pol4x4.rec"
+# a one-qubit state file for `simulate --state`
+STATE_FILE = "state.json"
+# {case as a tuple: the fields in which the change under test alters it on purpose}
+EXPECTED = {}
+
+
+def _hvdr_record(n_qubits, preset=None):
+    """A record of 10,000 shots per setting on the n-qubit GHZ state mixed
+    with 30% white noise, under every n-fold product of the H, V, D, R
+    projectors, first factor most significant as `pol4x4` orders them; the
+    operators are listed, or named by `preset`."""
+    kets = [np.array(k) / np.linalg.norm(k) for k in ((1, 0), (0, 1), (1, 1), (1, -1j))]
+    ops = [np.ones((1, 1))]
+    for _ in range(n_qubits):
+        ops = [np.kron(op, np.outer(k, k.conj())) for op in ops for k in kets]
+    d = 2**n_qubits
+    ghz = np.zeros(d)
+    ghz[[0, -1]] = 2**-0.5
+    rho = 0.7 * np.outer(ghz, ghz) + 0.3 * np.eye(d) / d
+    return {
+        "dim": d,
+        "operators": preset
+        or [{"matrix": np.stack([op.real, op.imag], axis=-1).tolist()} for op in ops],
+        "counts": [int(np.rint(1e4 * np.trace(op @ rho).real)) for op in ops],
+        "normalization": 1e4,
+    }
+
+
+def _inputs(src):
+    """{file name: JSON document} of the inputs written for every case."""
+    overflow = json.loads((src / "tomomle" / "data" / "example1.rec").read_text(encoding="utf-8"))
+    overflow["normalization"] = 1e-300
+    r = np.array([1, -1j]) / np.sqrt(2)
+    state = 0.8 * np.outer(r, r.conj()) + 0.1 * np.eye(2)
+    return {
+        OVERFLOW_REC: overflow,
+        QUBIT3_REC: _hvdr_record(3),
+        POL4X4_REC: _hvdr_record(2, "pol4x4"),
+        STATE_FILE: {"matrix": np.stack([state.real, state.imag], axis=-1).tolist()},
+    }
 
 
 def _cases():
@@ -77,9 +100,30 @@ def _cases():
             "simulate", "--state", state, "--povm", "pol4", "--noise", "poisson",
             "--shots", "1001",
         ]
+    for noise in ("none", "gaussian"):
+        for state in (["--state", STATE_FILE], ["--state", "bell", "--povm", "pol4x4"]):
+            yield ["simulate", *state, "--noise", noise, "--shots", "1000"]
+    yield ["reconstruct", QUBIT3_REC, "--method", "mle"]
+    yield ["reconstruct", QUBIT3_REC, "--method", "linear"]
+    yield ["verify-minima", QUBIT3_REC, "--starts", "3"]
+    yield ["reconstruct", POL4X4_REC]
+    yield ["compare", POL4X4_REC, "--solver", "lm,gd,nelder-mead"]
+    # past fixes: numpy warnings kept off stderr, shots past 2^53 (exit 2), a
+    # grad_tol whose square overflows, exit 11's discarded runs as JSON objects
+    yield ["reconstruct", OVERFLOW_REC]
+    yield ["compare", OVERFLOW_REC, "--solver", "lm,gd,nelder-mead"]
+    yield ["reconstruct", "example1.rec", "--grad-tol", "1e200"]
+    yield ["compare", "example2.rec", "--solver", "lm,gd,nelder-mead", "--grad-tol", "1e200"]
+    yield ["verify-minima", "example1.rec", "--starts", "2", "--max-fevals", "2"]
+    yield [
+        "verify-minima", "example3.rec", "--constrain-signs", "--starts", "2",
+        "--max-fevals", "5",
+    ]
+    yield ["verify-minima", OVERFLOW_REC, "--solver", "nelder-mead", "--starts", "2"]
+    yield ["simulate", "--state", "H", "--shots", str(2**53 + 1), "--noise", "poisson"]
+    yield ["simulate", "--state", "H", "--shots", str(10**20), "--noise", "poisson"]
     for command in ("simulate", "reconstruct", "verify-minima", "compare"):
         yield [command, "--help"]
-    yield from map(list, EXPECTED)
 
 
 def _run(tree, argv):
@@ -88,9 +132,8 @@ def _run(tree, argv):
     with tempfile.TemporaryDirectory() as work:
         for rec in (src / "tomomle" / "data").glob("*.rec"):
             shutil.copy(rec, work)
-        doc = json.loads((src / "tomomle" / "data" / "example1.rec").read_text(encoding="utf-8"))
-        doc["normalization"] = 1e-300
-        (Path(work) / OVERFLOW_REC).write_text(json.dumps(doc), encoding="utf-8")
+        for name, doc in _inputs(src).items():
+            (Path(work) / name).write_text(json.dumps(doc), encoding="utf-8")
         if "--help" not in argv:
             argv = [*argv, "--out", OUT]
         proc = subprocess.run(
