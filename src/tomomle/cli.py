@@ -216,8 +216,6 @@ def _solution_fields(res):
 
 
 def cmd_verify_minima(args):
-    if args.constrain_signs and args.solver != "lm":
-        raise SchemaError(f"--constrain-signs solves with lm only, not --solver {args.solver}")
     record, cfg, manifest = _inputs(args, "verify-minima")
     model = _build_model(record)
     if args.constrain_signs:
@@ -225,7 +223,7 @@ def cmd_verify_minima(args):
             model, all_sign_patterns(record.dim), args.starts, args.seed, cfg=cfg
         )
     else:
-        reports = [multistart(model, args.starts, args.seed, solver=args.solver, cfg=cfg)]
+        reports = [multistart(model, args.starts, args.seed, cfg=cfg)]
     pooled = [res for rep in reports for res in rep.screened_results]
 
     passed, eq = equivalence_check(pooled, args.rho_tol, args.f_tol)
@@ -346,17 +344,16 @@ def build_parser():
     p.add_argument("record")
     p.add_argument("--starts", type=positive_int, default=50)
     p.add_argument("--seed", type=nonnegative_int, default=0)
-    p.add_argument("--solver", choices=sorted(SOLVERS), default="lm")
     p.add_argument(
         "--constrain-signs",
         action="store_true",
-        help="solve on the unit sphere once per diagonal sign orthant, with lm only",
+        help="solve on the unit sphere once per diagonal sign orthant",
     )
     p.add_argument("--rho-tol", type=nonnegative_float, default=1e-3)
     p.add_argument("--f-tol", type=nonnegative_float, default=1e-6)
     add_stop_flags(p)
     p.add_argument("--out", type=out_path, required=True)
-    p.set_defaults(func=cmd_verify_minima)
+    p.set_defaults(func=cmd_verify_minima, solver="lm")  # LM only: the manifest names it
 
     p = sub.add_parser("compare", help="run several solvers on one record")
     p.add_argument("record")

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import likelihood
 from .errors import AllRunsFailedError
-from .optimizers import SOLVERS, StopConfig, constrained_sign_solve, lm_block
+from .optimizers import StopConfig, constrained_sign_solve, lm_block
 from .parameterize import random_param
 
 DEDUP_TOL = 1e-2
@@ -114,23 +114,18 @@ def _screen(results, screen, sign_pattern=None):
     )
 
 
-def multistart(model, n_starts, seed, solver="lm", cfg=None, screen_tol=None):
-    """Run `solver` from n_starts uniform draws in [-1, 1]^{d^2}.
+def multistart(model, n_starts, seed, cfg=None, screen_tol=None):
+    """The LM multistart from n_starts uniform draws in [-1, 1]^{d^2}.
 
     Draws with a near-zero diagonal parameter are rejected and redrawn.
     Start i is drawn from its own seed (seed + i), so a start does not
-    depend on the others or on the schedule.  Every start is drawn first;
-    LM then solves them all as one block, the other solvers one start at a
-    time.  Runs with final gradient norm at or above `screen_tol` (default:
-    the solver's grad_tol) are discarded; retained parameter vectors are
-    deduplicated at DEDUP_TOL in the 2-norm.
+    depend on the others or on the schedule.  Every start is drawn first,
+    and LM solves them all as one block.  Runs with final gradient norm at
+    or above `screen_tol` (default: cfg.grad_tol) are discarded; retained
+    parameter vectors are deduplicated at DEDUP_TOL in the 2-norm.
     """
     cfg = cfg or StopConfig()
-    starts = _draw_starts(model, n_starts, seed)
-    if solver == "lm":
-        results = lm_block(model, starts, cfg)
-    else:
-        results = [SOLVERS[solver](model, t0, cfg) for t0 in starts]
+    results = lm_block(model, _draw_starts(model, n_starts, seed), cfg)
     screen = cfg.grad_tol if screen_tol is None else screen_tol
     report = _screen(results, screen)
     if not report.screened_results:
@@ -200,12 +195,12 @@ def equivalence_check(results, rho_tol, f_tol):
     return passed, report
 
 
-def gradient_check(model, n_points=100, seed=0, gradient_fn=None):
+def gradient_check(model, n_points=100, seed=0):
     """Worst analytic-vs-central-difference gradient error over random points.
 
-    Relative to the finite-difference scale; falls back to an absolute
-    comparison (1e-10 scale) where both gradients vanish.  `gradient_fn`
-    overrides the analytic gradient (negative-control hook for tests).
+    The analytic gradient is model.value_and_gradient's, as the solvers
+    take it.  Relative to the finite-difference scale; falls back to an
+    absolute comparison (1e-10 scale) where both gradients vanish.
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
@@ -214,11 +209,7 @@ def gradient_check(model, n_points=100, seed=0, gradient_fn=None):
     worst = 0.0
     for _ in range(n_points):
         t = random_param(rng, d)
-        analytic = (
-            gradient_fn(t, model)
-            if gradient_fn is not None
-            else likelihood.value_and_gradient(t, model).gradient
-        )
+        analytic = model.value_and_gradient(t).gradient
         fd = likelihood.finite_difference_gradient(t, model)
         scale = max(float(np.max(np.abs(fd))), 1e-10)
         err = float(np.max(np.abs(analytic - fd))) / scale

@@ -1,0 +1,65 @@
+"""The summary arithmetic of tools/ab_bench.py; the tool's own runs are not
+part of the test suite."""
+
+import importlib.util
+import json
+import statistics
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "ab_bench.py"
+spec = importlib.util.spec_from_file_location("ab_bench", TOOL)
+ab_bench = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(ab_bench)
+
+
+def test_quartiles_interpolate_inclusively():
+    assert ab_bench.quartiles([5.0, 1.0, 3.0, 2.0]) == (1.75, 2.5, 3.5)
+    assert ab_bench.quartiles([4.0]) == (4.0, 4.0, 4.0)
+    values = [0.9, 0.1, 0.4, 0.7, 0.3, 0.8, 0.2]
+    assert ab_bench.quartiles(values)[1] == statistics.median(values)
+
+
+@pytest.mark.parametrize("better, wins", [("lower", 2), ("higher", 1)])
+def test_summarize_counts_strict_wins_in_the_better_direction(better, wins):
+    pairs = [(1.0, 2.0), (3.0, 1.0), (2.0, 2.0), (5.0, 4.0)]  # (parent, change); one tie
+    summary = ab_bench.summarize(pairs, better)
+    assert summary == {
+        "parent": ab_bench.quartiles([1.0, 3.0, 2.0, 5.0]),
+        "change": ab_bench.quartiles([2.0, 1.0, 2.0, 4.0]),
+        "wins": wins,
+    }
+
+
+def _proc(lines, returncode=0, stderr=""):
+    return SimpleNamespace(stdout="\n".join(lines), returncode=returncode, stderr=stderr)
+
+
+def test_outcome_reads_the_result_line_and_names_each_problem():
+    def result(correct=True, failed=0):
+        metrics = {"wall_s": {"value": 0.5, "unit": "s"}}
+        line = {"correct": correct, "attempted": 4, "failed": failed, "metrics": metrics}
+        return _proc(['{"report": {}}', json.dumps(line)])
+
+    assert ab_bench.outcome(result()) == ({"wall_s": 0.5}, None)
+    assert ab_bench.outcome(result(correct=False)) == ({"wall_s": 0.5}, "incorrect outputs")
+    assert ab_bench.outcome(result(failed=1)) == ({"wall_s": 0.5}, "1 of 4 ops failed")
+    crashed = _proc([], returncode=1, stderr="Traceback\nValueError: boom\n")
+    assert ab_bench.outcome(crashed) == (None, "failed (exit 1): ValueError: boom")
+
+
+def test_copies_have_paths_of_equal_length_and_no_byte_code(tmp_path):
+    tree = tmp_path / "tree"
+    for part in ("src/pkg/__pycache__", "perfbench/__pycache__"):
+        (tree / part).mkdir(parents=True)
+        (tree / part / "m.pyc").write_bytes(b"")
+    (tree / "src" / "pkg" / "m.py").write_text("")
+    (tree / ".perfbench_work").mkdir()
+    parent, change = ab_bench.copy_trees((tree, tree), tmp_path / "scratch")
+    assert parent.parent == change.parent and len(str(parent)) == len(str(change))
+    for copy in (parent, change):
+        assert sorted(p.relative_to(copy).as_posix() for p in copy.rglob("*")) == [
+            "perfbench", "src", "src/pkg", "src/pkg/m.py",
+        ]

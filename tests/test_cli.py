@@ -321,18 +321,18 @@ def test_exit_code_negative_seed(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("solver", ["gd", "nelder-mead"])
-def test_constrained_verify_minima_refuses_other_solvers(tmp_path, capsys, monkeypatch, solver):
-    # refused before any solve, so the manifest never names a solver it did not run
+@pytest.mark.parametrize("constrain", [[], ["--constrain-signs"]], ids=["free", "constrained"])
+@pytest.mark.parametrize("solver", ["lm", "gd", "nelder-mead"])
+def test_verify_minima_takes_no_solver_flag(tmp_path, capsys, monkeypatch, solver, constrain):
+    # verify-minima solves with LM only, so argparse refuses --solver before any solve
+    monkeypatch.setattr(cli, "multistart", lambda *a, **k: pytest.fail("solved"))
     monkeypatch.setattr(cli, "orthant_multistart", lambda *a, **k: pytest.fail("solved"))
     out = tmp_path / "v.json"
     assert run(
-        "verify-minima", data_path("example1.rec"), "--constrain-signs", "--solver", solver,
+        "verify-minima", data_path("example1.rec"), *constrain, "--solver", solver,
         "--out", str(out),
     ) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: --constrain-signs solves with lm only, not --solver {solver}"
-    ]
+    assert "unrecognized arguments: --solver" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -951,7 +951,7 @@ def test_non_finite_results_are_written_as_null(tmp_path, capsys, argv, code, ro
 
 def test_non_finite_discards_are_printed_as_null(tmp_path, capsys):
     out = tmp_path / "v.json"
-    argv = ["--solver", "nelder-mead", "--starts", "2", "--out", str(out)]
+    argv = ["--starts", "2", "--out", str(out)]
     assert run("verify-minima", str(_overflow_record(tmp_path)), *argv) == 11
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 3

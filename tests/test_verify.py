@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from tomomle.errors import AllRunsFailedError
 from tomomle.likelihood import ObjectiveModel
 from tomomle.measurement import polarization_projectors
-from tomomle.optimizers import SOLVERS, StopConfig
-from tomomle.parameterize import all_sign_patterns, random_param
+from tomomle.optimizers import StopConfig
+from tomomle.parameterize import all_sign_patterns
 from tomomle.verify import (
     DEDUP_TOL,
     PAIR_BLOCK,
@@ -53,19 +54,6 @@ def test_multistart_screen_discards():
     assert len(err.value.diagnostics) == 3
     assert all(d["grad_norm"] >= 1e-6 for d in err.value.diagnostics)
     assert all("sign_pattern" not in d for d in err.value.diagnostics)
-
-
-@pytest.mark.parametrize("solver", ["gd", "nelder-mead"])
-def test_multistart_runs_other_solvers_start_by_start(solver):
-    # every run is the solver's own run from start i, drawn from seed + i
-    model = make_model()
-    report = multistart(model, 3, seed=5, solver=solver)
-    assert report.discarded_count == 0
-    for i, got in enumerate(report.screened_results):
-        ref = SOLVERS[solver](model, random_param(np.random.default_rng(5 + i), 2), StopConfig())
-        assert (got.reason, got.iters, got.fevals) == (ref.reason, ref.iters, ref.fevals)
-        for name in ("t_final", "rho_final", "f_final", "grad_norm", "trace_log"):
-            np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
 
 
 def test_orthant_multistart_matches_one_orthant_at_a_time():
@@ -195,13 +183,18 @@ def test_gradient_check_passes():
     assert gradient_check(make_model(), n_points=20, seed=0) < 1e-6
 
 
+class BrokenGradientModel(ObjectiveModel):
+    """An objective whose value_and_gradient scales the gradient by 1.5."""
+
+    def value_and_gradient(self, t):
+        ev = super().value_and_gradient(t)
+        return dataclasses.replace(ev, gradient=1.5 * ev.gradient)
+
+
 def test_gradient_check_negative_control():
     # a deliberately wrong gradient must be flagged
-    def broken(t, model):
-        from tomomle.likelihood import value_and_gradient
-
-        return 1.5 * value_and_gradient(t, model).gradient
-
-    assert gradient_check(make_model(), n_points=5, seed=0, gradient_fn=broken) > 1e-2
+    model = make_model()
+    broken = BrokenGradientModel(model.kind, model.povm, model.freqs)
+    assert gradient_check(broken, n_points=5, seed=0) > 1e-2
     with pytest.raises(ValueError):
         gradient_check(make_model(), n_points=0)

@@ -35,7 +35,16 @@ POL4X4_REC = "pol4x4.rec"
 # a one-qubit state file for `simulate --state`
 STATE_FILE = "state.json"
 # {case as a tuple: the fields in which the change under test alters it on purpose}
-EXPECTED = {}
+EXPECTED = {
+    # verify-minima solves with LM only: argparse refuses --solver (exit 2)
+    ("verify-minima", "example1.rec", "--solver", "gd", "--starts", "5", "--grad-tol", "1e-5"):
+        {"exit", "stderr", "document"},
+    ("verify-minima", "example3.rec", "--solver", "nelder-mead", "--starts", "3"):
+        {"exit", "stderr", "document"},
+    ("verify-minima", OVERFLOW_REC, "--solver", "nelder-mead", "--starts", "2"):
+        {"exit", "stderr"},
+    ("verify-minima", "--help"): {"stdout"},
+}
 
 
 def _hvdr_record(n_qubits, preset=None):
@@ -120,6 +129,7 @@ def _cases():
         "--max-fevals", "5",
     ]
     yield ["verify-minima", OVERFLOW_REC, "--solver", "nelder-mead", "--starts", "2"]
+    yield ["verify-minima", OVERFLOW_REC, "--starts", "2"]
     yield ["simulate", "--state", "H", "--shots", str(2**53 + 1), "--noise", "poisson"]
     yield ["simulate", "--state", "H", "--shots", str(10**20), "--noise", "poisson"]
     for command in ("simulate", "reconstruct", "verify-minima", "compare"):
