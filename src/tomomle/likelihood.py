@@ -15,12 +15,13 @@ grad F(c t) = grad F(t) / c for any c != 0 -- the reason gradient norms can
 become artificially small at large ||t||.
 
 Every probability is a ratio of quadratic forms, p_mu(t) = t^T Q_mu t / t^T t.
-Up to QUADRATIC_FORM_MAX_DIM (d = 4) the residual Jacobian of a whole block
-of vectors comes from one gemm with the (d^2, m d^2) matrix of the Q_mu,
-which each model builds on first use and keeps (8 m d^4 bytes, d^2 / 2 times
-the operator stack); above it, from the operator products O_mu T^dag.  Only
-above it are the single-vector results of value and value_and_gradient bit
-for bit those of the block path's formulas.
+Up to QUADRATIC_FORM_MAX_DIM (d = 4) every evaluation reads the (d^2, m d^2)
+matrix of the Q_mu, which each model builds on first use and keeps (8 m d^4
+bytes, d^2 / 2 times the operator stack): the residual Jacobian of a whole
+block of vectors comes from one gemm with it, and value and
+value_and_gradient take one gemv at one vector.  Above it every evaluation
+takes the operator products O_mu T^dag.  On the quadratic forms, value(2^k t)
+is value(t) bit for bit, since every product and sum scales exactly.
 """
 
 from dataclasses import dataclass
@@ -134,11 +135,21 @@ def _probs(t, mats, d, slots):
     return T, np.einsum("mij,ji->m", a, T).real / t.dot(t)
 
 
+def _quadratic_probs(t, model):
+    """y and p_mu(t) at one float vector t, d <= QUADRATIC_FORM_MAX_DIM:
+    the (m, n) rows y_mu = t^T Q_mu and p_mu = y_mu t / ||t||^2."""
+    y = t.dot(model.quadratic_form).reshape(len(model.povm), t.size)
+    return y, y.dot(t) / t.dot(t)
+
+
 def value(t, model):
     """Objective value only (used by derivative-free search)."""
     t = np.asarray(t, dtype=float)
-    d, slots, *_ = slot_map(t.size)
-    _, p = _probs(t, model.povm, d, slots)
+    if model.dim > QUADRATIC_FORM_MAX_DIM:
+        d, slots, *_ = slot_map(t.size)
+        _, p = _probs(t, model.povm, d, slots)
+    else:
+        _, p = _quadratic_probs(t, model)
     pf = np.maximum(p, PROBABILITY_FLOOR)
     if model.kind == "gaussian":
         r = (p - model.freqs) / np.sqrt(pf)
@@ -188,17 +199,24 @@ def residuals_and_jacobian(t, model):
 
 
 def value_and_gradient(t, model):
-    """Value and analytic gradient at one vector t, through the one operator
-    R = sum_mu w_mu O_mu of Hradil's R rho R iteration, w_mu = dF/dp_mu:
+    """Value and analytic gradient at one vector t, w_mu = dF/dp_mu:
 
-        g_k = (2 Re[c_k (R T^dag)[col_k, row_k]] - 2 (w . p) t_k) / ||t||^2
+        g = (sum_mu w_mu dq_mu/dt - 2 (w . p) t) / ||t||^2
+
+    with q_mu = t^T Q_mu t.  Up to QUADRATIC_FORM_MAX_DIM, dq_mu/dt = 2 y_mu
+    (see _quadratic_probs).  Above it the sum comes from the one operator
+    R = sum_mu w_mu O_mu of Hradil's R rho R iteration, as
+    2 Re[c_k (R T^dag)[col_k, row_k]].
 
     Gaussian: w = r dr/dp; multinomial: w = -f / p, zero where p is floored.
     """
     t = np.asarray(t, dtype=float)
     mats = model.povm
-    d, slots, pos, factor = slot_map(t.size)
-    T, p = _probs(t, mats, d, slots)
+    if model.dim > QUADRATIC_FORM_MAX_DIM:
+        d, slots, pos, factor = slot_map(t.size)
+        T, p = _probs(t, mats, d, slots)
+    else:
+        y, p = _quadratic_probs(t, model)
     if model.kind == "gaussian":
         r, drdp = _residuals(p, model)
         f = 0.5 * r.dot(r)
@@ -207,10 +225,13 @@ def value_and_gradient(t, model):
         pf = np.maximum(p, PROBABILITY_FLOOR)
         f = -model.freqs.dot(np.log(pf))
         w = np.where(p > PROBABILITY_FLOOR, -model.freqs / pf, 0.0)
-    # R = sum_mu w_mu O_mu as the one gemm np.tensordot(w, mats, 1) makes
-    R = np.dot(w[None, :], mats.reshape(len(mats), -1)).reshape(T.shape)
-    rt = R @ T.conj().T
-    g = factor * rt.view(float).ravel()[pos] - (2.0 * w.dot(p)) * t
+    if model.dim > QUADRATIC_FORM_MAX_DIM:
+        # R = sum_mu w_mu O_mu as the one gemm np.tensordot(w, mats, 1) makes
+        R = np.dot(w[None, :], mats.reshape(len(mats), -1)).reshape(T.shape)
+        dq = factor * (R @ T.conj().T).view(float).ravel()[pos]
+    else:
+        dq = 2.0 * w.dot(y)
+    g = dq - (2.0 * w.dot(p)) * t
     return ObjectiveEvaluation(f, g / t.dot(t), bool((p < PROBABILITY_FLOOR).any()))
 
 

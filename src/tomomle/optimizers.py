@@ -20,6 +20,12 @@ and only its operator stack bounds the chunks of a block of starts.
 gradient of its own, so just before its _finish call it makes one more
 value_and_gradient call at the first best vertex, uncounted, to report
 ||g||.  Gradient descent and Levenberg-Marquardt report the ||g|| they have.
+
+Nelder-Mead ignores param_bound and can drift far out along the flat ray
+t -> c t, where ||g|| falls as 1/||t||.  On an ObjectiveModel it reports its
+end point at unit scale: the first best vertex times 2^-e, e = round(log2
+||t||), which keeps f and rho(t) bit for bit, so ||g|| is that of the state
+reached and not of how far the simplex drifted.
 """
 
 import bisect
@@ -379,7 +385,9 @@ def nelder_mead(model, t0, cfg=None):
     fun_tol of the best value.  A spent budget or a non-finite value
     raises _Stop(reason), the search's one stop signal.  The reported ||g||
     is evaluated a posteriori at the first best vertex, by one uncounted
-    value_and_gradient call, and plays no role in the search.
+    value_and_gradient call, and plays no role in the search.  On an
+    ObjectiveModel that vertex is first scaled by 2^-round(log2 ||t||)
+    (see the module docstring); a zero or non-finite one is kept.
     """
     cfg = cfg or StopConfig()
     t0 = np.asarray(t0, dtype=float).copy()
@@ -476,9 +484,13 @@ def nelder_mead(model, t0, cfg=None):
         (reason,) = stop.args
 
     i = min(range(n + 1), key=values.__getitem__)  # the first best vertex
-    gnorm = np.linalg.norm(model.value_and_gradient(simplex[i]).gradient)  # not counted
+    best = simplex[i]
+    norm = np.linalg.norm(best)
+    if isinstance(model, ObjectiveModel) and 0.0 < norm < math.inf:
+        best = np.ldexp(best, -round(math.log2(norm)))
+    gnorm = np.linalg.norm(model.value_and_gradient(best).gradient)  # not counted
     end = [values[i]], [gnorm], [iters], [fevals], [reason], [trace]
-    return _finish(model, simplex[i:i + 1], *end)[0]
+    return _finish(model, best[None], *end)[0]
 
 
 def project_to_orthant(t, signs):

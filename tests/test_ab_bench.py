@@ -33,6 +33,28 @@ def test_summarize_counts_strict_wins_in_the_better_direction(better, wins):
     }
 
 
+def _summary(parent, change, wins):
+    return {"parent": parent, "change": change, "wins": wins}
+
+
+def test_claim_rule_needs_nine_wins_in_ten_and_a_gain_past_the_parent_spread():
+    parent = (0.6, 0.7, 0.8)  # interquartile distance 0.2 (up to rounding)
+    holds, gain, iqr = ab_bench.claim_holds(_summary(parent, (0.3, 0.45, 0.5), 9), "lower", 10)
+    assert holds and gain == pytest.approx(0.25) and iqr == pytest.approx(0.2)
+    # 8 of 10 wins, or 9 of 10 when an eleventh pair was run but failed
+    assert not ab_bench.claim_holds(_summary(parent, (0.3, 0.45, 0.5), 8), "lower", 10)[0]
+    assert not ab_bench.claim_holds(_summary(parent, (0.3, 0.45, 0.5), 9), "lower", 11)[0]
+    assert ab_bench.claim_holds(_summary(parent, (0.3, 0.45, 0.5), 18), "lower", 20)[0]
+    # a median gain that does not pass the interquartile distance
+    exact = (0.5, 0.75, 1.0)  # distance 0.5, exact in binary
+    assert not ab_bench.claim_holds(_summary(exact, (0.1, 0.25, 0.3), 10), "lower", 10)[0]
+    assert ab_bench.claim_holds(_summary(exact, (0.1, 0.125, 0.3), 10), "lower", 10)[0]
+    # the direction comes from `better`: a lower median is a loss for "higher"
+    holds, gain, _ = ab_bench.claim_holds(_summary(parent, (0.3, 0.45, 0.5), 10), "higher", 10)
+    assert not holds and gain == pytest.approx(-0.25)
+    assert ab_bench.claim_holds(_summary(parent, (1.0, 1.1, 1.2), 10), "higher", 10)[0]
+
+
 def _proc(lines, returncode=0, stderr=""):
     return SimpleNamespace(stdout="\n".join(lines), returncode=returncode, stderr=stderr)
 

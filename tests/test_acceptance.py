@@ -107,6 +107,40 @@ def test_criterion_04_two_qubit_solver_contrast(example2):
         assert lm_purity - nm_purity > 0.2
 
 
+# starts scaled by 1 + k 1e-15: the last bits that once decided how far
+# Nelder-Mead drifted along the flat ray t -> c t, and so its reported ||g||
+PERTURBATIONS = [1 + k * 1e-15 for k in (-1, 0, 1, 2)]
+
+
+@pytest.mark.parametrize("scale", PERTURBATIONS)
+def test_stagnation_contrast_at_perturbed_starts(scale):
+    # criterion 03's assertions: Nelder-Mead reports its end point at unit
+    # scale, where ||g|| measured 4.6 to 6.1 at these starts
+    model = single_qubit_model(EXAMPLE1_FREQS)
+    nm = nelder_mead(model, EXAMPLE1_START * scale)
+    lm = levenberg_marquardt(model, EXAMPLE1_START * scale)
+    assert nm.reason in (StopReason.StepStagnation, StopReason.MaxFunctionEvals)
+    assert nm.grad_norm > 1e-4
+    assert lm.grad_norm < 1e-6
+
+
+@pytest.mark.parametrize("scale", PERTURBATIONS)
+def test_two_qubit_solver_contrast_at_perturbed_starts(example2, scale):
+    # criterion 04's assertions, and the purities they measured at these starts
+    model = ObjectiveModel("gaussian", example2.operators, normalize(example2))
+    start = default_start(4) * scale
+    lm = levenberg_marquardt(model, start)
+    nm = nelder_mead(model, start)
+    lm_purity = purity(lm.rho_final)
+    nm_purity = purity(nm.rho_final)
+    assert nm.reason is StopReason.MaxFunctionEvals
+    assert nm.fevals == 6400
+    assert 0.85 <= lm_purity <= 0.95
+    assert lm_purity - nm_purity > 0.2
+    assert lm_purity == pytest.approx(0.9175, abs=5e-5)
+    assert nm_purity == pytest.approx(0.5298, abs=5e-5)
+
+
 def test_criterion_05_boundary_state_sign_orthants():
     with criterion(5, "boundary state, one solution per sign orthant"):
         model = single_qubit_model(EXAMPLE3_FREQS)

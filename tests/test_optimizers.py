@@ -604,6 +604,7 @@ def reference_nelder_mead(model, t0, cfg=None):
     """The simplex search as it was written before the insertion-ordered
     bookkeeping: a full stable argsort of the simplex every iteration,
     np.mean for the centroid and the largest |f_i - f_best| as the spread.
+    An ObjectiveModel's end point is scaled by 2^-round(log2 ||t||).
     nelder_mead must reproduce it bit for bit."""
     cfg = cfg or StopConfig()
     t0 = np.asarray(t0, dtype=float).copy()
@@ -687,6 +688,10 @@ def reference_nelder_mead(model, t0, cfg=None):
 
     order = np.argsort(values, kind="stable")
     best, fbest = simplex[order[0]], values[order[0]]
+    norm = np.linalg.norm(best)
+    if isinstance(model, ObjectiveModel) and 0.0 < norm < np.inf:
+        # an objective's end point is reported at unit scale
+        best = best * 2.0 ** -round(np.log2(norm))
     return _finish(model, best, fbest, iters, state["fevals"], reason, trace)
 
 
@@ -716,6 +721,37 @@ def test_nelder_mead_matches_reference(example2):
         assert_same_simplex_run(example1_model(), EXAMPLE1_START * (1 + k * 1e-15))
     ref = assert_same_simplex_run(record_model(example2), default_start(4))
     assert (ref.reason, ref.fevals) == (StopReason.MaxFunctionEvals, 6400)
+
+
+class Delegate:
+    """An objective's three methods, delegated to an ObjectiveModel: the same
+    values, without the model's type."""
+
+    def __init__(self, model):
+        self.value = model.value
+        self.value_and_gradient = model.value_and_gradient
+        self.residuals_and_jacobian = model.residuals_and_jacobian
+
+
+def test_nelder_mead_reports_an_objective_end_point_at_unit_scale(example2):
+    # the same search on the model and on a Delegate of it; only the model's
+    # end point is rescaled, by a power of two, which keeps f and rho bit for
+    # bit
+    for model, start in (
+        *((example1_model(), EXAMPLE1_START * (1 + k * 1e-15)) for k in (-1, 0, 1, 2)),
+        (record_model(example2), default_start(4)),
+    ):
+        res = nelder_mead(model, start)
+        raw = nelder_mead(Delegate(model), start)
+        assert (res.reason, res.iters, res.fevals, res.f_final) == (
+            raw.reason, raw.iters, raw.fevals, raw.f_final
+        )
+        assert raw.rho_final is None
+        assert np.array_equal(res.rho_final, rho_of_t(raw.t_final))
+        e = round(math.log2(np.linalg.norm(raw.t_final)))
+        assert np.array_equal(res.t_final, raw.t_final * 2.0**-e)
+        assert 2**-0.5 <= np.linalg.norm(res.t_final) <= 2**0.5
+        assert res.grad_norm == raw.grad_norm * 2.0**e  # g(c t) = g(t) / c, exactly here
 
 
 def test_nelder_mead_matches_reference_through_shrinks():

@@ -17,7 +17,8 @@ that a claimed gain has to clear.
 
 For each end-to-end metric of BENCHMARK.json it prints both medians, both
 quartiles, the number of pairs the change wins (a tie counts for neither;
-the metric's `better` gives the direction) and every pair's values.  It
+the metric's `better` gives the direction), whether the claim rule holds
+(see claim_holds) and every pair's values.  It
 names each run that failed (no result line), reported incorrect outputs
 or had ops end with an unexpected exit code, and exits 1 if there was
 one.  A pair with a failed run is left out of the summary.
@@ -35,6 +36,7 @@ from pathlib import Path
 
 BENCHMARK_JSON = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 SIDES = ("parent", "change")  # also the copies' names, of equal length
+SIGN = {"lower": 1, "higher": -1}  # sign of parent - change where the change is better
 
 
 def quartiles(values):
@@ -48,12 +50,22 @@ def summarize(pairs, better):
     """Quartiles of each side and the change's wins over (parent, change)
     value pairs; the change wins a pair where it is strictly `better`
     ("lower" or "higher")."""
-    sign = {"lower": 1, "higher": -1}[better]
+    sign = SIGN[better]
     return {
         "parent": quartiles([p for p, _ in pairs]),
         "change": quartiles([c for _, c in pairs]),
         "wins": sum(sign * (p - c) > 0 for p, c in pairs),
     }
+
+
+def claim_holds(summary, better, pairs_run):
+    """(holds, median gain, parent interquartile distance) of the claim rule
+    on a summary: the change wins at least 9 of every 10 pairs run, and its
+    median is better than the parent's by more than the parent's
+    interquartile distance."""
+    q1, median, q3 = summary["parent"]
+    gain = SIGN[better] * (median - summary["change"][1])
+    return 10 * summary["wins"] >= 9 * pairs_run and gain > q3 - q1, gain, q3 - q1
 
 
 def outcome(proc):
@@ -126,6 +138,12 @@ def report(args, bench, runs):
             q1, median, q3 = summary[side]
             print(f"  {side}  median {median:.6g}  quartiles {q1:.6g} {q3:.6g}")
         print(f"  change wins {summary['wins']} of {len(pairs)} pairs")
+        holds, gain, iqr = claim_holds(summary, metric["better"], len(runs))
+        print(
+            f"  claim rule {'holds' if holds else 'fails'}: {summary['wins']} wins of "
+            f"{len(runs)} pairs run (9/10 needed), median gain {gain:.6g} against "
+            f"parent interquartile distance {iqr:.6g}"
+        )
         for (i, _, _), (p, c) in zip(kept, pairs):
             print(f"  pair {i} ({SIDES[i % 2]} first): {p:.6g} {c:.6g}")
     return problems
