@@ -14,14 +14,19 @@ Both objectives are homogeneous of degree zero in t, hence F(c t) = F(t) and
 grad F(c t) = grad F(t) / c for any c != 0 -- the reason gradient norms can
 become artificially small at large ||t||.
 
-Every probability is a ratio of quadratic forms, p_mu(t) = t^T Q_mu t / t^T t.
-Up to QUADRATIC_FORM_MAX_DIM (d = 4) every evaluation reads the (d^2, m d^2)
-matrix of the Q_mu, which each model builds on first use and keeps (8 m d^4
-bytes, d^2 / 2 times the operator stack): the residual Jacobian of a whole
-block of vectors comes from one gemm with it, and value and
-value_and_gradient take one gemv at one vector.  Above it every evaluation
-takes the operator products O_mu T^dag.  On the quadratic forms, value(2^k t)
-is value(t) bit for bit, since every product and sum scales exactly.
+Everything is read from one kernel, _forms.  Each probability is a ratio of
+quadratic forms, p_mu(t) = t^T Q_mu t / t^T t, and the rows y_mu = t^T Q_mu
+give every derivative: with w_mu = dF/dp_mu,
+
+  gradient:  g = 2 (w^T y - (w . p) t) / ||t||^2
+  Jacobian:  J = (y - p t^T) * 2 dr/dp / ||t||^2   (gaussian residuals r)
+
+The dimension picks only how y is formed.  Up to QUADRATIC_FORM_MAX_DIM
+(d = 4) it is one product with the (d^2, m d^2) matrix of the Q_mu, which
+each model builds on first use and keeps (8 m d^4 bytes, d^2 / 2 times the
+operator stack); there value(2^k t) is value(t) bit for bit, since every
+product and sum scales exactly.  Above it y is read from the operator
+products conj(O_mu) T^T.
 """
 
 from dataclasses import dataclass
@@ -33,10 +38,12 @@ from .errors import DimensionError
 from .parameterize import build_T, param_layout, slot_map
 
 PROBABILITY_FLOOR = 1e-12
-# residuals_and_jacobian takes the quadratic forms up to this dimension and
-# the operator products above it: per vector the forms cost m d^4
-# multiply-adds and the products 4 m d^3, and Q takes d^2 / 2 times the
-# stack's bytes (8x at d = 4, 134 MB for 256 operators at d = 16)
+# dr/dp where p is floored
+FLOORED_DRDP = 1.0 / np.sqrt(PROBABILITY_FLOOR)
+# _forms reads y from the quadratic forms up to this dimension and from the
+# operator products above it: per vector the forms cost m d^4 multiply-adds
+# and the products 4 m d^3, and Q takes d^2 / 2 times the stack's bytes
+# (8x at d = 4, 134 MB for 256 operators at d = 16)
 QUADRATIC_FORM_MAX_DIM = 4
 
 
@@ -44,9 +51,10 @@ QUADRATIC_FORM_MAX_DIM = 4
 class ObjectiveModel:
     """Objective kind, measurement operators and observed frequencies.
 
-    `povm` is the complex (m, d, d) operator stack that every evaluation
-    reads.  The methods are the solvers' interface; each calls the module
-    function of the same name.
+    `povm` is the complex (m, d, d) operator stack.  Evaluations read it
+    through one of its two cached forms, `quadratic_form` up to
+    QUADRATIC_FORM_MAX_DIM and `conj_rows` above it.  The methods are the
+    solvers' interface; each calls the module function of the same name.
     """
 
     kind: str  # "gaussian" | "multinomial"
@@ -63,8 +71,9 @@ class ObjectiveModel:
                 f"{len(self.povm)} operators for {len(self.freqs)} frequencies"
             )
 
-    @property
+    @cached_property
     def dim(self):
+        # cached: every evaluation reads it to pick _forms' branch
         return self.povm.shape[1]
 
     @property
@@ -82,9 +91,10 @@ class ObjectiveModel:
 
     @cached_property
     def quadratic_form(self):
-        """The real (n, m n) matrix Q, n = d^2, built on first use, with
-        tr(O_mu T^dag T) = t^T Q_mu t for the mu-th (n, n) block Q_mu of
-        its columns:
+        """The real (n, m n) matrix Q, n = d^2, that _forms reads up to
+        QUADRATIC_FORM_MAX_DIM, built on first use and kept.  Its mu-th
+        (n, n) block of columns is the symmetric Q_mu with
+        tr(O_mu T^dag T) = t^T Q_mu t:
 
             Q_mu[k, l] = Re(conj(c_k) c_l O_mu[col_l, col_k])
 
@@ -96,6 +106,12 @@ class ObjectiveModel:
         q *= rows[:, None] == rows
         return q.transpose(1, 0, 2).reshape(d * d, m * d * d)
 
+    @cached_property
+    def conj_rows(self):
+        """conj(O_mu) as the (m d, d) rows that _forms multiplies by T^T
+        above QUADRATIC_FORM_MAX_DIM, built on first use and kept."""
+        return self.povm.conj().reshape(-1, self.dim)
+
 
 @dataclass
 class ObjectiveEvaluation:
@@ -104,52 +120,39 @@ class ObjectiveEvaluation:
     floor_hit: bool = False
 
 
-def _probs_and_derivs(t, mats):
-    """p_mu(t) and the m x d^2 matrix of partials dp_mu/dt_k; mats is the
-    (m, d, d) operator stack.  A (B, d^2) block of vectors gives (B, m)
-    probabilities and (B, m, d^2) partials, one row per vector.  T(t)
-    comes from build_T, and the stack enters A_mu = O_mu T^dag as its
-    (m d, d) rows: one gemm per vector."""
+def _forms(t, model):
+    """(y, p, s) at one vector t or a (B, n) block of them: the (..., m, n)
+    rows y_mu = t^T Q_mu, half the gradient of q_mu = t^T Q_mu t (Q_mu is
+    symmetric, as O_mu is Hermitian), p_mu = y_mu . t / s and s = ||t||^2
+    (shape (..., 1) for a block).
+
+    Only y depends on d.  Up to QUADRATIC_FORM_MAX_DIM it is one product
+    with model.quadratic_form.  Above it, y_mu[k] = Re(c_k (O_mu T^dag)[col_k,
+    row_k]) for c_k = 1 or 1j, which is the real or imaginary part of
+    conj(O_mu T^dag) = conj(O_mu) T^T at that entry: one gemm with
+    model.conj_rows, read at slot_map's transposed slots of its float view.
+    One vector takes every dot as ndarray.dot, a block takes @ and vecdot.
+    """
     t = np.asarray(t, dtype=float)
-    d, _, pos, factor = slot_map(t.shape[-1])
-    T = build_T(t)
-    a = (mats.reshape(-1, d) @ T.conj().swapaxes(-1, -2)).reshape(t.shape[:-1] + mats.shape)
-    s = np.vecdot(t, t)[..., None]  # ||t||^2, shape (..., 1)
-    q = np.real(np.einsum("...mij,...ji->...m", a, T))
-    p = q / s
-    # dp = (dq - 2 p t^T) / s, in place on dq
-    dp = factor * np.take(a.view(float).reshape(a.shape[:-2] + (-1,)), pos, axis=-1)
-    dp -= p[..., None] * (2.0 * t[..., None, :])
-    dp /= s[..., None]
-    return p, dp
-
-
-def _probs(t, mats, d, slots):
-    """T(t) and p_mu(t) at one float vector t: the products of
-    _probs_and_derivs, without its block bookkeeping.  Each t_k is written
-    into its slot of T's float view, as build_T does; every 1-D dot is
-    ndarray.dot, bit for bit the BLAS dot of @."""
-    T = np.zeros((d, d), dtype=complex)
-    T.reshape(-1).view(float)[slots] = t
-    a = (mats.reshape(-1, d) @ T.conj().T).reshape(mats.shape)
-    return T, np.einsum("mij,ji->m", a, T).real / t.dot(t)
-
-
-def _quadratic_probs(t, model):
-    """y and p_mu(t) at one float vector t, d <= QUADRATIC_FORM_MAX_DIM:
-    the (m, n) rows y_mu = t^T Q_mu and p_mu = y_mu t / ||t||^2."""
-    y = t.dot(model.quadratic_form).reshape(len(model.povm), t.size)
-    return y, y.dot(t) / t.dot(t)
+    m = len(model.povm)
+    if model.dim > QUADRATIC_FORM_MAX_DIM:
+        *_, transposed = slot_map(t.shape[-1])
+        b = model.conj_rows @ build_T(t).swapaxes(-1, -2)
+        y = np.take(b.view(float).reshape(t.shape[:-1] + (m, -1)), transposed, axis=-1)
+    elif t.ndim == 1:
+        y = t.dot(model.quadratic_form).reshape(m, -1)
+    else:
+        y = (t @ model.quadratic_form).reshape(t.shape[:-1] + (m, -1))
+    if t.ndim == 1:
+        s = t.dot(t)
+        return y, y.dot(t) / s, s
+    s = np.vecdot(t, t)[..., None]
+    return y, (y @ t[..., None])[..., 0] / s, s
 
 
 def value(t, model):
     """Objective value only (used by derivative-free search)."""
-    t = np.asarray(t, dtype=float)
-    if model.dim > QUADRATIC_FORM_MAX_DIM:
-        d, slots, *_ = slot_map(t.size)
-        _, p = _probs(t, model.povm, d, slots)
-    else:
-        _, p = _quadratic_probs(t, model)
+    _, p, _ = _forms(t, model)
     pf = np.maximum(p, PROBABILITY_FLOOR)
     if model.kind == "gaussian":
         r = (p - model.freqs) / np.sqrt(pf)
@@ -162,11 +165,7 @@ def _residuals(p, model):
     with p floored."""
     pf = np.maximum(p, PROBABILITY_FLOOR)
     r = (p - model.freqs) / np.sqrt(pf)
-    drdp = np.where(
-        p > PROBABILITY_FLOOR,
-        (p + model.freqs) / (2.0 * pf**1.5),
-        1.0 / np.sqrt(PROBABILITY_FLOOR),
-    )
+    drdp = np.where(p > PROBABILITY_FLOOR, (p + model.freqs) / (2.0 * pf**1.5), FLOORED_DRDP)
     return r, drdp
 
 
@@ -174,49 +173,31 @@ def residuals_and_jacobian(t, model):
     """Residual vector and its Jacobian (gaussian kind).
 
     A (B, d^2) block of vectors gives (B, m) residuals and a (B, m, d^2)
-    Jacobian; the floor flag is set if any row hits the floor.  Up to
-    QUADRATIC_FORM_MAX_DIM the whole block takes its m quadratic forms from
-    one gemm with model.quadratic_form: y_mu = t^T Q_mu = dq_mu / 2 (Q_mu is
-    symmetric, as O_mu is Hermitian), p_mu = y_mu t / ||t||^2 and
-    dp_mu = 2 (y_mu - p_mu t) / ||t||^2.
+    Jacobian; the floor flag is set if any row hits the floor.  With
+    dp_mu = 2 (y_mu - p_mu t) / ||t||^2 (see _forms), the Jacobian is
+    (y - p t^T) * 2 dr/dp / ||t||^2, formed in place on y.
     """
     if model.kind != "gaussian":
         raise ValueError("residuals are defined for the gaussian objective only")
-    if model.dim > QUADRATIC_FORM_MAX_DIM:
-        p, jac = _probs_and_derivs(t, model.povm)
-        r, drdp = _residuals(p, model)
-        jac *= drdp[..., None]
-    else:
-        t = np.asarray(t, dtype=float)
-        s = np.vecdot(t, t)[..., None]  # ||t||^2, shape (..., 1)
-        jac = (t @ model.quadratic_form).reshape(t.shape[:-1] + (len(model.povm), t.shape[-1]))
-        p = (jac @ t[..., None])[..., 0] / s
-        r, drdp = _residuals(p, model)
-        # y_mu becomes the Jacobian in place: (y - p t^T) * 2 dr/dp / ||t||^2
-        jac -= p[..., None] * t[..., None, :]
-        jac *= (2.0 * drdp / s)[..., None]
+    t = np.asarray(t, dtype=float)
+    jac, p, s = _forms(t, model)
+    r, drdp = _residuals(p, model)
+    jac -= p[..., None] * t[..., None, :]
+    jac *= (2.0 * drdp / s)[..., None]
     return r, jac, bool((p < PROBABILITY_FLOOR).any())
 
 
 def value_and_gradient(t, model):
     """Value and analytic gradient at one vector t, w_mu = dF/dp_mu:
 
-        g = (sum_mu w_mu dq_mu/dt - 2 (w . p) t) / ||t||^2
+        g = 2 (w^T y - (w . p) t) / ||t||^2
 
-    with q_mu = t^T Q_mu t.  Up to QUADRATIC_FORM_MAX_DIM, dq_mu/dt = 2 y_mu
-    (see _quadratic_probs).  Above it the sum comes from the one operator
-    R = sum_mu w_mu O_mu of Hradil's R rho R iteration, as
-    2 Re[c_k (R T^dag)[col_k, row_k]].
+    with y_mu = t^T Q_mu = (dq_mu/dt) / 2 (see _forms).
 
     Gaussian: w = r dr/dp; multinomial: w = -f / p, zero where p is floored.
     """
     t = np.asarray(t, dtype=float)
-    mats = model.povm
-    if model.dim > QUADRATIC_FORM_MAX_DIM:
-        d, slots, pos, factor = slot_map(t.size)
-        T, p = _probs(t, mats, d, slots)
-    else:
-        y, p = _quadratic_probs(t, model)
+    y, p, s = _forms(t, model)
     if model.kind == "gaussian":
         r, drdp = _residuals(p, model)
         f = 0.5 * r.dot(r)
@@ -225,14 +206,8 @@ def value_and_gradient(t, model):
         pf = np.maximum(p, PROBABILITY_FLOOR)
         f = -model.freqs.dot(np.log(pf))
         w = np.where(p > PROBABILITY_FLOOR, -model.freqs / pf, 0.0)
-    if model.dim > QUADRATIC_FORM_MAX_DIM:
-        # R = sum_mu w_mu O_mu as the one gemm np.tensordot(w, mats, 1) makes
-        R = np.dot(w[None, :], mats.reshape(len(mats), -1)).reshape(T.shape)
-        dq = factor * (R @ T.conj().T).view(float).ravel()[pos]
-    else:
-        dq = 2.0 * w.dot(y)
-    g = dq - (2.0 * w.dot(p)) * t
-    return ObjectiveEvaluation(f, g / t.dot(t), bool((p < PROBABILITY_FLOOR).any()))
+    g = 2.0 * w.dot(y) - (2.0 * w.dot(p)) * t
+    return ObjectiveEvaluation(f, g / s, bool((p < PROBABILITY_FLOOR).any()))
 
 
 def finite_difference_gradient(t, model):

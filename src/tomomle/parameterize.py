@@ -46,18 +46,20 @@ def param_layout(d):
 
 @cache
 def slot_map(n_params):
-    """(d, slots, transposed, factor) for a length-n_params parameter vector.
+    """(d, slots, transposed) for a length-n_params parameter vector.
 
-    slots[k] is where t_k sits in the (re, im) float view of T.  The
-    likelihood reads d q_mu / d t_k = 2 Re(c_k (O_mu T^dag)[col_k, row_k])
-    from the float view of a (d, d) product: c_k is 1 or 1j, so this is the
-    slot transposed[k] of the transposed entry, times factor[k] = +2 or -2.
-    Cached per n_params, so d and the layout are computed once.
+    slots[k] is where t_k sits in the (re, im) float view of T, and
+    transposed[k] the same part (re or im) of the transposed entry
+    (col_k, row_k).  The likelihood reads d q_mu / d t_k / 2 =
+    Re(c_k (O_mu T^dag)[col_k, row_k]) there, in the float view of
+    conj(O_mu T^dag): c_k is 1 or 1j, so it is that entry's real or
+    imaginary part.  Cached per n_params, so d and the layout are computed
+    once.
     """
     d = param_dim(n_params)
     rows, cols, coeffs = param_layout(d)
     imag = coeffs.imag != 0
-    return d, 2 * (rows * d + cols) + imag, 2 * (cols * d + rows) + imag, np.where(imag, -2.0, 2.0)
+    return d, 2 * (rows * d + cols) + imag, 2 * (cols * d + rows) + imag
 
 
 def build_T(t):

@@ -9,9 +9,10 @@ fresh directory that holds a copy of the tree's bundled records and the
 inputs this tool writes (`_inputs`), so inputs and outputs have the same
 relative names on both sides.  The manifest's `output_path` is blanked
 before two documents are compared.  Prints one line per case, and exits 1
-if any case differs other than as EXPECTED names.  EXPECTED lists only the
+if any case differs other than as EXPECTED names (DIFF), or if a case that
+EXPECTED names comes out the same (STALE).  EXPECTED lists only the
 differences that the change under test makes on purpose, so it is empty
-for a change that keeps every output.
+for a change that keeps every output, and is reset for each change.
 """
 
 import json
@@ -36,15 +37,11 @@ POL4X4_REC = "pol4x4.rec"
 STATE_FILE = "state.json"
 # {case as a tuple: the fields in which the change under test alters it on purpose}
 EXPECTED = {
-    # value and value_and_gradient read the quadratic forms up to d = 4, so
-    # the gd and Nelder-Mead rows move in their last bits (LM rows do not),
-    # and Nelder-Mead reports its end point at unit scale
-    **{
-        ("compare", rec, "--solver", "lm,gd,nelder-mead"): {"document"}
-        for rec in ("example1.rec", "example2.rec", "example3.rec", POL4X4_REC)
-    },
-    ("reconstruct", "example1.rec", "--solver", "nelder-mead"): {"document"},
-    ("reconstruct", "example2.rec", "--solver", "gd"): {"document"},
+    # above d = 4 the likelihood reads y_mu = t^T Q_mu from conj(O_mu) T^T,
+    # so every d = 8 result moves in its last bits
+    ("reconstruct", QUBIT3_REC, "--method", "mle"): {"document"},
+    ("verify-minima", QUBIT3_REC, "--starts", "3"): {"document"},
+    ("compare", QUBIT3_REC, "--solver", "lm,gd,nelder-mead", "--max-fevals", "400"): {"document"},
 }
 
 
@@ -119,6 +116,8 @@ def _cases():
     yield ["reconstruct", QUBIT3_REC, "--method", "mle"]
     yield ["reconstruct", QUBIT3_REC, "--method", "linear"]
     yield ["verify-minima", QUBIT3_REC, "--starts", "3"]
+    # value and value_and_gradient above d = 4
+    yield ["compare", QUBIT3_REC, "--solver", "lm,gd,nelder-mead", "--max-fevals", "400"]
     yield ["reconstruct", POL4X4_REC]
     yield ["compare", POL4X4_REC, "--solver", "lm,gd,nelder-mead"]
     # past fixes: numpy warnings kept off stderr, shots past 2^53 (exit 2), a
@@ -165,6 +164,16 @@ def _run(tree, argv):
     return proc.returncode, proc.stdout, proc.stderr, doc
 
 
+def verdict(fields, expected):
+    """"same", "EXPECTED", "STALE" or "DIFF" for a case whose differing
+    fields are `fields` and whose EXPECTED entry is `expected` (None if it
+    has none): a difference passes only as exactly the expected fields, and
+    an expected difference that did not happen is stale."""
+    if not fields:
+        return "STALE" if expected else "same"
+    return "EXPECTED" if set(fields) == expected else "DIFF"
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
@@ -172,17 +181,21 @@ def main(argv=None):
         return 2
     parent, change = argv
     cases = list(_cases())
-    differing = expected = 0
+    counts = dict.fromkeys(("same", "EXPECTED", "STALE", "DIFF"), 0)
     for case in cases:
         before, after = _run(parent, case), _run(change, case)
         fields = [name for name, a, b in zip(FIELDS, before, after) if a != b]
-        known = bool(fields) and set(fields) == EXPECTED.get(tuple(case))
-        expected += known
-        differing += bool(fields) and not known
-        verdict = f"{'EXPECTED' if known else 'DIFF'} ({', '.join(fields)})" if fields else "same"
-        print(f"{verdict:<8} exit {before[0]}->{after[0]}  {' '.join(case)}", flush=True)
-    print(f"{differing} of {len(cases)} cases differ, {expected} more as expected")
-    return 1 if differing else 0
+        expected = EXPECTED.get(tuple(case))
+        word = verdict(fields, expected)
+        counts[word] += 1
+        shown = fields or sorted(expected or ())
+        label = f"{word} ({', '.join(shown)})" if shown else word
+        print(f"{label:<8} exit {before[0]}->{after[0]}  {' '.join(case)}", flush=True)
+    print(
+        f"{counts['DIFF']} of {len(cases)} cases differ, {counts['EXPECTED']} more as expected,"
+        f" {counts['STALE']} expected but the same"
+    )
+    return 1 if counts["DIFF"] or counts["STALE"] else 0
 
 
 if __name__ == "__main__":
