@@ -21,12 +21,14 @@ give every derivative: with w_mu = dF/dp_mu,
   gradient:  g = 2 (w^T y - (w . p) t) / ||t||^2
   Jacobian:  J = (y - p t^T) * 2 dr/dp / ||t||^2   (gaussian residuals r)
 
-The dimension picks only how y is formed.  Up to QUADRATIC_FORM_MAX_DIM
-(d = 4) it is one product with the (d^2, m d^2) matrix of the Q_mu, which
-each model builds on first use and keeps (8 m d^4 bytes, d^2 / 2 times the
-operator stack); there value(2^k t) is value(t) bit for bit, since every
-product and sum scales exactly.  Above it y is read from the operator
-products conj(O_mu) T^T.
+The rows are stated once, by _rows, as the operator products conj(O_mu) T^T
+read at slot_map's transposed slots; the dimension picks only where they
+are evaluated.  Above QUADRATIC_FORM_MAX_DIM (d = 4) _rows runs at t.  Up
+to it y is one product with the (d^2, m d^2) matrix of the Q_mu, which is
+_rows tabulated at the d^2 unit vectors, built on first use and kept by
+each model (8 m d^4 bytes, d^2 / 2 times the operator stack); there
+value(2^k t) is value(t) bit for bit, since every product and sum scales
+exactly.
 """
 
 from dataclasses import dataclass
@@ -35,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError
-from .parameterize import build_T, param_layout, slot_map
+from .parameterize import build_T, slot_map
 
 PROBABILITY_FLOOR = 1e-12
 # dr/dp where p is floored
@@ -51,9 +53,9 @@ QUADRATIC_FORM_MAX_DIM = 4
 class ObjectiveModel:
     """Objective kind, measurement operators and observed frequencies.
 
-    `povm` is the complex (m, d, d) operator stack.  Evaluations read it
-    through one of its two cached forms, `quadratic_form` up to
-    QUADRATIC_FORM_MAX_DIM and `conj_rows` above it.  The methods are the
+    `povm` is the complex (m, d, d) operator stack, the one every evaluation
+    reads: through _rows above QUADRATIC_FORM_MAX_DIM, and through
+    `quadratic_form`, its rows tabulated, up to it.  The methods are the
     solvers' interface; each calls the module function of the same name.
     """
 
@@ -94,23 +96,10 @@ class ObjectiveModel:
         """The real (n, m n) matrix Q, n = d^2, that _forms reads up to
         QUADRATIC_FORM_MAX_DIM, built on first use and kept.  Its mu-th
         (n, n) block of columns is the symmetric Q_mu with
-        tr(O_mu T^dag T) = t^T Q_mu t:
-
-            Q_mu[k, l] = Re(conj(c_k) c_l O_mu[col_l, col_k])
-
-        when parameters k and l sit in the same row of T (param_layout's
-        (row, col, c) of each parameter), and 0 otherwise."""
-        m, d, _ = self.povm.shape
-        rows, cols, coeffs = param_layout(d)
-        q = np.real(coeffs.conj()[:, None] * coeffs * self.povm[:, cols[None, :], cols[:, None]])
-        q *= rows[:, None] == rows
-        return q.transpose(1, 0, 2).reshape(d * d, m * d * d)
-
-    @cached_property
-    def conj_rows(self):
-        """conj(O_mu) as the (m d, d) rows that _forms multiplies by T^T
-        above QUADRATIC_FORM_MAX_DIM, built on first use and kept."""
-        return self.povm.conj().reshape(-1, self.dim)
+        tr(O_mu T^dag T) = t^T Q_mu t.  Q tabulates the products at the unit
+        vectors."""
+        n = self.n_params
+        return _rows(np.eye(n), self).reshape(n, -1)
 
 
 @dataclass
@@ -120,29 +109,35 @@ class ObjectiveEvaluation:
     floor_hit: bool = False
 
 
+def _rows(t, model):
+    """The (..., m, n) rows y_mu = t^T Q_mu at one vector t or a (B, n)
+    block: y_mu[k] = Re(c_k (O_mu T^dag)[col_k, row_k]) for c_k = 1 or 1j,
+    which is the real or imaginary part of conj(O_mu T^dag) = conj(O_mu) T^T
+    at that entry.  One gemm with the operator stack, conjugated in place and
+    read at slot_map's transposed slots of its float view."""
+    *_, transposed = slot_map(t.shape[-1])
+    b = model.povm.reshape(-1, model.dim) @ build_T(t).conj().swapaxes(-1, -2)
+    np.conjugate(b, out=b)
+    b = b.view(float).reshape(t.shape[:-1] + (len(model.povm), -1))
+    return np.take(b, transposed, axis=-1)
+
+
 def _forms(t, model):
     """(y, p, s) at one vector t or a (B, n) block of them: the (..., m, n)
     rows y_mu = t^T Q_mu, half the gradient of q_mu = t^T Q_mu t (Q_mu is
     symmetric, as O_mu is Hermitian), p_mu = y_mu . t / s and s = ||t||^2
     (shape (..., 1) for a block).
 
-    Only y depends on d.  Up to QUADRATIC_FORM_MAX_DIM it is one product
-    with model.quadratic_form.  Above it, y_mu[k] = Re(c_k (O_mu T^dag)[col_k,
-    row_k]) for c_k = 1 or 1j, which is the real or imaginary part of
-    conj(O_mu T^dag) = conj(O_mu) T^T at that entry: one gemm with
-    model.conj_rows, read at slot_map's transposed slots of its float view.
-    One vector takes every dot as ndarray.dot, a block takes @ and vecdot.
+    Only y depends on d: _rows above QUADRATIC_FORM_MAX_DIM, one product
+    with model.quadratic_form up to it, taken as ndarray.dot for one vector
+    and a block alike.  p and s take ndarray.dot for one vector, @ and
+    vecdot for a block.
     """
     t = np.asarray(t, dtype=float)
-    m = len(model.povm)
     if model.dim > QUADRATIC_FORM_MAX_DIM:
-        *_, transposed = slot_map(t.shape[-1])
-        b = model.conj_rows @ build_T(t).swapaxes(-1, -2)
-        y = np.take(b.view(float).reshape(t.shape[:-1] + (m, -1)), transposed, axis=-1)
-    elif t.ndim == 1:
-        y = t.dot(model.quadratic_form).reshape(m, -1)
+        y = _rows(t, model)
     else:
-        y = (t @ model.quadratic_form).reshape(t.shape[:-1] + (m, -1))
+        y = t.dot(model.quadratic_form).reshape(t.shape[:-1] + (len(model.povm), -1))
     if t.ndim == 1:
         s = t.dot(t)
         return y, y.dot(t) / s, s

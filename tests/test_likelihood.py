@@ -282,7 +282,9 @@ def test_dimension_eight_matches_the_operator_products(rng):
         _assert_close(got[1], want[1])
         assert got[2] == want[2]
         assert got[1].flags.c_contiguous
-    assert "quadratic_form" not in vars(m)
+    # above d = 4 the likelihood reads the operator stack itself: no Q and no
+    # second copy of the stack is built
+    assert set(vars(m)) == {"kind", "povm", "freqs", "dim"}
 
 
 # measured over 2,000 random t at d = 8: y differs from t^T Q_mu by up to
@@ -292,7 +294,10 @@ PRODUCT_ROWS_REL = 1e-15
 
 def test_operator_products_give_the_quadratic_forms_rows(rng):
     # above QUADRATIC_FORM_MAX_DIM, _forms reads y_mu = t^T Q_mu from the
-    # products conj(O_mu) T^T; Q itself (2 MB here) is an independent check
+    # products conj(O_mu) T^T at t; Q (2 MB here) is the same products
+    # tabulated at the unit vectors, so this checks the rows at t against
+    # their tabulation, and _previous_probs_and_derivs is the independent
+    # statement (test_dimension_eight_matches_the_operator_products)
     m = _three_qubit_model(rng)
     assert m.dim > QUADRATIC_FORM_MAX_DIM
     ts = np.stack([random_param(rng, 8) for _ in range(5)])
@@ -339,6 +344,30 @@ def _previous_probs_and_derivs(t, mats):
     dp -= p[..., None] * (2.0 * t[..., None, :])
     dp /= s[..., None]
     return p, dp
+
+
+def _previous_quadratic_form(povm):
+    """Q as the model built it from param_layout's index formula before it
+    tabulated the operator products at the unit vectors:
+    Q_mu[k, l] = Re(conj(c_k) c_l O_mu[col_l, col_k]) when parameters k and
+    l sit in the same row of T, and 0 otherwise."""
+    m, d, _ = povm.shape
+    rows, cols, coeffs = param_layout(d)
+    q = np.real(coeffs.conj()[:, None] * coeffs * povm[:, cols[None, :], cols[:, None]])
+    q *= rows[:, None] == rows
+    return q.transpose(1, 0, 2).reshape(d * d, m * d * d)
+
+
+def test_quadratic_form_matches_the_index_formula(rng, example1, example2, example3):
+    # bit for bit (signs of zeros aside): each entry of a product at a unit
+    # vector has at most one nonzero term
+    models = [_basis_and_random_model(rng, d) for d in (1, 2, 3, 4)]
+    models += [
+        ObjectiveModel("gaussian", record.operators, normalize(record))
+        for record in (example1, example2, example3)
+    ]
+    for m in models:
+        assert np.array_equal(m.quadratic_form, _previous_quadratic_form(m.povm))
 
 
 def _previous_build_T(t):
