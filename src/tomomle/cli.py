@@ -10,7 +10,8 @@ output.  Exit codes are part of the contract:
         error, such as a raised numerical error
     2   unknown preset / malformed, unsupported or unreadable input, an
         option value out of its range, or a size past a capacity cap (an
-        operator stack's dimension, or the number of sign orthants)
+        operator stack's dimension, the number of sign orthants, or
+        verify-minima's starts times sign orthants, verify.MAX_RUNS)
     3   output path not writable
     4   measurement set not informationally complete (linear inversion)
     10  MLE run stopped before `--grad-tol`: stagnation, the parameter
@@ -182,7 +183,7 @@ def cmd_reconstruct(args):
         return EXIT_OK
 
     model = _build_model(record)
-    result = SOLVERS[args.solver](model, default_start(d), cfg)
+    result = SOLVERS[args.solver](model, default_start(d), cfg, trace=args.verbose)
     if args.verbose:
         for i, (f, gnorm, step) in enumerate(result.trace_log):
             print(f"iter={i} f={f:.6e} grad_norm={gnorm:.3e} step={step:.3e}", file=sys.stderr)
@@ -336,7 +337,10 @@ def build_parser():
     p.add_argument("--method", choices=["linear", "mle"], default="mle")
     p.add_argument("--solver", choices=sorted(SOLVERS), default="lm")
     add_stop_flags(p)
-    p.add_argument("--verbose", action="store_true")
+    p.add_argument(
+        "--verbose", action="store_true",
+        help="print the solver's per-iteration trace to stderr, one iter= line each",
+    )
     p.add_argument("--out", type=out_path, required=True)
     p.set_defaults(func=cmd_reconstruct, seed=None)  # no --seed: the manifest's is null
 

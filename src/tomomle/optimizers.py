@@ -21,6 +21,13 @@ gradient of its own, so just before its _finish call it makes one more
 value_and_gradient call at the first best vertex, uncounted, to report
 ||g||.  Gradient descent and Levenberg-Marquardt report the ||g|| they have.
 
+A solver keeps a per-iteration trace only when it is called with
+trace=True; otherwise every result's trace_log is [], and the search takes
+the same steps to the same result.  Untraced, gradient descent appends
+nothing, Levenberg-Marquardt logs no accepted points, and Nelder-Mead
+measures its simplex's diameter only where its stop test reads it: where
+the value spread is within fun_tol.
+
 Nelder-Mead ignores param_bound and can drift far out along the flat ray
 t -> c t, where ||g|| falls as 1/||t||.  On an ObjectiveModel it reports its
 end point at unit scale: the first best vertex times 2^-e, e = round(log2
@@ -147,7 +154,7 @@ _LM_STOPS = (
 _BINDS = np.array([binds for _, *binds in _LM_STOPS])
 
 
-def _lm_chunk(model, t0, cfg, pattern):
+def _lm_chunk(model, t0, cfg, pattern, trace=False):
     """Levenberg-Marquardt on every row of t0 at once; with a (B, d) block
     `pattern`, row i's start and trial points are projected onto the sphere
     orthant of pattern[i].
@@ -161,12 +168,12 @@ def _lm_chunk(model, t0, cfg, pattern):
     it); a round is then one batched damped solve for all running rows and
     one batched evaluation of their trial points, after which each row
     takes its own accept/reject branch.  J^T J is formed where a point is
-    accepted, so the running state keeps no Jacobian.  Each round logs its
-    accepted points as arrays, and each stopped row's end point is written
-    to its row.  After the loop the chunk turns the log into trace_log
-    tuples once, drops the point a row fails check 0 at, as gradient
-    descent traces no point it fails at, and ends every row in one _finish
-    call.
+    accepted, so the running state keeps no Jacobian.  Each stopped row's
+    end point is written to its row.  With `trace`, each round logs its
+    accepted points as arrays, and after the loop the chunk turns the log
+    into trace_log tuples once and drops the point a row fails check 0 at,
+    as gradient descent traces no point it fails at.  Every row ends in
+    one _finish call.
     """
     n = t0.shape[1]
     step_tol, fun_tol, max_iters, max_fevals = cfg.resolved(n)
@@ -189,9 +196,9 @@ def _lm_chunk(model, t0, cfg, pattern):
         grad=_jt_r(jac, r),
     )
     s.gnorm = np.sqrt(np.vecdot(s.grad, s.grad))
-    # the accepted points as (row, f, ||g||, step) arrays, one entry per
-    # round; no logged array is written to later
-    log = [(s.rows, s.f.copy(), s.gnorm.copy(), np.zeros(k))]
+    # with `trace`, the accepted points as (row, f, ||g||, step) arrays, one
+    # entry per round; no logged array is written to later
+    log = [(s.rows, s.f.copy(), s.gnorm.copy(), np.zeros(k))] if trace else None
     # each row's (t, f, ||g||, iters, fevals, first binding check) where it stops
     ends = (np.empty_like(t), *np.empty((2, k)), *np.empty((3, k), dtype=int))
 
@@ -258,14 +265,16 @@ def _lm_chunk(model, t0, cfg, pattern):
             s.jtj[kept] = jac_kept.swapaxes(1, 2) @ jac_kept
             s.grad[kept] = grad = _jt_r(jac_kept, r_kept)
             s.gnorm[kept] = gnorm = np.sqrt(np.vecdot(grad, grad))
-            log.append((s.rows[kept], f_kept, gnorm, s.step[kept]))
+            if trace:
+                log.append((s.rows[kept], f_kept, gnorm, s.step[kept]))
 
-    rows, *entries = (np.concatenate(column).tolist() for column in zip(*log))
-    for row, entry in zip(rows, zip(*entries)):
-        traces[row].append(entry)
     t, f, gnorm, iters, fevals, first = ends
-    for row in np.flatnonzero(first == 0):
-        traces[row].pop()
+    if trace:
+        rows, *entries = (np.concatenate(column).tolist() for column in zip(*log))
+        for row, entry in zip(rows, zip(*entries)):
+            traces[row].append(entry)
+        for row in np.flatnonzero(first == 0):
+            traces[row].pop()
     return _finish(model, t, f, gnorm, iters, fevals, [_LM_STOPS[c][0] for c in first], traces)
 
 
@@ -275,7 +284,7 @@ def _chunk_size(model, n_starts):
     return max(1, LM_BLOCK_BYTES // (LM_START_PRODUCTS * model.povm.nbytes))
 
 
-def lm_block(model, t0, cfg=None, pattern=None):
+def lm_block(model, t0, cfg=None, pattern=None, trace=False):
     """Damped least-squares minimization from every row of the (B, n) start
     block t0; one OptimizationResult per row, in row order.
 
@@ -284,6 +293,8 @@ def lm_block(model, t0, cfg=None, pattern=None):
     pattern, or a (B, d) block of them) maps each row's trial points onto
     its sphere orthant before evaluation; see project_to_orthant.  Rows
     are solved in chunks whose working set stays within LM_BLOCK_BYTES.
+    With `trace`, each result's trace_log holds its accepted points as
+    (f, ||g||, step) tuples, the start first with step 0.
     """
     cfg = cfg or StopConfig()
     t0 = np.atleast_2d(np.asarray(t0, dtype=float))
@@ -294,17 +305,18 @@ def lm_block(model, t0, cfg=None, pattern=None):
     results = []
     for lo in range(0, len(t0), size):
         rows = slice(lo, lo + size)
-        results += _lm_chunk(model, t0[rows], cfg, None if pattern is None else pattern[rows])
+        chunk = None if pattern is None else pattern[rows]
+        results += _lm_chunk(model, t0[rows], cfg, chunk, trace)
     return results
 
 
-def levenberg_marquardt(model, t0, cfg=None):
+def levenberg_marquardt(model, t0, cfg=None, trace=False):
     """Damped least-squares minimization on the (residual, Jacobian) pair
     from one start: the one-row case of lm_block."""
-    return lm_block(model, t0, cfg)[0]
+    return lm_block(model, t0, cfg, trace=trace)[0]
 
 
-def gradient_descent(model, t0, cfg=None):
+def gradient_descent(model, t0, cfg=None, trace=False):
     """Steepest descent with Armijo backtracking (c1 = 1e-4, halving).
 
     Each pass of the one loop evaluates the value and gradient at the
@@ -314,12 +326,14 @@ def gradient_descent(model, t0, cfg=None):
     max_iters, fevals >= max_fevals.  The start counts as reached with
     step = df = inf.  Within a line search, a spent evaluation budget
     stops on max-function-evals and MAX_BACKTRACKS rejected trials on
-    step-stagnation.
+    step-stagnation.  With `trace`, trace_log holds (f, ||g||, step) for
+    each point reached that passes the non-finite check, step 0 at the
+    start.
     """
     cfg = cfg or StopConfig()
     t = np.asarray(t0, dtype=float).copy()
     step_tol, fun_tol, max_iters, max_fevals = cfg.resolved(t.size)
-    trace = []
+    log = []
     iters = fevals = 0
     alpha = 1.0
     step = df = math.inf
@@ -338,7 +352,8 @@ def gradient_descent(model, t0, cfg=None):
         if not (math.isfinite(f) and (math.isfinite(gnorm) or np.isfinite(grad).all())):
             reason = StopReason.NumericalFailure
             break
-        trace.append((f, gnorm, step if iters else 0.0))
+        if trace:
+            log.append((f, gnorm, step if iters else 0.0))
         if step < step_tol:
             reason = StopReason.StepStagnation
         elif df < fun_tol:
@@ -374,26 +389,29 @@ def gradient_descent(model, t0, cfg=None):
         else:
             reason = StopReason.StepStagnation
 
-    return _finish(model, t[None], [f], [gnorm], [iters], [fevals], [reason], [trace])[0]
+    return _finish(model, t[None], [f], [gnorm], [iters], [fevals], [reason], [log])[0]
 
 
-def nelder_mead(model, t0, cfg=None):
+def nelder_mead(model, t0, cfg=None, trace=False):
     """Downhill simplex with standard coefficients (1, 2, 0.5, 0.5).
 
-    Termination follows the simplex-stagnation rule: all vertices within
-    step_tol of the best point (inf norm) and all function values within
-    fun_tol of the best value.  A spent budget or a non-finite value
-    raises _Stop(reason), the search's one stop signal.  The reported ||g||
-    is evaluated a posteriori at the first best vertex, by one uncounted
-    value_and_gradient call, and plays no role in the search.  On an
-    ObjectiveModel that vertex is first scaled by 2^-round(log2 ||t||)
-    (see the module docstring); a zero or non-finite one is kept.
+    Termination follows the simplex-stagnation rule: all function values
+    within fun_tol of the best value and all vertices within step_tol of
+    the best point (inf norm); the simplex is measured only where the
+    first holds, or for the trace.  With `trace`, trace_log holds (best
+    value, NaN, diameter) at the top of each iteration.  A spent budget or
+    a non-finite value raises _Stop(reason), the search's one stop signal.
+    The reported ||g|| is evaluated a posteriori at the first best vertex,
+    by one uncounted value_and_gradient call, and plays no role in the
+    search.  On an ObjectiveModel that vertex is first scaled by
+    2^-round(log2 ||t||) (see the module docstring); a zero or non-finite
+    one is kept.
     """
     cfg = cfg or StopConfig()
     t0 = np.asarray(t0, dtype=float).copy()
     n = t0.size
     step_tol, fun_tol, max_iters, max_fevals = cfg.resolved(n)
-    trace = []
+    log = []
     fevals = 0
     budget = max(max_fevals, 1)  # the start is always evaluated, as in LM and gradient descent
 
@@ -439,10 +457,12 @@ def nelder_mead(model, t0, cfg=None):
                     simplex[k] = vertex
                     values.insert(k, values.pop())
             best, fbest = simplex[0], values[0]
-            diameter = float(np.abs(simplex[1:] - best).max())
             fspread = float(values[-1] - fbest)  # values are sorted
-            trace.append((fbest, np.nan, diameter))
-            if diameter <= step_tol and fspread <= fun_tol:
+            if trace or fspread <= fun_tol:
+                diameter = float(np.abs(simplex[1:] - best).max())
+            if trace:
+                log.append((fbest, np.nan, diameter))
+            if fspread <= fun_tol and diameter <= step_tol:
                 reason = StopReason.StepStagnation
                 break
             if iters >= max_iters:
@@ -489,7 +509,7 @@ def nelder_mead(model, t0, cfg=None):
     if isinstance(model, ObjectiveModel) and 0.0 < norm < math.inf:
         best = np.ldexp(best, -round(math.log2(norm)))
     gnorm = np.linalg.norm(model.value_and_gradient(best).gradient)  # not counted
-    end = [values[i]], [gnorm], [iters], [fevals], [reason], [trace]
+    end = [values[i]], [gnorm], [iters], [fevals], [reason], [log]
     return _finish(model, best[None], *end)[0]
 
 

@@ -12,12 +12,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import likelihood
-from .errors import AllRunsFailedError
+from .errors import AllRunsFailedError, CapacityError
 from .optimizers import StopConfig, constrained_sign_solve, lm_block
 from .parameterize import random_param
 
 DEDUP_TOL = 1e-2
 PAIR_BLOCK = 16  # rows of the pairwise spreads formed at once in _worst_pairs
+# LM runs of one multistart, starts times sign orthants; like
+# parameterize.MAX_SIGN_PATTERNS, checked before anything is drawn
+MAX_RUNS = 65_536
 
 
 @dataclass
@@ -62,13 +65,18 @@ def _first_larger(spread, rows, worst):
     return worst
 
 
-def _draw_starts(model, n_starts, seed):
-    """n_starts uniform draws in [-1, 1]^{d^2}, start i from seed + i.
+def _draw_starts(model, n_starts, seed, orthants=1):
+    """n_starts uniform draws in [-1, 1]^{d^2}, start i from seed + i, to be
+    solved in each of `orthants` sign orthants.
 
     Draws with a near-zero diagonal parameter are rejected and redrawn.
+    More than MAX_RUNS runs raise CapacityError before any start is drawn.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
+    if n_starts * orthants > MAX_RUNS:
+        where = f" in each of {orthants} sign orthants" if orthants > 1 else ""
+        raise CapacityError(f"{n_starts} starts{where} exceed the cap of {MAX_RUNS} runs")
     return np.stack(
         [random_param(np.random.default_rng(seed + i), model.dim) for i in range(n_starts)]
     )
@@ -150,7 +158,7 @@ def orthant_multistart(model, patterns, n_starts, seed, cfg=None, screen_tol=Non
     """
     cfg = cfg or StopConfig()
     patterns = np.asarray(patterns, dtype=float)
-    starts = _draw_starts(model, n_starts, seed)
+    starts = _draw_starts(model, n_starts, seed, len(patterns))
     results = constrained_sign_solve(
         model,
         np.repeat(patterns, n_starts, axis=0),

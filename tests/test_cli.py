@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tomomle import cli, hermitian, parameterize
+from tomomle import cli, hermitian, parameterize, verify
 from tomomle.cli import _matrix_fields, main
 from tomomle.measurement import (
     MeasurementRecord,
@@ -23,7 +24,7 @@ from tomomle.measurement import (
     record_to_dict,
     write_record,
 )
-from tomomle.optimizers import StopConfig
+from tomomle.optimizers import SOLVERS, StopConfig, default_start
 
 
 def data_path(name):
@@ -581,6 +582,43 @@ def test_exit_code_past_sign_pattern_cap(tmp_path, capsys, monkeypatch):
     assert parameterize.all_sign_patterns(1).tolist() == [[1.0], [-1.0]]
 
 
+@pytest.mark.parametrize(
+    "record, flags, message",
+    [
+        ("example1.rec", ["--starts", "65537"], "65537 starts"),
+        ("example1.rec", ["--starts", "1000000000000"], "1000000000000 starts"),
+        (
+            "example2.rec", ["--constrain-signs", "--starts", "4097"],
+            "4097 starts in each of 16 sign orthants",
+        ),
+    ],
+    ids=["starts", "huge", "orthants"],
+)
+def test_exit_code_past_run_cap(tmp_path, capsys, record, flags, message):
+    # more runs than verify.MAX_RUNS = 65536, starts times orthants, exit 2
+    # before a start is drawn
+    out = tmp_path / "v.json"
+    began = time.perf_counter()
+    assert run("verify-minima", data_path(record), *flags, "--out", str(out)) == 2
+    assert time.perf_counter() - began < 1.0
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {message} exceed the cap of 65536 runs"
+    ]
+    assert not out.exists()
+
+
+def test_runs_up_to_the_cap_are_solved(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "v.json"
+    argv = ["verify-minima", data_path("example1.rec"), "--out", str(out), "--starts"]
+    assert run(*argv, "50") == 0
+    document = out.read_text()
+    monkeypatch.setattr(verify, "MAX_RUNS", 50)
+    assert run(*argv, "50") == 0
+    assert out.read_text() == document
+    assert run(*argv, "51") == 2
+    assert capsys.readouterr().err == "error: 51 starts exceed the cap of 50 runs\n"
+
+
 _GIVEN_STOP_FLAGS = (
     "--grad-tol", "1e-5", "--step-tol", "1e-12", "--fun-tol", "1e-13",
     "--max-iters", "300", "--max-fevals", "700",
@@ -907,12 +945,19 @@ def test_simulate_record_is_readable(tmp_path):
 
 
 def test_verbose_trace_goes_to_stderr(tmp_path, capsys):
+    # one iter= line per entry of the trace a traced library run returns
     out = tmp_path / "o.json"
-    assert run(
-        "reconstruct", data_path("example1.rec"), "--verbose", "--out", str(out)
-    ) == 0
-    err = capsys.readouterr().err
-    assert "grad_norm=" in err
+    rec = data_path("example1.rec")
+    model = cli._build_model(read_record(rec))
+    for solver, max_fevals, code in (("lm", None, 0), ("gd", 200, 10), ("nelder-mead", 200, 10)):
+        budget = [] if max_fevals is None else ["--max-fevals", str(max_fevals)]
+        argv = ["--solver", solver, *budget, "--verbose", "--out", str(out)]
+        assert run("reconstruct", rec, *argv) == code
+        lines = capsys.readouterr().err.splitlines()
+        cfg = StopConfig(max_fevals=max_fevals)
+        trace = SOLVERS[solver](model, default_start(model.dim), cfg, trace=True).trace_log
+        assert len(lines) == len(trace) > 0
+        assert all(line.startswith(f"iter={i} f=") for i, line in enumerate(lines))
 
 
 def _no_constant(name):

@@ -113,7 +113,7 @@ def test_nm_feval_budget_exact():
 
 def test_lm_monotone_trace():
     model = example1_model()
-    res = levenberg_marquardt(model, default_start(2))
+    res = levenberg_marquardt(model, default_start(2), trace=True)
     values = [entry[0] for entry in res.trace_log]
     assert all(b <= a for a, b in zip(values, values[1:]))
     assert res.reason is StopReason.GradientTolerance
@@ -395,9 +395,9 @@ def reference_lm_block(model, t0, cfg=None, pattern=None):
 
 
 def assert_same_lm_block(model, starts, cfg=None, pattern=None):
-    """lm_block and reference_lm_block agree bit for bit on every field of
-    every row, every trace tuple included; returns the block."""
-    block = lm_block(model, starts, cfg, pattern)
+    """lm_block, traced, and reference_lm_block agree bit for bit on every
+    field of every row, every trace tuple included; returns the block."""
+    block = lm_block(model, starts, cfg, pattern, trace=True)
     ref = reference_lm_block(model, starts, cfg, pattern)
     assert len(block) == len(ref)
     for got, want in zip(block, ref):
@@ -428,8 +428,8 @@ def test_sign_block_matches_reference(example3):
     patterns = all_sign_patterns(model.dim)
     for pattern in patterns:
         block = constrained_sign_solve(model, pattern, starts, cfg)
-        assert_same_lm_block(model, starts, cfg, pattern)
-        assert_matches_reference(block, model, starts, cfg, [pattern] * len(starts))
+        traced = assert_same_lm_block(model, starts, cfg, pattern)
+        assert_matches_reference(traced, model, starts, cfg, [pattern] * len(starts))
         for res in block:
             assert res.t_final @ res.t_final == pytest.approx(1.0, abs=1e-12)
             assert np.all(np.sign(res.t_final[:2]) == pattern)
@@ -525,7 +525,7 @@ def test_accepted_point_with_a_non_finite_gradient_fails():
     # check 0 binds every accepted point, not only the start: the run ends
     # there, reports that point's f and ||J^T r||, and leaves the point out
     # of its trace, as gradient descent does
-    res = levenberg_marquardt(OverflowingGradient(), np.zeros(2))
+    res = levenberg_marquardt(OverflowingGradient(), np.zeros(2), trace=True)
     assert (res.reason, res.iters, res.fevals) == (StopReason.NumericalFailure, 1, 2)
     assert res.f_final == 0.5 * (2 * 0.95**2)
     assert res.grad_norm == math.inf
@@ -706,9 +706,10 @@ def assert_same_result(got, ref):
 
 
 def assert_same_simplex_run(model, t0, cfg=None):
-    """nelder_mead and reference_nelder_mead agree bit for bit; returns the
-    reference result."""
-    return assert_same_result(nelder_mead(model, t0, cfg), reference_nelder_mead(model, t0, cfg))
+    """nelder_mead, traced, and reference_nelder_mead agree bit for bit;
+    returns the reference result."""
+    got = nelder_mead(model, t0, cfg, trace=True)
+    return assert_same_result(got, reference_nelder_mead(model, t0, cfg))
 
 
 EXAMPLE1_START = np.array([-0.0001, 0.999, 0.001, 0.999])
@@ -883,7 +884,8 @@ def reference_gd(model, t0, cfg=None):
 
 
 def assert_same_descent_run(model, t0, cfg=None):
-    return assert_same_result(gradient_descent(model, t0, cfg), reference_gd(model, t0, cfg))
+    got = gradient_descent(model, t0, cfg, trace=True)
+    return assert_same_result(got, reference_gd(model, t0, cfg))
 
 
 def test_gradient_descent_matches_reference(example1, example2, example3):
@@ -907,6 +909,38 @@ def test_solver_loops_match_references_on_a_two_qubit_record():
     assert_same_descent_run(model, start)
     ref = assert_same_simplex_run(model, start)
     assert ref.fevals == 6400
+
+
+def assert_untraced_runs_match(plain, traced):
+    """Untraced results equal traced ones in every field but trace_log,
+    which is empty."""
+    for got, want in zip(plain, traced, strict=True):
+        assert got.trace_log == []
+        assert (got.reason, got.iters, got.fevals) == (want.reason, want.iters, want.fevals)
+        for name in ("t_final", "rho_final", "f_final", "grad_norm"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+# the overflow record's solves overflow and rho_of_t of its NaN end points warns
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_untraced_runs_take_the_traced_steps(example1, example2, example3):
+    overflow = dataclasses.replace(example1, normalization=1e-300)
+    for record in (example1, example2, example3, overflow):
+        model = record_model(record)
+        for cfg in (None, StopConfig(max_fevals=4)):
+            for solve in (levenberg_marquardt, gradient_descent, nelder_mead):
+                traced = solve(model, default_start(model.dim), cfg, trace=True)
+                if cfg is None:  # the overflow record fails at its start, untraced
+                    assert bool(traced.trace_log) is (record is not overflow)
+                assert_untraced_runs_match([solve(model, default_start(model.dim), cfg)], [traced])
+    # a block of starts, one sign orthant per start
+    model = record_model(example3)
+    patterns = np.array(all_sign_patterns(model.dim))
+    starts = np.repeat(multistart_block(model.dim, 1, seed=90), len(patterns), axis=0)
+    traced = lm_block(model, starts, None, patterns, trace=True)
+    assert all(res.trace_log for res in traced)
+    assert_untraced_runs_match(lm_block(model, starts, None, patterns), traced)
 
 
 class NoDescent(Quadratic):
@@ -956,12 +990,12 @@ def test_gradient_descent_matches_reference_on_failures():
 def test_gradient_descent_stops_at_the_loop_top():
     q = Quadratic()
     # at the minimizer, before any step
-    res = gradient_descent(q, q.t_star)
+    res = gradient_descent(q, q.t_star, trace=True)
     assert (res.reason, res.iters, res.fevals, len(res.trace_log)) == (
         StopReason.GradientTolerance, 0, 1, 1
     )
     # after the first accepted step, which is shorter than step_tol
-    res = gradient_descent(q, np.array([5.0, -5.0]), StopConfig(step_tol=1e3))
+    res = gradient_descent(q, np.array([5.0, -5.0]), StopConfig(step_tol=1e3), trace=True)
     assert (res.reason, res.iters, len(res.trace_log)) == (StopReason.StepStagnation, 1, 2)
     assert 0 < res.trace_log[1][2] < 1e3
 

@@ -39,7 +39,10 @@ POL4X4_REC = "pol4x4.rec"
 # a one-qubit state file for `simulate --state`
 STATE_FILE = "state.json"
 # {case as a tuple: the fields in which the change under test alters it on purpose}
-EXPECTED = {}
+EXPECTED = {
+    # the --verbose help text names the per-iteration trace
+    ("reconstruct", "--help"): {"stdout"},
+}
 
 
 def _hvdr_record(n_qubits, preset=None):
@@ -106,6 +109,9 @@ def _cases():
     # a document's t_final and grad_norm from the two solvers other than LM
     yield ["reconstruct", "example1.rec", "--solver", "nelder-mead"]
     yield ["reconstruct", "example2.rec", "--solver", "gd"]
+    # Nelder-Mead's and gradient descent's --verbose traces
+    for solver in ("nelder-mead", "gd"):
+        yield ["reconstruct", "example2.rec", "--solver", solver, "--verbose", "--max-fevals", "300"]
     yield ["verify-minima", "example2.rec", "--seed", "0"]
     yield ["verify-minima", "example2.rec", "--seed", "13000"]
     yield ["verify-minima", "example3.rec", "--constrain-signs", "--seed", "500"]
