@@ -14,9 +14,8 @@ output.  Exit codes are part of the contract:
         verify-minima's starts times sign orthants, verify.MAX_RUNS)
     3   output path not writable
     4   measurement set not informationally complete (linear inversion)
-    10  MLE run stopped before `--grad-tol`: stagnation, the parameter
-        bound, an iteration or evaluation budget, or a `numerical-failure`
-        stop
+    10  MLE run stopped before `--grad-tol`: stagnation, an iteration or
+        evaluation budget, or a `numerical-failure` stop
     11  every multistart run was discarded by the stationarity screen
 
 A command returns 0, 1 or 10 or raises; `main` maps the error to its code

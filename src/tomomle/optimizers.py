@@ -6,8 +6,10 @@ result of each row of a block of end points.  Gradient tolerance is the
 preferred criterion; stagnation criteria (small step / small function change)
 use tolerances that default to grad_tol**2, and a terminated run always
 reports the final gradient norm so that a stagnation stop can be told apart
-from true stationarity.  An artificial bound on ||t||_inf guards against the
-false-stationarity regime where growing ||t|| shrinks the gradient.
+from true stationarity.  The objective is homogeneous of degree 0 in t, so
+||g|| falls as 1/||t|| and the gradient test is not scale-free.  No solver
+bounds ||t||: every start the CLI makes has ||t||_inf <= 1, and the
+scale-free test is the optimality gap that ROADMAP item 1 plans.
 
 The solvers call the objective's three methods, as likelihood.ObjectiveModel
 defines them: value(t) returns a float, value_and_gradient(t) an
@@ -28,11 +30,11 @@ nothing, Levenberg-Marquardt logs no accepted points, and Nelder-Mead
 measures its simplex's diameter only where its stop test reads it: where
 the value spread is within fun_tol.
 
-Nelder-Mead ignores param_bound and can drift far out along the flat ray
-t -> c t, where ||g|| falls as 1/||t||.  On an ObjectiveModel it reports its
-end point at unit scale: the first best vertex times 2^-e, e = round(log2
-||t||), which keeps f and rho(t) bit for bit, so ||g|| is that of the state
-reached and not of how far the simplex drifted.
+Nelder-Mead can drift far out along the flat ray t -> c t.  On an
+ObjectiveModel it reports its end point at unit scale: the first best
+vertex times 2^-e, e = round(log2 ||t||), which keeps f and rho(t) bit for
+bit, so ||g|| is that of the state reached and not of how far the simplex
+drifted.
 """
 
 import bisect
@@ -67,7 +69,6 @@ class StopReason(enum.Enum):
     FunctionStagnation = "function-stagnation"
     MaxIterations = "max-iterations"
     MaxFunctionEvals = "max-function-evals"
-    ParamBoundHit = "param-bound-hit"
     NumericalFailure = "numerical-failure"
 
 
@@ -78,7 +79,6 @@ class StopConfig:
     fun_tol: float | None = None  # default grad_tol**2, inf where that overflows
     max_iters: int | None = None  # default 2 * 200 * n
     max_fevals: int | None = None  # default 2 * 200 * n
-    param_bound: float = 1e3
 
     def resolved(self, n):
         try:
@@ -147,7 +147,6 @@ _LM_STOPS = (
     (StopReason.StepStagnation, True, False),
     (StopReason.FunctionStagnation, True, False),
     (StopReason.StepStagnation, False, True),
-    (StopReason.ParamBoundHit, True, False),
     (StopReason.MaxIterations, True, False),
     (StopReason.MaxFunctionEvals, True, True),
 )
@@ -213,7 +212,6 @@ def _lm_chunk(model, t0, cfg, pattern, trace=False):
             s.step < step_tol,
             s.df < fun_tol,
             s.lam > LM_LAMBDA_MAX,
-            np.abs(s.t).max(axis=1) > cfg.param_bound,
             s.iters >= max_iters,
             s.fevals >= max_fevals,
         )
@@ -322,10 +320,10 @@ def gradient_descent(model, t0, cfg=None, trace=False):
     Each pass of the one loop evaluates the value and gradient at the
     current point and makes one stop decision, on the first of: a
     non-finite value or gradient (numerical-failure), step < step_tol,
-    df < fun_tol, ||g|| < grad_tol, ||t||_inf > param_bound, iters >=
-    max_iters, fevals >= max_fevals.  The start counts as reached with
-    step = df = inf.  Within a line search, a spent evaluation budget
-    stops on max-function-evals and MAX_BACKTRACKS rejected trials on
+    df < fun_tol, ||g|| < grad_tol, iters >= max_iters, fevals >=
+    max_fevals.  The start counts as reached with step = df = inf.
+    Within a line search, a spent evaluation budget stops on
+    max-function-evals and MAX_BACKTRACKS rejected trials on
     step-stagnation.  With `trace`, trace_log holds (f, ||g||, step) for
     each point reached that passes the non-finite check, step 0 at the
     start.
@@ -360,8 +358,6 @@ def gradient_descent(model, t0, cfg=None, trace=False):
             reason = StopReason.FunctionStagnation
         elif gnorm < cfg.grad_tol:
             reason = StopReason.GradientTolerance
-        elif np.abs(t).max() > cfg.param_bound:
-            reason = StopReason.ParamBoundHit
         elif iters >= max_iters:
             reason = StopReason.MaxIterations
         elif fevals >= max_fevals:

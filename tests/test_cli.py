@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import importlib.resources
@@ -654,6 +655,27 @@ def test_manifest_of_each_mle_command(tmp_path, command, flags, solver, seed, st
         ("output_path", str(out)),
         ("tool_version", cli.__version__),
     ]
+
+
+def test_stop_config_is_the_stop_flags(tmp_path):
+    # the options that the three MLE commands share, other than --out, are
+    # the stop flags, and they are exactly StopConfig's fields, in order;
+    # the manifest lists those and nothing more
+    (subparsers,) = (
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    commands = ("reconstruct", "verify-minima", "compare")
+    dests = {
+        name: [a.dest for a in subparsers.choices[name]._actions if a.option_strings]
+        for name in commands
+    }
+    shared = set.intersection(*map(set, dests.values())) - {"help", "out"}
+    fields = [f.name for f in dataclasses.fields(StopConfig)]
+    for name in commands:
+        assert [dest for dest in dests[name] if dest in shared] == fields
+    out = tmp_path / "r.json"
+    assert run("reconstruct", data_path("example1.rec"), "--out", str(out)) == 0
+    assert list(json.loads(out.read_text())["manifest"]["stop_config"]) == fields
 
 
 def test_compare_checks_solver_names_before_solving(tmp_path, capsys, monkeypatch):
