@@ -176,7 +176,7 @@ def cmd_reconstruct(args):
             "min_eigenvalue": report.min_eigenvalue,
             "trace": report.trace,
             "condition_estimate": report.condition_estimate,
-            "purity": float(np.real(np.trace(report.matrix @ report.matrix))),
+            "purity": purity(report.matrix),
         }
         write_json_atomic(args.out, doc)
         return EXIT_OK

@@ -110,10 +110,10 @@ def pauli_basis(n_qubits):
 
 
 def purity(rho):
-    """tr(rho^2), clamped to [0, 1 + 1e-10]."""
+    """Re tr(rho^2), not clamped: an unphysical linear-inversion estimate
+    can read above 1."""
     rho = np.asarray(rho, dtype=complex)
-    val = float(np.real(np.trace(rho @ rho)))
-    return min(max(val, 0.0), 1.0 + 1e-10)
+    return float(np.real(np.trace(rho @ rho)))
 
 
 def eig_hermitian(h):

@@ -73,9 +73,8 @@ class ObjectiveModel:
                 f"{len(self.povm)} operators for {len(self.freqs)} frequencies"
             )
 
-    @cached_property
+    @property
     def dim(self):
-        # cached: every evaluation reads it to pick _forms' branch
         return self.povm.shape[1]
 
     @property

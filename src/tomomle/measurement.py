@@ -320,10 +320,7 @@ def _nulled(obj):
 def strict_json(obj, indent=None):
     """obj as strict JSON text: a non-finite float (inf, -inf, nan), which
     JSON cannot hold, is written as null."""
-    try:
-        return json.dumps(obj, indent=indent, allow_nan=False)
-    except ValueError:
-        return json.dumps(_nulled(obj), indent=indent, allow_nan=False)
+    return json.dumps(_nulled(obj), indent=indent, allow_nan=False)
 
 
 def write_json_atomic(path, doc):

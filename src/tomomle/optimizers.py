@@ -153,7 +153,7 @@ _LM_STOPS = (
 _BINDS = np.array([binds for _, *binds in _LM_STOPS])
 
 
-def _lm_chunk(model, t0, cfg, pattern, trace=False):
+def _lm_chunk(model, t0, cfg, pattern, trace):
     """Levenberg-Marquardt on every row of t0 at once; with a (B, d) block
     `pattern`, row i's start and trial points are projected onto the sphere
     orthant of pattern[i].

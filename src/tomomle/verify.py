@@ -7,7 +7,7 @@ parameter vectors mapping to one state is the expected outcome, not a
 failure.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,8 +31,8 @@ class MultistartReport:
     max_pairwise_rho_distance: float
     max_f_spread: float
     discarded_count: int
-    discard_diagnostics: list = field(default_factory=list)
-    sign_pattern: list | None = None  # the orthant's diagonal signs, as ints
+    discard_diagnostics: list
+    sign_pattern: list | None  # the orthant's diagonal signs, as ints
 
 
 def _worst_pairs(results):

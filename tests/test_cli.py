@@ -23,6 +23,7 @@ from tomomle.measurement import (
     povm_preset,
     read_record,
     record_to_dict,
+    simulate_counts,
     write_record,
 )
 from tomomle.optimizers import SOLVERS, StopConfig, default_start
@@ -78,6 +79,19 @@ def test_reconstruct_linear(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["method"] == "linear"
     assert len(doc["stokes"]) == 4
+
+
+def test_linear_purity_is_hermitian_purity_of_the_written_matrix(tmp_path):
+    """An unphysical linear estimate: the document's purity is
+    hermitian.purity of its matrix, unclamped, and above 1."""
+    rec, out = tmp_path / "h.rec", tmp_path / "lin.json"
+    povm = povm_preset("pol4")
+    write_record(rec, simulate_counts(np.diag([1.0, 0.0]), povm, 100, "gaussian", seed=0))
+    assert run("reconstruct", str(rec), "--method", "linear", "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    matrix = np.array(doc["matrix"]["re"]) + 1j * np.array(doc["matrix"]["im"])
+    assert doc["purity"] == hermitian.purity(matrix)
+    assert doc["purity"] > 1
 
 
 def test_reconstruct_output_reproducible(tmp_path):

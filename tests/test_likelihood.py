@@ -284,7 +284,7 @@ def test_dimension_eight_matches_the_operator_products(rng):
         assert got[1].flags.c_contiguous
     # above d = 4 the likelihood reads the operator stack itself: no Q and no
     # second copy of the stack is built
-    assert set(vars(m)) == {"kind", "povm", "freqs", "dim"}
+    assert set(vars(m)) == {"kind", "povm", "freqs"}
 
 
 # measured over 2,000 random t at d = 8: y differs from t^T Q_mu by up to

@@ -21,6 +21,7 @@ from tomomle.measurement import (
     record_from_dict,
     record_to_dict,
     simulate_counts,
+    strict_json,
     tensor_povm,
     write_record,
 )
@@ -247,6 +248,60 @@ def test_atomic_write_bytes_match_json_dump(tmp_path):
         json.dump(doc, fh, indent=2)
         fh.write("\n")
     assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+def json_trees(floats):
+    """Nested dicts, lists and tuples whose float leaves are drawn from
+    `floats`, as Python or numpy floats."""
+    leaves = st.one_of(
+        st.none(), st.booleans(), st.integers(), st.text(max_size=3),
+        floats, floats.map(np.float64),
+    )
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.dictionaries(st.text(max_size=3), inner, max_size=4),
+        ),
+        max_leaves=20,
+    )
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def _nonfinite_as_none(obj):
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return None
+    if isinstance(obj, dict):
+        return {key: _nonfinite_as_none(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_nonfinite_as_none(value) for value in obj]
+    return obj
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(json_trees(st.floats(allow_nan=False, allow_infinity=False)))
+def test_strict_json_of_finite_values_is_json_dumps(obj):
+    for indent in (None, 2):
+        assert strict_json(obj, indent=indent) == json.dumps(obj, indent=indent)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(json_trees(st.floats()))
+def test_strict_json_writes_non_finite_floats_as_null(obj):
+    for indent in (None, 2):
+        text = strict_json(obj, indent=indent)
+        assert json.loads(text, parse_constant=_refuse_constant) == _nonfinite_as_none(obj)
+
+
+def test_strict_json_nulls_non_finite_floats_at_any_depth():
+    obj = {"a": [1.5, (float("nan"), {"b": np.float64("-inf")})], "c": float("inf")}
+    text = strict_json(obj)
+    assert text == '{"a": [1.5, [null, {"b": null}]], "c": null}'
+    assert json.loads(text, parse_constant=_refuse_constant)["c"] is None
 
 
 def test_record_to_dict_counts_are_plain_ints():
