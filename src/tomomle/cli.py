@@ -5,7 +5,8 @@ Every output document embeds the run manifest (command, inputs, seed, solver
 settings, tool version), so a run can be reproduced byte-for-byte from its
 output.  Exit codes are part of the contract:
 
-    0   success (for `reconstruct --method mle`: first-order stationarity)
+    0   success (for `reconstruct --method mle`: a `gradient-tolerance` stop,
+        which Nelder-Mead never makes, so `--solver nelder-mead` exits 10)
     1   verify-minima equivalence check failed; also any other internal
         error, such as a raised numerical error
     2   unknown preset / malformed, unsupported or unreadable input, an

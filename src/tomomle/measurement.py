@@ -30,14 +30,17 @@ from .hermitian import REAL_TRACE_TOL, check_density_matrix, check_psd_stack, te
 class MeasurementRecord:
     """Raw counts for a stack of measurement settings.
 
-    `operators` is the complex (m, d, d) stack of the settings' operators,
-    checked once, on construction, to be finite, Hermitian and positive
-    semidefinite; `labels` names them (as read from an explicit record
-    file) or is empty.  `normalization` is either a positive finite int or
-    float N, not a bool (counts[i]/N are the frequencies), or the policy
-    string "per-basis-group", in which case `basis_groups` must partition
-    the settings (normalize checks it) and each group is normalized by its
-    own count sum.
+    Construction is the one check of every field's values, for a record
+    made in Python and one read from a file alike (record_from_dict checks
+    only the JSON shape): `operators` is a finite, Hermitian, positive-
+    semidefinite complex (m, d, d) stack; `counts` m nonnegative integers
+    (not bools or floats) within int64; `labels` m strings naming the
+    settings, or none; `seed` an integer or None.  `normalization` is a
+    positive finite int or float N, not a bool (counts[i]/N are the
+    frequencies), or the policy "per-basis-group", in which case
+    `basis_groups`, lists of setting indices in [0, m), must partition the
+    settings (normalize checks it) and each group is normalized by its own
+    count sum.
     """
 
     operators: np.ndarray
@@ -49,16 +52,32 @@ class MeasurementRecord:
 
     def __post_init__(self):
         self.operators = check_psd_stack(self.operators)
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if len(self.counts) != len(self.operators):
-            raise DimensionError(
-                f"{len(self.counts)} counts for {len(self.operators)} operators"
-            )
+        m = len(self.operators)
+        counts = self.counts.tolist() if isinstance(self.counts, np.ndarray) else self.counts
+        if not isinstance(counts, (list, tuple)) or not all(map(_is_int, counts)):
+            raise SchemaError("counts must be a list of integers")
+        try:
+            self.counts = np.asarray(counts, dtype=np.int64)
+        except OverflowError as exc:
+            raise SchemaError(f"a count is out of range: {exc}") from exc
+        if len(self.counts) != m:
+            raise DimensionError(f"{len(self.counts)} counts for {m} operators")
         self.labels = tuple(self.labels)
-        if self.labels and len(self.labels) != len(self.operators):
-            raise DimensionError(
-                f"{len(self.labels)} labels for {len(self.operators)} operators"
+        if self.labels and len(self.labels) != m:
+            raise DimensionError(f"{len(self.labels)} labels for {m} operators")
+        if not all(isinstance(label, str) for label in self.labels):
+            raise SchemaError("operator labels must be strings")
+        if self.seed is not None and not _is_int(self.seed):
+            raise SchemaError(f"seed must be an integer or null, not {self.seed!r}")
+        groups = self.basis_groups
+        if not isinstance(groups, (list, tuple)) or not all(
+            isinstance(group, (list, tuple)) and all(_is_int(i) and 0 <= i < m for i in group)
+            for group in groups
+        ):
+            raise SchemaError(
+                f"basis_groups must be a list of lists of setting indices in [0, {m})"
             )
+        self.basis_groups = [tuple(group) for group in groups]
         if np.any(self.counts < 0):
             raise SchemaError("counts must be nonnegative")
         n = self.normalization
@@ -77,6 +96,11 @@ class MeasurementRecord:
     @property
     def dim(self):
         return self.operators.shape[1]
+
+
+def _is_int(value):
+    """An integer, Python's or numpy's, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _ket_projector(vec):
@@ -146,13 +170,12 @@ def normalize(record):
     counts = record.counts.astype(float)
     if isinstance(record.normalization, str):
         freqs = np.empty_like(counts)
-        memberships = np.zeros(len(counts), dtype=int)
         for group in record.basis_groups:
             total = counts[list(group)].sum()
             if total <= 0:
                 raise SchemaError(f"basis group {group} has zero total counts")
             freqs[list(group)] = counts[list(group)] / total
-            np.add.at(memberships, list(group), 1)
+        memberships = np.bincount(list(chain(*record.basis_groups)), minlength=len(counts))
         stray = np.flatnonzero(memberships != 1)
         if len(stray):
             raise SchemaError(
@@ -210,8 +233,6 @@ def _operators_from_list(entries):
         matrices = [entry["matrix"] for entry in entries]
     except (AttributeError, KeyError) as exc:
         raise SchemaError("an operator entry is not an object with a matrix") from exc
-    if not all(isinstance(label, str) for label in labels):
-        raise SchemaError("operator labels must be strings")
     return _matrices_from_pairs(matrices), labels
 
 
@@ -250,21 +271,9 @@ def _chained(items, n, rule):
     return list(chain.from_iterable(items))
 
 
-def _basis_groups(spec, n_settings):
-    """basis_groups as tuples of setting indices; each must be a list of
-    integers in [0, n_settings)."""
-    if isinstance(spec, (list, tuple)) and all(
-        isinstance(group, (list, tuple))
-        and all(type(i) is int and 0 <= i < n_settings for i in group)
-        for group in spec
-    ):
-        return [tuple(group) for group in spec]
-    raise SchemaError(
-        f"basis_groups must be a list of lists of setting indices in [0, {n_settings})"
-    )
-
-
 def record_from_dict(doc):
+    """The record a decoded JSON document holds, or SchemaError; only the
+    JSON shape is checked here, and MeasurementRecord checks the values."""
     try:
         dim = doc["dim"]
         ops_spec = doc["operators"]
@@ -274,21 +283,14 @@ def record_from_dict(doc):
         raise SchemaError(f"record is missing or has a malformed field: {exc}") from exc
     if type(dim) is not int:
         raise SchemaError(f"dim must be an integer, not {dim!r}")
-    if type(counts) is not list or not set(map(type, counts)) <= {int}:
+    if type(counts) is not list:
         raise SchemaError("counts must be a list of integers")
-    try:
-        counts = np.asarray(counts, dtype=np.int64)
-    except OverflowError as exc:
-        raise SchemaError(f"a count is out of range: {exc}") from exc
     if isinstance(ops_spec, str):
         operators, labels = povm_preset(ops_spec), ()
     elif isinstance(ops_spec, list):
         operators, labels = _operators_from_list(ops_spec)
     else:
         raise SchemaError("operators must be a preset name or a list of operator objects")
-    seed = doc.get("seed")
-    if seed is not None and type(seed) is not int:
-        raise SchemaError(f"seed must be an integer or null, not {seed!r}")
     if operators.shape[1] != dim:
         raise SchemaError(
             f"declared dim {dim} does not match operator dimension {operators.shape[1]}"
@@ -298,8 +300,8 @@ def record_from_dict(doc):
             operators=operators,
             counts=counts,
             normalization=normalization,
-            basis_groups=_basis_groups(doc.get("basis_groups", []), len(counts)),
-            seed=seed,
+            basis_groups=doc.get("basis_groups", []),
+            seed=doc.get("seed"),
             labels=labels,
         )
     except (DimensionError, NumericalError) as exc:

@@ -158,46 +158,53 @@ def _lm_chunk(model, t0, cfg, pattern, trace):
     `pattern`, row i's start and trial points are projected onto the sphere
     orthant of pattern[i].
 
-    Each row follows the single-start algorithm step for step.  The start
-    counts as an accepted point with step = df = inf.  After each round,
-    every running row makes one stop decision: _LM_STOPS gives each check's
-    reason and the rows it binds, and the `checks` tuple, in the same order,
-    its predicate.  Stopped rows are dropped from the running state.  The
-    rows left that accepted their point begin an iteration (iters counts
-    it); a round is then one batched damped solve for all running rows and
-    one batched evaluation of their trial points, after which each row
-    takes its own accept/reject branch.  J^T J is formed where a point is
-    accepted, so the running state keeps no Jacobian.  Each stopped row's
-    end point is written to its row.  With `trace`, each round logs its
-    accepted points as arrays, and after the loop the chunk turns the log
-    into trace_log tuples once and drops the point a row fails check 0 at,
-    as gradient descent traces no point it fails at.  Every row ends in
-    one _finish call.
+    Each row follows the single-start algorithm step for step.  One update,
+    `accept`, moves a set of rows to their accepted points: it sets t, f,
+    J^T J, g and ||g||, and with `trace` appends each row's (f, ||g||,
+    step) to its trace_log.  The start is accepted through it with step 0
+    for the trace and step = df = inf for the stop checks, and so is every
+    trial point that lowers f.  After each round, every running row makes
+    one stop decision: _LM_STOPS gives each check's reason and the rows it
+    binds, and the `checks` tuple, in the same order, its predicate.
+    Stopped rows are dropped from the running state, and a row that stops
+    on check 0 loses the trace entry of the point it fails at, as gradient
+    descent traces no point it fails at.  The rows left that accepted
+    their point begin an iteration (iters counts it); a round is then one
+    batched damped solve for all running rows and one batched evaluation
+    of their trial points, after which each row takes its own
+    accept/reject branch.  Every row ends in one _finish call.
     """
     n = t0.shape[1]
     step_tol, fun_tol, max_iters, max_fevals = cfg.resolved(n)
     t = t0.copy() if pattern is None else project_to_orthant(t0, pattern)
-    traces = [[] for _ in t]
-
-    r, jac, _ = model.residuals_and_jacobian(t)
     k = len(t)
+    traces = [[] for _ in t]
     s = SimpleNamespace(  # running rows only; `rows` are their indices in t0
         rows=np.arange(k),
         t=t,
-        jtj=jac.swapaxes(1, 2) @ jac,
+        jtj=np.empty((k, n, n)),
         lam=np.full(k, LM_LAMBDA_INIT),
         iters=np.zeros(k, dtype=int),
         fevals=np.ones(k, dtype=int),
         accepted=np.ones(k, dtype=bool),
         step=np.full(k, np.inf),
         df=np.full(k, np.inf),
-        f=0.5 * np.vecdot(r, r),
-        grad=_jt_r(jac, r),
+        f=np.empty(k),
+        grad=np.empty((k, n)),
+        gnorm=np.empty(k),
     )
-    s.gnorm = np.sqrt(np.vecdot(s.grad, s.grad))
-    # with `trace`, the accepted points as (row, f, ||g||, step) arrays, one
-    # entry per round; no logged array is written to later
-    log = [(s.rows, s.f.copy(), s.gnorm.copy(), np.zeros(k))] if trace else None
+
+    def accept(kept, t_new, f, r, jac, step):
+        s.t[kept], s.f[kept] = t_new, f
+        s.jtj[kept] = jac.swapaxes(1, 2) @ jac
+        s.grad[kept] = grad = _jt_r(jac, r)
+        s.gnorm[kept] = gnorm = np.sqrt(np.vecdot(grad, grad))
+        if trace:
+            for row, *entry in zip(*(a.tolist() for a in (s.rows[kept], f, gnorm, step))):
+                traces[row].append(tuple(entry))
+
+    r, jac, _ = model.residuals_and_jacobian(t)
+    accept(slice(None), t, 0.5 * np.vecdot(r, r), r, jac, np.zeros(k))
     # each row's (t, f, ||g||, iters, fevals, first binding check) where it stops
     ends = (np.empty_like(t), *np.empty((2, k)), *np.empty((3, k), dtype=int))
 
@@ -223,6 +230,9 @@ def _lm_chunk(model, t0, cfg, pattern, trace):
             stopped = s.t[i], s.f[i], s.gnorm[i], s.iters[i], s.fevals[i], first
             for end, value in zip(ends, stopped):
                 end[s.rows[i]] = value
+            if trace:  # the point a row fails check 0 at is not traced
+                for row in s.rows[i[first == 0]]:
+                    traces[row].pop()
             running = ~hit
             for name, value in vars(s).items():
                 setattr(s, name, value[running])
@@ -258,21 +268,9 @@ def _lm_chunk(model, t0, cfg, pattern, trace):
         if better.any():
             # a rejected row keeps its point, J^T J and gradient
             kept = slice(None) if better.all() else better
-            r_kept, jac_kept, f_kept = r_new[kept], jac_new[kept], f_new[kept]
-            s.t[kept], s.f[kept] = trial[kept], f_kept
-            s.jtj[kept] = jac_kept.swapaxes(1, 2) @ jac_kept
-            s.grad[kept] = grad = _jt_r(jac_kept, r_kept)
-            s.gnorm[kept] = gnorm = np.sqrt(np.vecdot(grad, grad))
-            if trace:
-                log.append((s.rows[kept], f_kept, gnorm, s.step[kept]))
+            accept(kept, trial[kept], f_new[kept], r_new[kept], jac_new[kept], s.step[kept])
 
     t, f, gnorm, iters, fevals, first = ends
-    if trace:
-        rows, *entries = (np.concatenate(column).tolist() for column in zip(*log))
-        for row, entry in zip(rows, zip(*entries)):
-            traces[row].append(entry)
-        for row in np.flatnonzero(first == 0):
-            traces[row].pop()
     return _finish(model, t, f, gnorm, iters, fevals, [_LM_STOPS[c][0] for c in first], traces)
 
 

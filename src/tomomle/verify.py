@@ -27,12 +27,13 @@ MAX_RUNS = 65_536
 class MultistartReport:
     solutions: list  # deduplicated in t-space
     screened_results: list  # every run passing the stationarity screen
-    distinct_t_count: int
     max_pairwise_rho_distance: float
     max_f_spread: float
-    discarded_count: int
     discard_diagnostics: list
     sign_pattern: list | None  # the orthant's diagonal signs, as ints
+    # counts read off their lists, so that neither can disagree with its list
+    distinct_t_count = property(lambda self: len(self.solutions))
+    discarded_count = property(lambda self: len(self.discard_diagnostics))
 
 
 def _worst_pairs(results):
@@ -113,10 +114,8 @@ def _screen(results, screen, sign_pattern=None):
     return MultistartReport(
         solutions=solutions,
         screened_results=screened,
-        distinct_t_count=len(solutions),
         max_pairwise_rho_distance=max_rho,
         max_f_spread=max_f,
-        discarded_count=len(discards),
         discard_diagnostics=discards,
         sign_pattern=sign_pattern,
     )

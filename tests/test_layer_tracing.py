@@ -56,6 +56,10 @@ def test_layer_tracer_sees_every_objective_evaluation(tmp_path, monkeypatch):
                 "verify-minima", data_path("example3.rec"), "--constrain-signs",
                 "--starts", "2", "--out", str(tmp_path / "ver.json"),
             ]),
+            cli.main([
+                "verify-minima", data_path("example2.rec"), "--starts", "2",
+                "--out", str(tmp_path / "ver_free.json"),
+            ]),
             *(
                 cli.main([
                     "reconstruct", data_path("example1.rec"), "--method", method,
@@ -64,7 +68,7 @@ def test_layer_tracer_sees_every_objective_evaluation(tmp_path, monkeypatch):
                 for method in ("mle", "linear")
             ),
         ]
-    assert codes == [0, 0, 0, 0]
+    assert codes == [0, 0, 0, 0, 0]
     assert all(tracer._get(ns, key) is fn for (ns, key), fn in zip(bindings, originals))
     spans = tr.self_times()
     for name in OBJECTIVE_SPANS:
@@ -77,6 +81,10 @@ def test_layer_tracer_sees_every_objective_evaluation(tmp_path, monkeypatch):
         assert spans.get(name, (0, 0.0))[0] > 0, name
     assert tr.counters["optimizers.iters"] > 0
     assert tr.counters["optimizers.fevals"] > 0
+    # the unconstrained verify-minima runs through the multistart span, whose
+    # hook reads the report's discarded_count
+    assert spans.get("verify.multistart", (0, 0.0))[0] == 1
+    assert "verify.discarded" in tr.counters
 
 
 

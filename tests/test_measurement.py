@@ -160,6 +160,60 @@ def test_record_from_dict_rejects_non_string_label(label):
         record_from_dict(_pol4_doc(operators=operators))
 
 
+# one bad field value each, as MeasurementRecord keywords; a record made in
+# Python and one read from a file must refuse it with one message
+BAD_FIELDS = {
+    "negative-group-index": {"basis_groups": [(0, 1), (2, -1)]},
+    "group-index-m": {"basis_groups": [(0, 1), (2, 5)], "normalization": "per-basis-group"},
+    "group-index-bool": {"basis_groups": [(0, 1), (2, True)]},
+    "groups-not-a-list": {"basis_groups": "0123"},
+    "number-labels": {"labels": (1, 2, 3, 4)},
+    "null-label": {"labels": ("H", None, "D", "R")},
+    "float-seed": {"seed": 1.5},
+    "bool-seed": {"seed": True},
+    "string-seed": {"seed": "1"},
+    "count-2^63": {"counts": [2**63, 2, 3, 4]},
+    "float-count": {"counts": [1.9, 2, 3, 4]},
+    "integral-float-count": {"counts": [1.0, 2, 3, 4]},
+    "bool-count": {"counts": [True, 2, 3, 4]},
+}
+
+
+def _explicit_pol4_doc(fields):
+    """The JSON document of a pol4 record with listed operators and the given
+    MeasurementRecord fields, passed through JSON text."""
+    labels = fields.get("labels", ("",) * 4)
+    doc = {
+        "dim": 2,
+        "operators": [{"label": label, "matrix": m} for label, m in zip(labels, _pol4_matrices())],
+        "counts": [1, 2, 3, 4],
+        "normalization": 10,
+        **{k: v for k, v in fields.items() if k != "labels"},
+    }
+    return json.loads(json.dumps(doc))
+
+
+@pytest.mark.parametrize("fields", BAD_FIELDS.values(), ids=BAD_FIELDS)
+def test_record_and_file_refuse_a_bad_field_with_one_message(fields):
+    with pytest.raises(SchemaError) as made:
+        MeasurementRecord(
+            **{"operators": polarization_projectors(), "counts": [1, 2, 3, 4],
+               "normalization": 10, **fields}
+        )
+    with pytest.raises(SchemaError) as read:
+        record_from_dict(_explicit_pol4_doc(fields))
+    assert str(made.value) == str(read.value)
+
+
+def test_record_accepts_numpy_integers():
+    rec = MeasurementRecord(
+        polarization_projectors(), [np.int64(1), np.uint64(2), 3, 4], 10,
+        basis_groups=[(np.int64(0), 1), (2, 3)], seed=np.int64(7),
+    )
+    assert rec.counts.tolist() == [1, 2, 3, 4]
+    assert record_from_dict(json.loads(strict_json(record_to_dict(rec)))).seed == 7
+
+
 def test_normalize_single_constant():
     rec = MeasurementRecord(polarization_projectors(), [600, 400, 500, 500], 1000.0)
     assert normalize(rec) == pytest.approx([0.6, 0.4, 0.5, 0.5])
@@ -358,6 +412,61 @@ def test_record_roundtrip_is_exact(rec):
     assert back.normalization == rec.normalization
     assert back.basis_groups == rec.basis_groups
     assert back.seed == rec.seed
+
+
+@st.composite
+def record_fields(draw):
+    """MeasurementRecord fields over a random PSD stack (d <= 4), each drawn
+    from values a record accepts and, less often, values it refuses."""
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
+    parts = draw(arrays(float, (2, m, d, d), elements=st.floats(-1.0, 1.0)))
+    a = parts[0] + 1j * parts[1]
+
+    def mostly(good, *bad):
+        return draw(st.one_of(good, good, good, st.sampled_from(bad)))
+
+    count = st.integers(0, 2**63 - 1) | st.sampled_from([0, 2**63 - 1, np.int64(7)])
+    counts = mostly(st.lists(count, min_size=m, max_size=m), [2**63] * m, [-1] * m, [1.0] * m)
+    index = st.integers(0, m - 1) | st.sampled_from([np.int64(0)])
+    groups = mostly(
+        st.lists(st.lists(index, max_size=m).map(tuple), max_size=3),
+        [(m,)], [(-1,)], [(True,)], [[0.0]],
+    )
+    normalization = draw(
+        st.floats(1e-300, 1e300) | st.integers(1, 10**6) | st.just("per-basis-group")
+    )
+    return {
+        "operators": a @ a.conj().swapaxes(1, 2),
+        "counts": counts,
+        "normalization": normalization,
+        "basis_groups": groups,
+        "seed": mostly(st.none() | st.integers(-(2**70), 2**70), 1.5, True, "1", np.int64(3)),
+        "labels": mostly(
+            st.just(()) | st.lists(st.text(max_size=4), min_size=m, max_size=m),
+            (None,) * m, (1,) * m,
+        ),
+    }
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(record_fields())
+def test_every_record_that_constructs_reads_back_from_its_file(tmp_path_factory, fields):
+    try:
+        rec = MeasurementRecord(**fields)
+    except SchemaError:
+        return
+    path = tmp_path_factory.mktemp("record") / "r.rec"
+    write_record(path, rec)
+    back = read_record(path)
+    # a record made without labels is written with empty ones
+    want = {**vars(rec), "labels": rec.labels or ("",) * len(rec.counts)}
+    for name, value in vars(back).items():
+        if isinstance(value, np.ndarray):
+            assert value.tobytes() == want[name].tobytes(), name
+        else:
+            assert value == want[name], name
+    assert type(back.normalization) is type(rec.normalization)
 
 
 NUMBERS = st.one_of(

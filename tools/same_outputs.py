@@ -38,6 +38,12 @@ QUBIT4_REC = "q4.rec"
 POL4X4_REC = "pol4x4.rec"
 # a one-qubit state file for `simulate --state`
 STATE_FILE = "state.json"
+# example1 normalized per basis group, {H, V} and {D, R}
+GROUPED_REC = "grouped.rec"
+# records that break one field rule each: a number as a label (example2's
+# listed operators), a non-integer seed, a basis-group index equal to the
+# number of settings, a count past int64 and a float count (example1)
+MALFORMED_RECS = ("label5.rec", "seed1.5.rec", "group4.rec", "count2^63.rec", "count2.7.rec")
 # {case as a tuple: the fields in which the change under test alters it on
 # purpose}; empty for a change that keeps every output
 EXPECTED = {}
@@ -69,9 +75,13 @@ def _inputs(src):
     """{file name: function giving its JSON document} of the inputs this tool
     writes; a case gets those it names."""
 
-    def overflow():
-        doc = json.loads((src / "tomomle" / "data" / "example1.rec").read_text(encoding="utf-8"))
-        doc["normalization"] = 1e-300
+    def example(i, **fields):
+        path = src / "tomomle" / "data" / f"example{i}.rec"
+        return {**json.loads(path.read_text(encoding="utf-8")), **fields}
+
+    def numbered_label():
+        doc = example(2)
+        doc["operators"][0]["label"] = 5
         return doc
 
     def state():
@@ -79,8 +89,17 @@ def _inputs(src):
         rho = 0.8 * np.outer(r, r.conj()) + 0.1 * np.eye(2)
         return {"matrix": np.stack([rho.real, rho.imag], axis=-1).tolist()}
 
+    groups = {"normalization": "per-basis-group"}
     return {
-        OVERFLOW_REC: overflow,
+        OVERFLOW_REC: lambda: example(1, normalization=1e-300),
+        GROUPED_REC: lambda: example(1, basis_groups=[[0, 1], [2, 3]], **groups),
+        **dict(zip(MALFORMED_RECS, (
+            numbered_label,
+            lambda: example(1, seed=1.5),
+            lambda: example(1, basis_groups=[[0, 1], [2, 4]], **groups),
+            lambda: example(1, counts=[2**63, 2, 4995, 4994]),
+            lambda: example(1, counts=[2.7, 2, 4995, 4994]),
+        ))),
         QUBIT3_REC: lambda: _hvdr_record(3),
         QUBIT4_REC: lambda: _hvdr_record(4),
         POL4X4_REC: lambda: _hvdr_record(2, "pol4x4"),
@@ -142,6 +161,12 @@ def _cases():
         "--max-fevals", "5",
     ]
     yield ["verify-minima", OVERFLOW_REC, "--starts", "2"]
+    # each field rule that a record states for files and Python alike: exit
+    # 2 and one stderr line each; and a record normalized per basis group
+    for rec in MALFORMED_RECS:
+        yield ["reconstruct", rec]
+    yield ["reconstruct", GROUPED_REC]
+    yield ["reconstruct", GROUPED_REC, "--method", "linear"]
     yield ["simulate", "--state", "H", "--shots", str(2**53 + 1), "--noise", "poisson"]
     yield ["simulate", "--state", "H", "--shots", str(10**20), "--noise", "poisson"]
     for command in ("simulate", "reconstruct", "verify-minima", "compare"):
