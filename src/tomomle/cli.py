@@ -134,7 +134,7 @@ def cmd_simulate(args):
 
 
 def _build_model(record):
-    return ObjectiveModel("gaussian", record.operators, normalize(record))
+    return ObjectiveModel(record.operators, normalize(record))
 
 
 def _inputs(args, command):

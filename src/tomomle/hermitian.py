@@ -41,12 +41,17 @@ def _check_tensor_dim(dim):
 
 
 def check_psd_stack(ops):
-    """The matrices as one complex (m, d, d) stack, each finite, Hermitian
-    within HERMITICITY_TOL and positive semidefinite within EIGENVALUE_TOL."""
+    """The matrices as one complex (m, d, d) stack of numbers (integer, float
+    or complex entries, not bools, strings or objects), each finite,
+    Hermitian within HERMITICITY_TOL and positive semidefinite within
+    EIGENVALUE_TOL."""
     try:
-        ops = np.asarray(ops, dtype=complex)
+        ops = np.asarray(ops)
     except ValueError as exc:  # ragged
         raise DimensionError(f"operators do not form one (m, d, d) stack: {exc}") from exc
+    if ops.dtype.kind not in "iufc":
+        raise DimensionError(f"operator entries must be numbers, not {ops.dtype.name}")
+    ops = ops.astype(complex, copy=False)
     if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or ops.shape[1] == 0:
         raise DimensionError(
             f"operators form a stack of shape {ops.shape}, not (m, d, d) with d >= 1"

@@ -1,16 +1,16 @@
-"""Negative log-likelihood objectives over parameter space.
+"""The Gaussian negative log-likelihood over parameter space.
 
-Two objective kinds share one differentiation engine through the chain rule
-of rho(t) = T^dag T / tr(T^dag T):
+One objective, the Pearson-weighted one of James, Kwiat, Munro and White
+(PRA 64, 052312, 2001), convex in rho, is read through the chain rule of
+rho(t) = T^dag T / tr(T^dag T):
 
-  gaussian:    F(t) = 1/2 sum_mu [(p_mu(t) - f_mu) / sqrt(p_mu(t))]^2
-  multinomial: F(t) = -sum_mu f_mu * log p_mu(t)
+  F(t) = 1/2 sum_mu [(p_mu(t) - f_mu) / sqrt(p_mu(t))]^2
 
 with p_mu(t) = tr(O_mu rho(t)).  Probabilities below a small floor are
 clamped (and flagged) so that evaluation is total near the boundary, where
 the true objective can blow up.
 
-Both objectives are homogeneous of degree zero in t, hence F(c t) = F(t) and
+F is homogeneous of degree zero in t, hence F(c t) = F(t) and
 grad F(c t) = grad F(t) / c for any c != 0 -- the reason gradient norms can
 become artificially small at large ||t||.
 
@@ -18,8 +18,8 @@ Everything is read from one kernel, _forms.  Each probability is a ratio of
 quadratic forms, p_mu(t) = t^T Q_mu t / t^T t, and the rows y_mu = t^T Q_mu
 give every derivative: with w_mu = dF/dp_mu,
 
-  gradient:  g = 2 (w^T y - (w . p) t) / ||t||^2
-  Jacobian:  J = (y - p t^T) * 2 dr/dp / ||t||^2   (gaussian residuals r)
+  gradient:  g = 2 (w^T y - (w . p) t) / ||t||^2,  w = r dr/dp
+  Jacobian:  J = (y - p t^T) * 2 dr/dp / ||t||^2
 
 The rows are stated once, by _rows, as the operator products conj(O_mu) T^T
 read at slot_map's transposed slots; the dimension picks only where they
@@ -51,7 +51,8 @@ QUADRATIC_FORM_MAX_DIM = 4
 
 @dataclass(frozen=True)
 class ObjectiveModel:
-    """Objective kind, measurement operators and observed frequencies.
+    """Measurement operators and observed frequencies of the Gaussian
+    objective.
 
     `povm` is the complex (m, d, d) operator stack, the one every evaluation
     reads: through _rows above QUADRATIC_FORM_MAX_DIM, and through
@@ -59,13 +60,10 @@ class ObjectiveModel:
     solvers' interface; each calls the module function of the same name.
     """
 
-    kind: str  # "gaussian" | "multinomial"
     povm: np.ndarray
     freqs: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "multinomial"):
-            raise ValueError(f"unknown objective kind {self.kind!r}")
         object.__setattr__(self, "povm", np.asarray(self.povm, dtype=complex))
         object.__setattr__(self, "freqs", np.asarray(self.freqs, dtype=float))
         if len(self.povm) != len(self.freqs):
@@ -148,10 +146,8 @@ def value(t, model):
     """Objective value only (used by derivative-free search)."""
     _, p, _ = _forms(t, model)
     pf = np.maximum(p, PROBABILITY_FLOOR)
-    if model.kind == "gaussian":
-        r = (p - model.freqs) / np.sqrt(pf)
-        return 0.5 * r.dot(r)
-    return -model.freqs.dot(np.log(pf))
+    r = (p - model.freqs) / np.sqrt(pf)
+    return 0.5 * r.dot(r)
 
 
 def _residuals(p, model):
@@ -164,15 +160,13 @@ def _residuals(p, model):
 
 
 def residuals_and_jacobian(t, model):
-    """Residual vector and its Jacobian (gaussian kind).
+    """Residual vector and its Jacobian.
 
     A (B, d^2) block of vectors gives (B, m) residuals and a (B, m, d^2)
     Jacobian; the floor flag is set if any row hits the floor.  With
     dp_mu = 2 (y_mu - p_mu t) / ||t||^2 (see _forms), the Jacobian is
     (y - p t^T) * 2 dr/dp / ||t||^2, formed in place on y.
     """
-    if model.kind != "gaussian":
-        raise ValueError("residuals are defined for the gaussian objective only")
     t = np.asarray(t, dtype=float)
     jac, p, s = _forms(t, model)
     r, drdp = _residuals(p, model)
@@ -182,26 +176,18 @@ def residuals_and_jacobian(t, model):
 
 
 def value_and_gradient(t, model):
-    """Value and analytic gradient at one vector t, w_mu = dF/dp_mu:
+    """Value and analytic gradient at one vector t, w_mu = dF/dp_mu = r dr/dp:
 
         g = 2 (w^T y - (w . p) t) / ||t||^2
 
     with y_mu = t^T Q_mu = (dq_mu/dt) / 2 (see _forms).
-
-    Gaussian: w = r dr/dp; multinomial: w = -f / p, zero where p is floored.
     """
     t = np.asarray(t, dtype=float)
     y, p, s = _forms(t, model)
-    if model.kind == "gaussian":
-        r, drdp = _residuals(p, model)
-        f = 0.5 * r.dot(r)
-        w = r * drdp
-    else:
-        pf = np.maximum(p, PROBABILITY_FLOOR)
-        f = -model.freqs.dot(np.log(pf))
-        w = np.where(p > PROBABILITY_FLOOR, -model.freqs / pf, 0.0)
+    r, drdp = _residuals(p, model)
+    w = r * drdp
     g = 2.0 * w.dot(y) - (2.0 * w.dot(p)) * t
-    return ObjectiveEvaluation(f, g / s, bool((p < PROBABILITY_FLOOR).any()))
+    return ObjectiveEvaluation(0.5 * r.dot(r), g / s, bool((p < PROBABILITY_FLOOR).any()))
 
 
 def finite_difference_gradient(t, model):

@@ -1,5 +1,5 @@
-"""The summary arithmetic of tools/ab_bench.py; the tool's own runs are not
-part of the test suite."""
+"""The summary arithmetic and JSON entries of tools/ab_bench.py; the tool's
+own runs are not part of the test suite."""
 
 import importlib.util
 import json
@@ -85,3 +85,71 @@ def test_copies_have_paths_of_equal_length_and_no_byte_code(tmp_path):
         assert sorted(p.relative_to(copy).as_posix() for p in copy.rglob("*")) == [
             "perfbench", "src", "src/pkg", "src/pkg/m.py",
         ]
+
+
+def _run(wall_s, problem=None, iters=7):
+    """One side's (values, problem, report) as main collects them."""
+    values = None if wall_s is None else {"wall_s": wall_s, "ok_frac": 1.0}
+    report = None if wall_s is None else {
+        "machine": {"cores": 4, "blas": "openblas 0.3"},
+        "from_output_documents": {"iters": iters, "stop_reasons": {"gradient-tolerance": 2}},
+    }
+    return values, problem, report
+
+
+def test_json_entry_round_trips_and_the_printout_is_rendered_from_it(tmp_path):
+    bench = {
+        "run_seconds": 10,
+        "end_to_end": [
+            {"name": "wall_s", "unit": "s", "better": "lower"},
+            {"name": "ok_frac", "unit": "frac", "better": "higher"},
+        ],
+    }
+    runs = [
+        (_run(0.5), _run(0.25)),
+        (_run(None, "failed (exit 1): boom"), _run(0.75)),  # left out of the summary
+        (_run(1.0), _run(0.5, "incorrect outputs", iters=8)),
+        (_run(0.75), _run(0.5)),
+    ]
+    trees = {side: {"tree": f"../{side}", "digest": "ab" * 32} for side in ab_bench.SIDES}
+    path = tmp_path / "BENCH.json"
+    docs = {}
+    for workload in ("mle_4q", "verify_2q"):
+        args = SimpleNamespace(
+            parent="../parent", change="../change", workload=workload, seed=13, pairs=4
+        )
+        docs[workload] = ab_bench.entry(args, bench, trees, runs)
+        ab_bench.write_entry(path, workload, docs[workload])
+    back = json.loads(path.read_text(encoding="utf-8"))
+    assert back == docs  # merged by workload, and equal after the round trip
+
+    doc = back["mle_4q"]
+    assert doc["problems"] == [
+        "pair 1: parent run failed (exit 1): boom", "pair 2: change run incorrect outputs",
+    ]
+    # each side's report is its first run's that left one
+    assert doc["change"]["from_output_documents"]["iters"] == 7
+    assert doc["parent"]["machine"] == {"cores": 4, "blas": "openblas 0.3"}
+    wall = doc["metrics"]["wall_s"]
+    summary = ab_bench.summarize([(0.5, 0.25), (1.0, 0.5), (0.75, 0.5)], "lower")
+    assert wall["parent"] == {"median": 0.75, "quartiles": [0.625, 0.875]}
+    assert wall["change"] == {"median": 0.5, "quartiles": [0.375, 0.5]}
+    assert wall["wins"] == summary["wins"] == 3
+    holds, gain, iqr = ab_bench.claim_holds(summary, "lower", 4)
+    assert wall["claim"] == {"holds": holds, "median_gain": gain, "parent_iqr": iqr}
+    assert [p["pair"] for p in wall["pairs"]] == [0, 2, 3]
+
+    text = ab_bench.render("mle_4q", doc)
+    assert text == ab_bench.render("mle_4q", docs["mle_4q"])
+    for line in (
+        "tools/ab_bench.py ../parent ../change --workload mle_4q --seed 13 --pairs 4",
+        "  parent  median 0.75  quartiles 0.625 0.875",
+        "  change  median 0.5  quartiles 0.375 0.5",
+        "  change wins 3 of 3 pairs",
+        "  pair 2 (parent first): 1 0.5",
+        "pair 1: parent run failed (exit 1): boom",
+    ):
+        assert line in text.splitlines()
+    # a value changed in the file changes the printout
+    doc["metrics"]["wall_s"]["parent"]["median"] = 0.8
+    assert "  parent  median 0.8  quartiles 0.625 0.875" in ab_bench.render("mle_4q", doc)

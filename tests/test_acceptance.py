@@ -52,8 +52,8 @@ EXAMPLE1_START = np.array([-0.0001, 0.999, 0.001, 0.999])
 EXAMPLE3_FREQS = np.array([0.5, 0.5, 0.5, 1.0])
 
 
-def single_qubit_model(freqs, kind="gaussian"):
-    return ObjectiveModel(kind, polarization_projectors(), np.asarray(freqs))
+def single_qubit_model(freqs):
+    return ObjectiveModel(polarization_projectors(), np.asarray(freqs))
 
 
 def test_criterion_01_single_qubit_reconstruction():
@@ -95,7 +95,7 @@ def test_criterion_03_stagnation_contrast():
 
 def test_criterion_04_two_qubit_solver_contrast(example2):
     with criterion(4, "two-qubit solver contrast"):
-        model = ObjectiveModel("gaussian", example2.operators, normalize(example2))
+        model = ObjectiveModel(example2.operators, normalize(example2))
         start = default_start(4)
         lm = levenberg_marquardt(model, start)
         nm = nelder_mead(model, start)
@@ -127,7 +127,7 @@ def test_stagnation_contrast_at_perturbed_starts(scale):
 @pytest.mark.parametrize("scale", PERTURBATIONS)
 def test_two_qubit_solver_contrast_at_perturbed_starts(example2, scale):
     # criterion 04's assertions, and the purities they measured at these starts
-    model = ObjectiveModel("gaussian", example2.operators, normalize(example2))
+    model = ObjectiveModel(example2.operators, normalize(example2))
     start = default_start(4) * scale
     lm = levenberg_marquardt(model, start)
     nm = nelder_mead(model, start)
@@ -179,7 +179,7 @@ def test_criterion_06_all_minimizers_agree():
             for _ in range(n_targets):
                 rho = random_density(rng, d)
                 rec = simulate_counts(rho, povms[d], 10**5, noise="gaussian", seed=k)
-                model = ObjectiveModel("gaussian", povms[d], normalize(rec))
+                model = ObjectiveModel(povms[d], normalize(rec))
                 report = multistart(model, 50, seed=1000 + k, cfg=cfg, screen_tol=1e-6)
                 passed, summary = equivalence_check(
                     report.screened_results, rho_tol=1e-4, f_tol=1e-8
@@ -197,25 +197,23 @@ def test_criterion_07_gradient_correctness():
             freqs = np.array(
                 [born_probability(op, random_density(rng, d)) for op in povm]
             )
-            for kind in ("gaussian", "multinomial"):
-                model = ObjectiveModel(kind, povm, freqs)
-                assert gradient_check(model, n_points=100, seed=11) < 1e-6
+            model = ObjectiveModel(povm, freqs)
+            assert gradient_check(model, n_points=100, seed=11) < 1e-6
 
 
 def test_criterion_08_homogeneity_and_false_stationarity():
     with criterion(8, "scale invariance and gradient shrinkage"):
         rng = np.random.default_rng(8)
-        for kind in ("gaussian", "multinomial"):
-            model = single_qubit_model(EXAMPLE1_FREQS, kind=kind)
-            for _ in range(50):
-                t = random_param(rng, 2)
-                f = value(t, model)
-                gnorm = np.linalg.norm(value_and_gradient(t, model).gradient)
-                for c in (-2.0, 0.5, 10.0):
-                    fc = value(c * t, model)
-                    gc = np.linalg.norm(value_and_gradient(c * t, model).gradient)
-                    assert abs(fc - f) <= 1e-12 * max(1.0, abs(f))
-                    assert abs(gc * abs(c) - gnorm) <= 1e-10 * gnorm
+        model = single_qubit_model(EXAMPLE1_FREQS)
+        for _ in range(50):
+            t = random_param(rng, 2)
+            f = value(t, model)
+            gnorm = np.linalg.norm(value_and_gradient(t, model).gradient)
+            for c in (-2.0, 0.5, 10.0):
+                fc = value(c * t, model)
+                gc = np.linalg.norm(value_and_gradient(c * t, model).gradient)
+                assert abs(fc - f) <= 1e-12 * max(1.0, abs(f))
+                assert abs(gc * abs(c) - gnorm) <= 1e-10 * gnorm
 
 
 def test_criterion_09_parameterization_invariants():

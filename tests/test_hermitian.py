@@ -97,6 +97,12 @@ def test_check_density_matrix_rejections():
             check_density_matrix(np.diag([bad, 0.5]))
 
 
+def test_check_density_matrix_refuses_entries_that_are_not_numbers():
+    for rho in ([["0.5", "0"], ["0", "0.5"]], [[True, False], [False, False]]):
+        with pytest.raises(DimensionError, match="^operator entries must be numbers, not "):
+            check_density_matrix(rho)
+
+
 def test_purity_range(rng):
     assert purity(np.eye(2) / 2) == pytest.approx(0.5)
     v = np.array([1, 0], dtype=complex)

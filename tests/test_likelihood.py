@@ -28,15 +28,13 @@ from tomomle.parameterize import (
 )
 
 
-def make_model(kind="gaussian", freqs=(0.999, 0.0002, 0.4995, 0.4994)):
-    return ObjectiveModel(kind, polarization_projectors(), np.array(freqs))
+def make_model(freqs=(0.999, 0.0002, 0.4995, 0.4994)):
+    return ObjectiveModel(polarization_projectors(), np.array(freqs))
 
 
 def test_model_validation():
-    with pytest.raises(ValueError):
-        make_model(kind="chi2")
     with pytest.raises(DimensionError):
-        ObjectiveModel("gaussian", polarization_projectors(), np.array([0.5, 0.5]))
+        ObjectiveModel(polarization_projectors(), np.array([0.5, 0.5]))
 
 
 def test_model_shape_properties():
@@ -58,15 +56,6 @@ def test_gaussian_value_matches_manual(rng):
     assert on_state == pytest.approx(manual, rel=1e-12)
 
 
-def test_multinomial_value_matches_manual(rng):
-    m = make_model(kind="multinomial")
-    t = random_param(rng, 2)
-    rho = rho_of_t(t)
-    p = np.array([np.real(np.trace(op @ rho)) for op in m.povm])
-    manual = -np.sum(m.freqs * np.log(p))
-    assert value(t, m) == pytest.approx(manual, rel=1e-12)
-
-
 def test_value_is_scale_invariant(rng):
     m = make_model()
     t = random_param(rng, 2)
@@ -86,24 +75,18 @@ def test_residuals_consistent_with_value(rng):
 
 
 def test_gradient_matches_finite_difference(rng):
-    for kind in ("gaussian", "multinomial"):
-        m = make_model(kind=kind)
-        for _ in range(10):
-            t = random_param(rng, 2)
-            ev = value_and_gradient(t, m)
-            fd = finite_difference_gradient(t, m)
-            assert np.max(np.abs(ev.gradient - fd)) < 1e-6 * max(1.0, np.max(np.abs(fd)))
+    m = make_model()
+    for _ in range(10):
+        t = random_param(rng, 2)
+        ev = value_and_gradient(t, m)
+        fd = finite_difference_gradient(t, m)
+        assert np.max(np.abs(ev.gradient - fd)) < 1e-6 * max(1.0, np.max(np.abs(fd)))
 
 
 def _reference_gradient(t, m):
-    """The gradient through the m x d^2 matrix of partials dp_mu/dt_k."""
-    p, dp = _previous_probs_and_derivs(t, m.povm)
-    if m.kind == "gaussian":
-        r, jac, _ = residuals_and_jacobian(t, m)
-        return jac.T @ r
-    floor = PROBABILITY_FLOOR
-    w = np.where(p > floor, m.freqs / np.maximum(p, floor), 0.0)
-    return -(w[:, None] * dp).sum(0)
+    """The gradient J^T r through the m x d^2 Jacobian dr_mu/dt_k."""
+    r, jac, _ = residuals_and_jacobian(t, m)
+    return jac.T @ r
 
 
 def test_gradient_matches_partials_reference(rng):
@@ -111,21 +94,20 @@ def test_gradient_matches_partials_reference(rng):
     for n_qubits in (1, 2, 3):
         povm = tensor_povm([pol] * n_qubits)
         freqs = np.array([born_probability(op, random_density(rng, 2**n_qubits)) for op in povm])
-        for kind in ("gaussian", "multinomial"):
-            m = ObjectiveModel(kind, povm, freqs)
-            for _ in range(3):
-                t = random_param(rng, m.dim)
-                ev = value_and_gradient(t, m)
-                ref = _reference_gradient(t, m)
-                assert np.max(np.abs(ev.gradient - ref)) <= 1e-12 * np.max(np.abs(ref))
-                assert ev.value == value(t, m)
-    # p_V (first point) and p_H (second point) fall below the floor
-    for kind, t in (("gaussian", [1.0, 1e-12, 0.0, 0.0]), ("multinomial", [1e-12, 1.0, 0.0, 0.0])):
-        m = make_model(kind=kind, freqs=(0.9, 0.1, 0.5, 0.5))
-        ev = value_and_gradient(np.array(t), m)
-        ref = _reference_gradient(np.array(t), m)
-        assert ev.floor_hit
-        assert np.max(np.abs(ev.gradient - ref)) <= 1e-12 * np.max(np.abs(ref))
+        m = ObjectiveModel(povm, freqs)
+        for _ in range(3):
+            t = random_param(rng, m.dim)
+            ev = value_and_gradient(t, m)
+            ref = _reference_gradient(t, m)
+            assert np.max(np.abs(ev.gradient - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert ev.value == value(t, m)
+    # p_V falls below the floor
+    m = make_model(freqs=(0.9, 0.1, 0.5, 0.5))
+    t = np.array([1.0, 1e-12, 0.0, 0.0])
+    ev = value_and_gradient(t, m)
+    ref = _reference_gradient(t, m)
+    assert ev.floor_hit
+    assert np.max(np.abs(ev.gradient - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_jacobian_gradient_identity(rng):
@@ -147,20 +129,6 @@ def test_floor_flag_near_boundary():
     assert np.all(np.isfinite(ev.gradient))
 
 
-def test_multinomial_floor_is_finite():
-    m = make_model(kind="multinomial", freqs=(0.9, 0.1, 0.5, 0.5))
-    t = np.array([1e-12, 1.0, 0.0, 0.0])
-    assert np.isfinite(value(t, m))
-    ev = value_and_gradient(t, m)
-    assert ev.floor_hit
-
-
-def test_residuals_require_gaussian_kind(rng):
-    m = make_model(kind="multinomial")
-    with pytest.raises(ValueError):
-        residuals_and_jacobian(random_param(rng, 2), m)
-
-
 def _restacked_probs_and_derivs(t, model):
     """Reference: copies the operator stack afresh on every call."""
     mats = np.array(model.povm)
@@ -177,9 +145,10 @@ def _assert_close(got, want, rel=1e-14):
     assert np.max(np.abs(got - want)) <= rel * max(1.0, np.max(np.abs(want)))
 
 
-# measured over 5,500 random t per dimension and kind (d = 2, 4): relative
-# differences of f up to 1.6e-15, of g up to 5.0e-14 of its largest entry;
-# at d = 8 and 16 (300 and 40 random t per kind) up to 4.2e-16 and 2.0e-15
+# measured over 5,500 random t per dimension (d = 2, 4) and objective, the
+# Gaussian and a since-deleted multinomial one: relative differences of f up
+# to 1.6e-15, of g up to 5.0e-14 of its largest entry; at d = 8 and 16 (300
+# and 40 random t per objective) up to 4.2e-16 and 2.0e-15
 QUADRATIC_F_REL = 4e-15
 QUADRATIC_G_REL = 1e-13
 
@@ -192,7 +161,7 @@ def test_cached_stack_matches_restacked_reference(rng, example2):
     freqs3 = np.array([born_probability(op, rho3) for op in povm3])
     cases = [(example2.operators, normalize(example2)), (povm3, freqs3)]
     for povm, freqs in cases:
-        m = ObjectiveModel("gaussian", povm, freqs)
+        m = ObjectiveModel(povm, freqs)
         floor = PROBABILITY_FLOOR
         for _ in range(3):
             t = random_param(rng, m.dim)
@@ -223,7 +192,7 @@ def _basis_and_random_model(rng, d):
     projectors = np.eye(d)[:, :, None] * np.eye(d)[:, None, :]
     povm = np.concatenate([projectors, [random_density(rng, d) for _ in range(4)]])
     rho = random_density(rng, d)
-    return ObjectiveModel("gaussian", povm, [born_probability(op, rho) for op in povm])
+    return ObjectiveModel(povm, [born_probability(op, rho) for op in povm])
 
 
 def test_quadratic_forms_match_operator_products(rng):
@@ -267,7 +236,7 @@ def _three_qubit_model(rng):
     pol = polarization_projectors()
     povm = tensor_povm([pol] * 3)
     rho = random_density(rng, 8)
-    return ObjectiveModel("gaussian", povm, [born_probability(op, rho) for op in povm])
+    return ObjectiveModel(povm, [born_probability(op, rho) for op in povm])
 
 
 def test_dimension_eight_matches_the_operator_products(rng):
@@ -284,7 +253,7 @@ def test_dimension_eight_matches_the_operator_products(rng):
         assert got[1].flags.c_contiguous
     # above d = 4 the likelihood reads the operator stack itself: no Q and no
     # second copy of the stack is built
-    assert set(vars(m)) == {"kind", "povm", "freqs"}
+    assert set(vars(m)) == {"povm", "freqs"}
 
 
 # measured over 2,000 random t at d = 8: y differs from t^T Q_mu by up to
@@ -314,7 +283,7 @@ def test_operator_products_give_the_quadratic_forms_rows(rng):
 def test_block_matches_row_by_row(rng, example1, example2, example3):
     # a (B, n) block gives the stacked 1-D results, up to summation order
     for record in (example1, example2, example3):
-        m = ObjectiveModel("gaussian", record.operators, normalize(record))
+        m = ObjectiveModel(record.operators, normalize(record))
         ts = np.stack([random_param(rng, m.dim) for _ in range(7)])
         r_block, jac_block, _ = residuals_and_jacobian(ts, m)
         assert r_block.shape == (7, len(m.povm))
@@ -363,7 +332,7 @@ def test_quadratic_form_matches_the_index_formula(rng, example1, example2, examp
     # vector has at most one nonzero term
     models = [_basis_and_random_model(rng, d) for d in (1, 2, 3, 4)]
     models += [
-        ObjectiveModel("gaussian", record.operators, normalize(record))
+        ObjectiveModel(record.operators, normalize(record))
         for record in (example1, example2, example3)
     ]
     for m in models:
@@ -390,13 +359,9 @@ def _previous_value_and_gradient(t, m):
     p = np.real(np.einsum("mij,ji->m", a, T)) / float(t @ t)
     floor = PROBABILITY_FLOOR
     pf = np.maximum(p, floor)
-    if m.kind == "gaussian":
-        r = (p - m.freqs) / np.sqrt(pf)
-        f = 0.5 * float(r @ r)
-        w = r * np.where(p > floor, (p + m.freqs) / (2.0 * pf**1.5), 1.0 / np.sqrt(floor))
-    else:
-        f = -float(m.freqs @ np.log(pf))
-        w = np.where(p > floor, -m.freqs / pf, 0.0)
+    r = (p - m.freqs) / np.sqrt(pf)
+    f = 0.5 * float(r @ r)
+    w = r * np.where(p > floor, (p + m.freqs) / (2.0 * pf**1.5), 1.0 / np.sqrt(floor))
     rows, cols, coeffs = param_layout(d)
     imag = coeffs.imag != 0
     pos, factor = 2 * (cols * d + rows) + imag, np.where(imag, -2.0, 2.0)
@@ -435,24 +400,22 @@ def test_single_vector_path_matches_previous_formulas(rng):
         ts = np.vstack([ts, ts[-2:] * 1e5, ts[-2:] * 1e11])
         floored = _floored_points(d) if d in (2, 4) else np.empty((0, d * d))
         assert np.array_equal(build_T(ts), _previous_build_T(ts))
-        for kind in ("gaussian", "multinomial"):
-            m = ObjectiveModel(kind, povm, freqs)
-            for t in np.vstack([ts, floored]):
-                f, g, floor_hit = _previous_value_and_gradient(t, m)
-                ev = value_and_gradient(t, m)
-                assert value(t, m) == ev.value
-                assert ev.floor_hit == floor_hit
-                assert abs(ev.value - f) <= QUADRATIC_F_REL * abs(f)
-                assert np.max(np.abs(ev.gradient - g)) <= QUADRATIC_G_REL * np.max(np.abs(g))
-            for t in floored:
-                assert value_and_gradient(t, m).floor_hit
+        m = ObjectiveModel(povm, freqs)
+        for t in np.vstack([ts, floored]):
+            f, g, floor_hit = _previous_value_and_gradient(t, m)
+            ev = value_and_gradient(t, m)
+            assert value(t, m) == ev.value
+            assert ev.floor_hit == floor_hit
+            assert abs(ev.value - f) <= QUADRATIC_F_REL * abs(f)
+            assert np.max(np.abs(ev.gradient - g)) <= QUADRATIC_G_REL * np.max(np.abs(g))
+        for t in floored:
+            assert value_and_gradient(t, m).floor_hit
 
 
 def test_quadratic_form_value_is_exact_under_power_of_two_scaling(rng, example2):
     # t -> 2^k t scales every product and sum of the quadratic forms exactly,
     # so f is bit for bit the same and g scales by exactly 2^-k
-    for model in (make_model(), make_model("multinomial"),
-                  ObjectiveModel("gaussian", example2.operators, normalize(example2))):
+    for model in (make_model(), ObjectiveModel(example2.operators, normalize(example2))):
         assert model.dim <= QUADRATIC_FORM_MAX_DIM
         for t in [random_param(rng, model.dim) for _ in range(5)]:
             f = value(t, model)

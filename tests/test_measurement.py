@@ -205,6 +205,24 @@ def test_record_and_file_refuse_a_bad_field_with_one_message(fields):
     assert str(made.value) == str(read.value)
 
 
+# operator entries that a record file refuses ("every matrix entry must be a
+# pair of numbers"): a record made in Python refuses them too, by dtype,
+# before it converts them
+NOT_NUMBER_OPERATORS = {"string": [[["1"]]], "bool": [[[True]]], "object": [[[{}]]]}
+
+
+@pytest.mark.parametrize("operators", NOT_NUMBER_OPERATORS.values(), ids=NOT_NUMBER_OPERATORS)
+def test_record_refuses_operator_entries_that_are_not_numbers(operators):
+    with pytest.raises(DimensionError, match="^operator entries must be numbers, not "):
+        MeasurementRecord(operators=operators, counts=[1], normalization=1)
+
+
+def test_record_accepts_integer_float_and_complex_operators():
+    for operators in ([[[1]]], [[[np.uint8(1)]]], [[[np.float32(1)]]], [[[1 + 0j]]]):
+        rec = MeasurementRecord(operators=operators, counts=[1], normalization=1)
+        assert rec.operators.dtype == complex and rec.operators.tolist() == [[[1]]]
+
+
 def test_record_accepts_numpy_integers():
     rec = MeasurementRecord(
         polarization_projectors(), [np.int64(1), np.uint64(2), 3, 4], 10,

@@ -3,6 +3,7 @@ part of the test suite."""
 
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "same_outputs.py"
 spec = importlib.util.spec_from_file_location("same_outputs", TOOL)
@@ -26,3 +27,24 @@ def test_every_expected_case_is_run():
     cases = {tuple(case) for case in same_outputs._cases()}
     assert set(same_outputs.EXPECTED) <= cases
     assert all(set(fields) <= set(same_outputs.FIELDS) for fields in same_outputs.EXPECTED.values())
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_a_case_runs_on_one_blas_thread(monkeypatch):
+    # the last bits of q4's f_final differ between one and two OpenBLAS
+    # threads, so both trees run each case on one, whatever the caller's
+    # environment says
+    for name in BLAS_THREAD_VARIABLES:
+        monkeypatch.setenv(name, "2")
+    seen = []
+
+    def run(argv, **kwargs):
+        seen.append(kwargs["env"])
+        return SimpleNamespace(returncode=0, stdout="", stderr="")
+
+    monkeypatch.setattr(same_outputs.subprocess, "run", run)
+    tree = Path(__file__).resolve().parent.parent
+    assert same_outputs._run(tree, ["simulate", "--help"]) == (0, "", "", None)
+    assert [seen[0][name] for name in BLAS_THREAD_VARIABLES] == ["1", "1", "1"]

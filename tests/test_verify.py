@@ -22,7 +22,7 @@ from tomomle.verify import (
 
 
 def make_model(freqs=(0.75, 0.25, 0.5, 0.5)):
-    return ObjectiveModel("gaussian", polarization_projectors(), np.array(freqs))
+    return ObjectiveModel(polarization_projectors(), np.array(freqs))
 
 
 def test_multistart_basic():
@@ -194,7 +194,7 @@ class BrokenGradientModel(ObjectiveModel):
 def test_gradient_check_negative_control():
     # a deliberately wrong gradient must be flagged
     model = make_model()
-    broken = BrokenGradientModel(model.kind, model.povm, model.freqs)
+    broken = BrokenGradientModel(model.povm, model.freqs)
     assert gradient_check(broken, n_points=5, seed=0) > 1e-2
     with pytest.raises(ValueError):
         gradient_check(make_model(), n_points=0)

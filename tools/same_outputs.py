@@ -7,7 +7,10 @@ Each tree is a checkout root holding `src/tomomle`.  A case runs as
 `python -m tomomle.cli ARGS` with the tree's `src` first on PYTHONPATH, in a
 fresh directory that holds a copy of the tree's bundled records and those
 of the inputs this tool writes (`_inputs`) that the case names, so inputs
-and outputs have the same relative names on both sides.  The manifest's
+and outputs have the same relative names on both sides.  Every case runs
+on one BLAS thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS set to 1), since the last bits of a d = 16 solve's f_final
+depend on the thread count.  The manifest's
 `output_path` is blanked before two documents are compared.  Prints one
 line per case, and exits 1 if any case differs other than as EXPECTED
 names (DIFF), or if a case that EXPECTED names comes out the same (STALE).
@@ -28,6 +31,9 @@ import numpy as np
 
 OUT = "out.json"
 FIELDS = ("exit", "stdout", "stderr", "document")
+ONE_BLAS_THREAD = dict.fromkeys(
+    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"
+)
 # example1's counts over a normalization of 1e-300: every solver overflows
 OVERFLOW_REC = "overflow1.rec"
 # 64 listed 3-qubit operators (d = 8): the d > 4 Jacobian and a 3-qubit Pauli basis
@@ -187,7 +193,10 @@ def _run(tree, argv):
         proc = subprocess.run(
             [sys.executable, "-m", "tomomle.cli", *argv],
             cwd=work,
-            env={**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
+            env={
+                **os.environ, **ONE_BLAS_THREAD, "PYTHONPATH": str(src),
+                "PYTHONDONTWRITEBYTECODE": "1",
+            },
             capture_output=True,
             encoding="utf-8",
             errors="replace",
